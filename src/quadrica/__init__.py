@@ -78,7 +78,7 @@ from .quadratic import (
     pushforward,
     three_defects_check,
 )
-from .naive import naive_cp_quadratic
+from .naive import naive_bhp_quadratic, naive_cp_quadratic
 from .serialize import dumps, from_doc, loads, to_doc
 from .examples import (
     ALGEBRA_KINDS,

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import set_config
+from .config import Config, set_config
 from .errors import (
     CapExceeded,
     CertificateInvalid,
@@ -417,7 +417,6 @@ def _common_flags(sub: argparse.ArgumentParser, *, limit: bool = False,
                   out: bool = False) -> None:
     sub.add_argument("--format", choices=("human", "structured"), default="human",
                      help="report format (structured = one JSON object)")
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads for law sweeps")
     sub.add_argument("--cap-group", type=int, default=None,
                      help="largest group order the tools will materialize")
     sub.add_argument("--cap-ring", type=int, default=None,
@@ -487,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, Any] = {"jobs": max(1, args.jobs)}
+    overrides: dict[str, Any] = {}
     if args.cap_group is not None:
         overrides["cap_group"] = args.cap_group
     if args.cap_ring is not None:
         overrides["cap_ring"] = args.cap_ring
     if args.profile is not None:
         overrides["profile"] = args.profile
-    set_config(**overrides)
+    set_config(Config(**overrides))
     ws = Workspace()
     try:
         return args.fn(ws, args)

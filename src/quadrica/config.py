@@ -1,20 +1,12 @@
-"""Run-time knobs: size caps, verification profile, witness policy.
-
-``QUADRICA_SEED`` is read but deliberately ignored: every computation here is
-deterministic.  The variable is reserved so that scripts exporting it keep
-working if sampling ever becomes randomised.
-"""
+"""Run-time knobs: size caps, verification profile, witness policy."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from .errors import CapExceeded
 
 __all__ = ["Config", "DEFAULT", "get_config", "set_config", "check_cap"]
-
-_ = os.environ.get("QUADRICA_SEED")  # reserved; intentionally unused
 
 
 @dataclass(frozen=True)
@@ -32,7 +24,6 @@ class Config:
     profile: str = "debug"
     sample_rate: int = 7
     exhaustive_witnesses: bool = False
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.profile not in ("debug", "release"):

@@ -219,7 +219,6 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
     verdict = run_laws(
         _bhp_laws(mod, with_mc7=True),
         all_witnesses=cfg.exhaustive_witnesses,
-        jobs=cfg.jobs,
     )
     mod._verdict = verdict
     return verdict
@@ -245,7 +244,6 @@ def verify_cp_module(mod: CpModule) -> Verdict:
     verdict = run_laws(
         _bhp_laws(mod, with_mc7=False) + cp_laws,
         all_witnesses=cfg.exhaustive_witnesses,
-        jobs=cfg.jobs,
     )
     if 0 not in mod.aset:
         from .verdict import Failure
@@ -318,7 +316,7 @@ def elementary_properties(mod: BhpModule) -> Verdict:
         ),
     ]
     cfg = get_config()
-    return run_laws(laws, all_witnesses=cfg.exhaustive_witnesses, jobs=cfg.jobs)
+    return run_laws(laws, all_witnesses=cfg.exhaustive_witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ defect families are
     f_[x](m,m') = f([m,m']·x) − [f(m),f(m')]·x
 
 and f is quadratic when the defects are central/bilinear/homogeneous in the
-appropriate senses.  Every decision here is made twice, by genuinely
-different routes (an eight-relation characterization versus the clause-level
-definition, plus a reduced corollary route), and the routes are required to
-agree — a built-in machine check of the theory.  The module also provides
+appropriate senses.  Every decision here is made by several genuinely
+different characterizations (for plain maps the eight relations, the
+clause-level definition and a reduced route; for pair maps the definition,
+a reduced route and factorization), and the routes are required to agree —
+a built-in machine check of the theory.  Each route is written once, as a
+list of laws law(q, *grid) over a stack T[q] of candidate tables and its
+defect stacks: the batch deciders sweep the whole stack, a single-map
+decision is the stack of one map with q = 0.  The module also provides
 the three-defects identity, composition with closed-form defect formulas,
 the pointwise Hom CP-module, pullback/pushforward, promotion of a plain
 quadratic map to a CP one, and factorization property checks.
@@ -20,6 +24,7 @@ quadratic map to a CP one, and factorization property checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .modules import (
     verify_cp_module,
 )
 from .squarering import is_commutative
-from .verdict import Failure, Verdict, law_failures, run_laws
+from .verdict import Verdict, law_failures, passing_candidates, run_laws
 
 __all__ = [
     "MapTable",
@@ -108,7 +113,7 @@ class MapTable:
 @dataclass(frozen=True, eq=False)
 class DefectBundle:
     """All three defect families as tables: ``d[m,m']``, ``scalar[r,m]``,
-    ``bracket[x,m,m']``."""
+    ``bracket[x,m,m']`` (with a leading candidate axis in defect stacks)."""
 
     d: np.ndarray
     scalar: np.ndarray
@@ -179,116 +184,139 @@ def _require_commutative(mod: BhpModule) -> None:
         raise NonCommutativeRing("quadratic-map calculus requires a commutative square ring")
 
 
-def defects(f: MapTable) -> DefectBundle:
-    """Compute all three defect families of f by their definitions."""
+def _defect_stacks(dom: BhpModule, cod: BhpModule, T: np.ndarray) -> DefectBundle:
+    """The three defect families of every candidate table ``T[q]``, by their
+    definitions: ``d[q,m,m']``, ``scalar[q,r,m]``, ``bracket[q,x,m,m']``."""
+    csub = cod.group.sub
+    xs = np.arange(dom.sr.ree.order)
+    d = csub(csub(T[:, dom.group.add], T[:, None, :]), T[:, :, None])
+    scalar = csub(T[:, dom.scal.T], cod.scal[T].transpose(0, 2, 1))
+    bracket = csub(
+        T[:, np.transpose(dom.bracket, (2, 0, 1))],
+        cod.bracket[T[:, None, :, None], T[:, None, None, :], xs[None, :, None, None]],
+    )
+    return DefectBundle(d=d, scalar=scalar, bracket=bracket)
+
+
+def _first(stacks: DefectBundle) -> DefectBundle:
+    return DefectBundle(d=stacks.d[0], scalar=stacks.scalar[0], bracket=stacks.bracket[0])
+
+
+def _one_map(f: MapTable) -> tuple[np.ndarray, DefectBundle]:
+    """The stack of the single map f and its defect stacks."""
     ensure_module_verified(f.dom)
     ensure_module_verified(f.cod)
     _require_commutative(f.dom)
-    F, dom, cod = f.table, f.dom, f.cod
-    csub = cod.group.sub
-    d = csub(csub(F[dom.group.add], F[None, :]), F[:, None])
-    scalar = csub(F[dom.scal].T, cod.scal[F, :].T)
-    dbr = np.transpose(dom.bracket, (2, 0, 1))
-    cbr = np.transpose(cod.bracket[np.ix_(F, F)], (2, 0, 1))
-    bracket = csub(F[dbr], cbr)
-    return DefectBundle(d=d, scalar=scalar, bracket=bracket)
+    T = f.table[None]
+    return T, _defect_stacks(f.dom, f.cod, T)
+
+
+def defects(f: MapTable) -> DefectBundle:
+    """Compute all three defect families of f by their definitions."""
+    return _first(_one_map(f)[1])
 
 
 # ---------------------------------------------------------------------------
 # law builders for the different decision routes
 
 
-def _relation_laws(f: MapTable):
+def _image_brackets(cod: BhpModule, T: np.ndarray) -> np.ndarray:
+    """B[q,m,n,x] = [f(m),f(n)]·x for the candidate f = T[q]."""
+    return cod.bracket[T[:, :, None, None], T[:, None, :, None], np.arange(cod.sr.ree.order)]
+
+
+def _relation_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
     """The eight-relation characterization of a quadratic map."""
-    dom, cod, F = f.dom, f.cod, f.table
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
-    nadd, nsub, nneg = cod.group.add, cod.group.sub, cod.group.neg
-    nscal, nbr = cod.scal, cod.bracket
+    nadd, nsub, nneg, nscal = cod.group.add, cod.group.sub, cod.group.neg, cod.scal
     mul, h = dom.sr.re.mul, dom.sr.h
+    B = _image_brackets(cod, T)
 
     def grp_comm(a, b):
         return nadd[nadd[nadd[a, b], nneg[a]], nneg[b]]
 
     return [
-        ("zero", (1,), lambda i: (F[i * 0], np.zeros_like(i))),
+        ("zero", (1,), lambda q, i: (T[q, i * 0], np.zeros_like(i))),
         (
             "1(a)",
             (nm, nm, nm, nee),
-            lambda m, m2, n, x: (
-                nbr[F[madd[m, m2]], F[n], x],
-                nadd[nbr[F[m], F[n], x], nbr[F[m2], F[n], x]],
-            ),
+            lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]),
         ),
         (
             "2(b)",
             (nm, nm, ne, nee),
-            lambda m, n, r, x: (nbr[F[dscal[m, r]], F[n], x], nscal[nbr[F[m], F[n], x], r]),
+            lambda q, m, n, r, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]),
         ),
         (
             "3(c)",
             (nm, nm, nee, nm, nee),
-            lambda m, m2, x, n, y: (
-                nbr[F[dbr[m, m2, x]], F[n], y],
-                np.zeros_like(m + m2 + n),
-            ),
+            lambda q, m, m2, x, n, y: (B[q, dbr[m, m2, x], n, y], np.zeros_like(m + m2 + n)),
         ),
         (
             "4(d)",
             (nm, nm, nm),
-            lambda m, m2, m3: (
-                nadd[nadd[nadd[F[madd[madd[m, m2], m3]], F[m]], F[m2]], F[m3]],
+            lambda q, m, m2, m3: (
+                nadd[nadd[nadd[T[q, madd[madd[m, m2], m3]], T[q, m]], T[q, m2]], T[q, m3]],
                 nsub(
-                    nadd[nadd[F[madd[m, m2]], F[madd[m2, m3]]], F[madd[m, m3]]],
-                    grp_comm(F[m2], F[madd[m, m3]]),
+                    nadd[nadd[T[q, madd[m, m2]], T[q, madd[m2, m3]]], T[q, madd[m, m3]]],
+                    grp_comm(T[q, m2], T[q, madd[m, m3]]),
                 ),
             ),
         ),
         (
             "5(e)",
             (nm, nm, ne, ne),
-            lambda m, n, r, s: (
-                F[madd[dscal[m, r], dscal[n, s]]],
+            lambda q, m, n, r, s: (
+                T[q, madd[dscal[m, r], dscal[n, s]]],
                 nsub(
                     nadd[
                         nadd[
                             nsub(
-                                nsub(nscal[F[madd[m, n]], mul[r, s]], nscal[F[n], mul[r, s]]),
-                                nscal[F[m], mul[r, s]],
+                                nsub(
+                                    nscal[T[q, madd[m, n]], mul[r, s]],
+                                    nscal[T[q, n], mul[r, s]],
+                                ),
+                                nscal[T[q, m], mul[r, s]],
                             ),
-                            F[dscal[m, r]],
+                            T[q, dscal[m, r]],
                         ],
-                        F[dscal[n, s]],
+                        T[q, dscal[n, s]],
                     ],
-                    nbr[F[m], F[n], h[mul[r, s]]],
+                    B[q, m, n, h[mul[r, s]]],
                 ),
             ),
         ),
         (
             "6(f)",
             (nm, nm, nee, nm),
-            lambda m, m2, x, n: (F[madd[dbr[m, m2, x], n]], nadd[F[dbr[m, m2, x]], F[n]]),
+            lambda q, m, m2, x, n: (
+                T[q, madd[dbr[m, m2, x], n]],
+                nadd[T[q, dbr[m, m2, x]], T[q, n]],
+            ),
         ),
         (
             "7(g)",
             (nm, ne, ne),
-            lambda m, r, s: (
-                nsub(F[dscal[m, mul[s, r]]], nscal[F[dscal[m, s]], r]),
-                nscal[nsub(F[dscal[m, r]], nscal[F[m], r]), mul[s, s]],
+            lambda q, m, r, s: (
+                nsub(T[q, dscal[m, mul[s, r]]], nscal[T[q, dscal[m, s]], r]),
+                nscal[nsub(T[q, dscal[m, r]], nscal[T[q, m], r]), mul[s, s]],
             ),
         ),
         (
             "8(h)",
             (nm, nm, nee, ne),
-            lambda m, n, x, r: (F[dscal[dbr[m, n, x], r]], nscal[F[dbr[m, n, x]], r]),
+            lambda q, m, n, x, r: (
+                T[q, dscal[dbr[m, n, x], r]],
+                nscal[T[q, dbr[m, n, x]], r],
+            ),
         ),
     ]
 
 
-def _bilinear_laws(label: str, phi_dims: tuple, phi, f: MapTable):
-    """phi(extra_dims..., m, m') must be linear in each of m, m'.  ``phi``
-    indexes as phi[(*extra, m, m')]; extra dimensions come first."""
-    dom, cod = f.dom, f.cod
+def _bilinear_laws(label: str, phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
+    """phi(q, extra_dims..., m, m') must be linear in each of m, m'.  ``phi``
+    indexes as phi[(q, *extra, m, m')]; extra dimensions come first."""
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
@@ -302,6 +330,9 @@ def _bilinear_laws(label: str, phi_dims: tuple, phi, f: MapTable):
         ((nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr)),
     ]
     return [(label, k + dims, fn) for dims, fn in specs]
+
+
+# In the six helpers below ``extra`` starts with the candidate index q.
 
 
 def _first_add(args, phi, madd, nadd):
@@ -340,223 +371,238 @@ def _second_br(args, phi, dbr, nbr):
     )
 
 
-def _homogeneity_laws(label: str, f: MapTable, bundle: DefectBundle):
-    dom, cod = f.dom, f.cod
+def _homogeneity_laws(label: str, dom: BhpModule, cod: BhpModule, D: DefectBundle):
     nm, ne = dom.nm, dom.sr.re.order
-    mul = dom.sr.re.mul
-    scal_def = bundle.scalar
+    mul, sd = dom.sr.re.mul, D.scalar
     return [
         (
             label,
             (ne, nm, ne),
-            lambda r, m, s: (scal_def[r, dom.scal[m, s]], cod.scal[scal_def[r, m], mul[s, s]]),
+            lambda q, r, m, s: (sd[q, r, dom.scal[m, s]], cod.scal[sd[q, r, m], mul[s, s]]),
         )
     ]
 
 
-def _centrality_laws(label: str, f: MapTable, bundle: DefectBundle):
+def _central_rows(cod: BhpModule, T: np.ndarray) -> np.ndarray:
+    """central[q, v] == 1 iff v lies in the submodule generated by the image
+    of candidate q and its brackets with that submodule vanish.  Candidates
+    with the same image share one row."""
+    rows: dict[frozenset, np.ndarray] = {}
+    central = np.empty((len(T), cod.nm), dtype=np.int64)
+    for q, table in enumerate(T):
+        key = frozenset(table.tolist())
+        if key not in rows:
+            iarr = np.array(generated_submodule(cod, key), dtype=np.int64)
+            rows[key] = np.zeros(cod.nm, dtype=np.int64)
+            rows[key][iarr] = (cod.bracket[iarr][:, iarr, :] == 0).all(axis=(1, 2))
+        central[q] = rows[key]
+    return central
+
+
+def _centrality_laws(label: str, dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
     """Defect values must be central inside the generated image of f."""
-    cod = f.cod
-    image = generated_submodule(cod, {int(v) for v in f.table})
-    iarr = np.array(image, dtype=np.int64)
-    in_image = np.zeros(cod.nm, dtype=np.int64)
-    in_image[iarr] = 1
-    # central[v] == 1 iff v lies in the image submodule and brackets with it vanish
-    central = in_image.copy()
-    sub_br = cod.bracket[np.ix_(np.arange(cod.nm), iarr, np.arange(cod.sr.ree.order))]
-    central &= (sub_br == 0).all(axis=(1, 2)).astype(np.int64)
-    nm, ne, nee = f.dom.nm, f.dom.sr.re.order, f.dom.sr.ree.order
-    d, scalar, bracket = bundle.d, bundle.scalar, bundle.bracket
+    central = _central_rows(cod, T)
+    nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
+    d, scalar, bracket = D.d, D.scalar, D.bracket
     return [
-        (label, (nm, nm), lambda m, n: (central[d[m, n]], np.ones_like(m + n))),
-        (label, (ne, nm), lambda r, m: (central[scalar[r, m]], np.ones_like(r + m))),
-        (label, (nee, nm, nm), lambda x, m, n: (central[bracket[x, m, n]], np.ones_like(x + m))),
+        (label, (nm, nm), lambda q, m, n: (central[q, d[q, m, n]], np.ones_like(m + n))),
+        (label, (ne, nm), lambda q, r, m: (central[q, scalar[q, r, m]], np.ones_like(r + m))),
+        (
+            label,
+            (nee, nm, nm),
+            lambda q, x, m, n: (central[q, bracket[q, x, m, n]], np.ones_like(x + m)),
+        ),
     ]
 
 
-def _def_route_laws(f: MapTable, bundle: DefectBundle):
-    """Clause-by-clause transcription of the definition of a quadratic map:
-    central defect images, bilinear d_f and f_[x], homogeneous f_(r)."""
-    laws = _centrality_laws("BHP1", f, bundle)
-    laws += _bilinear_laws("BHP2", (), bundle.d, f)
-    nee = f.dom.sr.ree.order
-    laws += _bilinear_laws("BHP2", (nee,), bundle.bracket, f)
-    laws += _homogeneity_laws("BHP3", f, bundle)
+def _central_bilinear_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+    """The first two clauses of the definition: central defect images,
+    bilinear d_f and f_[x]."""
+    laws = _centrality_laws("BHP1", dom, cod, T, D)
+    laws += _bilinear_laws("BHP2", (), D.d, dom, cod)
+    laws += _bilinear_laws("BHP2", (dom.sr.ree.order,), D.bracket, dom, cod)
     return laws
 
 
-def _cor_route_laws(f: MapTable, bundle: DefectBundle):
+def _def_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+    """Clause-by-clause transcription of the definition of a quadratic map:
+    central defect images, bilinear d_f and f_[x], homogeneous f_(r)."""
+    return _central_bilinear_laws(dom, cod, T, D) + _homogeneity_laws("BHP3", dom, cod, D)
+
+
+def _cor_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
     """Reduced characterization: linearity of m ↦ [f(m),n]·x for n in im f,
     bilinearity of d_f, homogeneity, and f_(r) killing the derived part."""
-    dom, cod, F = f.dom, f.cod, f.table
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
+    B = _image_brackets(cod, T)
     laws = [
         (
             "BHPc1",
             (nm, nm, nm, nee),
-            lambda m, m2, n, x: (
-                nbr[F[madd[m, m2]], F[n], x],
-                nadd[nbr[F[m], F[n], x], nbr[F[m2], F[n], x]],
-            ),
+            lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]),
         ),
         (
             "BHPc1",
             (nm, ne, nm, nee),
-            lambda m, r, n, x: (nbr[F[dscal[m, r]], F[n], x], nscal[nbr[F[m], F[n], x], r]),
+            lambda q, m, r, n, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]),
         ),
         (
             "BHPc1",
             (nm, nm, nee, nm, nee),
-            lambda m, m2, y, n, x: (
-                nbr[F[dbr[m, m2, y]], F[n], x],
-                nbr[nbr[F[m], F[n], x], nbr[F[m2], F[n], x], y],
+            lambda q, m, m2, y, n, x: (
+                B[q, dbr[m, m2, y], n, x],
+                nbr[B[q, m, n, x], B[q, m2, n, x], y],
             ),
         ),
     ]
-    laws += _bilinear_laws("BHPc2", (), bundle.d, f)
-    laws += _homogeneity_laws("BHPc3", f, bundle)
+    laws += _bilinear_laws("BHPc2", (), D.d, dom, cod)
+    laws += _homogeneity_laws("BHPc3", dom, cod, D)
     der = np.array(derived_module(dom), dtype=np.int64)
-    scalar = bundle.scalar
+    scalar = D.scalar
     laws.append(
         (
             "BHPc4",
             (ne, len(der)),
-            lambda r, i: (scalar[r, der[i]], np.zeros_like(r + i)),
+            lambda q, r, i: (scalar[q, r, der[i]], np.zeros_like(r + i)),
         )
     )
     return laws
 
 
-def _cp_membership_laws(f: MapTable, bundle: DefectBundle, with_brackets: bool, label: str):
-    dom, cod = f.dom, f.cod
-    assert isinstance(dom, CpModule) and isinstance(cod, CpModule)
+def _cp_membership_laws(dom: CpModule, cod: CpModule, T, D: DefectBundle, with_brackets: bool,
+                        label: str):
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     aarr = np.array(dom.aset, dtype=np.int64)
     bmask = cod.amask
-    F = f.table
-    d, scalar, bracket = bundle.d, bundle.scalar, bundle.bracket
+    d, scalar, bracket = D.d, D.scalar, D.bracket
     laws = [
-        (label, (len(aarr),), lambda i: (bmask[F[aarr[i]]], np.ones_like(i))),
-        (label, (nm, nm), lambda m, n: (bmask[d[m, n]], np.ones_like(m + n))),
-        (label, (ne, nm), lambda r, m: (bmask[scalar[r, m]], np.ones_like(r + m))),
+        (label, (len(aarr),), lambda q, i: (bmask[T[q, aarr[i]]], np.ones_like(i))),
+        (label, (nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
+        (label, (ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
     ]
     if with_brackets:
         laws.append(
-            (label, (nee, nm, nm), lambda x, m, n: (bmask[bracket[x, m, n]], np.ones_like(x + m)))
+            (
+                label,
+                (nee, nm, nm),
+                lambda q, x, m, n: (bmask[bracket[q, x, m, n]], np.ones_like(x + m)),
+            )
         )
     return laws
 
 
-def _cp_vanishing_laws(f: MapTable, bundle: DefectBundle, with_brackets: bool, label: str):
-    dom = f.dom
+def _cp_vanishing_laws(dom: CpModule, D: DefectBundle, with_brackets: bool, label: str):
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     aarr = np.array(dom.aset, dtype=np.int64)
     la = len(aarr)
-    d, scalar, bracket = bundle.d, bundle.scalar, bundle.bracket
+    d, scalar, bracket = D.d, D.scalar, D.bracket
     laws = [
-        (label, (nm, la), lambda m, i: (d[m, aarr[i]], np.zeros_like(m + i))),
-        (label, (la, nm), lambda i, m: (d[aarr[i], m], np.zeros_like(m + i))),
-        (label, (ne, la), lambda r, i: (scalar[r, aarr[i]], np.zeros_like(r + i))),
+        (label, (nm, la), lambda q, m, i: (d[q, m, aarr[i]], np.zeros_like(m + i))),
+        (label, (la, nm), lambda q, i, m: (d[q, aarr[i], m], np.zeros_like(m + i))),
+        (label, (ne, la), lambda q, r, i: (scalar[q, r, aarr[i]], np.zeros_like(r + i))),
     ]
     if with_brackets:
         laws += [
-            (label, (nee, nm, la), lambda x, m, i: (bracket[x, m, aarr[i]], np.zeros_like(x + m + i))),
-            (label, (nee, la, nm), lambda x, i, m: (bracket[x, aarr[i], m], np.zeros_like(x + m + i))),
+            (
+                label,
+                (nee, nm, la),
+                lambda q, x, m, i: (bracket[q, x, m, aarr[i]], np.zeros_like(x + m + i)),
+            ),
+            (
+                label,
+                (nee, la, nm),
+                lambda q, x, i, m: (bracket[q, x, aarr[i], m], np.zeros_like(x + m + i)),
+            ),
         ]
     return laws
 
 
-def _cp_def_route_laws(f: MapTable, bundle: DefectBundle):
+def _cp_def_route_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBundle):
     """The four defining clauses of a quadratic pair map."""
-    laws = [("zero", (1,), lambda i: (f.table[i * 0], np.zeros_like(i)))]
-    laws += _cp_membership_laws(f, bundle, with_brackets=True, label="CP1")
-    laws += _bilinear_laws("CP2", (), bundle.d, f)
-    laws += _bilinear_laws("CP2", (f.dom.sr.ree.order,), bundle.bracket, f)
-    laws += _homogeneity_laws("CP3", f, bundle)
-    laws += _cp_vanishing_laws(f, bundle, with_brackets=True, label="CP4")
+    laws = [("zero", (1,), lambda q, i: (T[q, i * 0], np.zeros_like(i)))]
+    laws += _cp_membership_laws(dom, cod, T, D, with_brackets=True, label="CP1")
+    laws += _bilinear_laws("CP2", (), D.d, dom, cod)
+    laws += _bilinear_laws("CP2", (dom.sr.ree.order,), D.bracket, dom, cod)
+    laws += _homogeneity_laws("CP3", dom, cod, D)
+    laws += _cp_vanishing_laws(dom, D, with_brackets=True, label="CP4")
     return laws
 
 
-def _cp_cor_route_laws(f: MapTable, bundle: DefectBundle):
+def _cp_cor_route_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBundle):
     """Reduced pair characterization: no bracket-defect conditions at all."""
-    laws = _cp_membership_laws(f, bundle, with_brackets=False, label="CPc1")
-    laws += _bilinear_laws("CPc2", (), bundle.d, f)
-    laws += _homogeneity_laws("CPc3", f, bundle)
-    laws += _cp_vanishing_laws(f, bundle, with_brackets=False, label="CPc4")
+    laws = _cp_membership_laws(dom, cod, T, D, with_brackets=False, label="CPc1")
+    laws += _bilinear_laws("CPc2", (), D.d, dom, cod)
+    laws += _homogeneity_laws("CPc3", dom, cod, D)
+    laws += _cp_vanishing_laws(dom, D, with_brackets=False, label="CPc4")
     return laws
 
 
-def _factorization_laws(f: MapTable, bundle: DefectBundle):
+def _factorization_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBundle):
     """Pointwise form of the tensor/divided-power factorization: d_f and
     f_(r) only see classes mod A, take values in B, and are bilinear resp.
     degree-2 with bilinear polarization."""
-    dom, cod = f.dom, f.cod
     nm, ne = dom.nm, dom.sr.re.order
     aarr = np.array(dom.aset, dtype=np.int64)
     la = len(aarr)
     bmask = cod.amask
-    madd, dscal = dom.group.add, dom.scal
-    nadd, nsub, nscal = cod.group.add, cod.group.sub, cod.scal
-    d, scalar = bundle.d, bundle.scalar
-    F = f.table
-    laws = [
-        ("FAC1", (la,), lambda i: (bmask[F[aarr[i]]], np.ones_like(i))),
-        ("FAC2", (nm, nm), lambda m, n: (bmask[d[m, n]], np.ones_like(m + n))),
-        ("FAC2", (nm, la, nm), lambda m, i, n: (d[madd[m, aarr[i]], n], d[m, n])),
-        ("FAC2", (nm, la, nm), lambda m, i, n: (d[n, madd[m, aarr[i]]], d[n, m])),
-        ("FAC2", (nm, nm, nm), lambda m, m2, n: (d[madd[m, m2], n], nadd[d[m, n], d[m2, n]])),
-        ("FAC2", (nm, nm, nm), lambda m, n, n2: (d[m, madd[n, n2]], nadd[d[m, n], d[m, n2]])),
-        ("FAC2", (nm, ne, nm), lambda m, r, n: (d[dscal[m, r], n], nscal[d[m, n], r])),
-        ("FAC2", (nm, ne, nm), lambda m, r, n: (d[n, dscal[m, r]], nscal[d[n, m], r])),
-        ("FAC3", (ne, nm), lambda r, m: (bmask[scalar[r, m]], np.ones_like(r + m))),
-        ("FAC3", (ne, nm, la), lambda r, m, i: (scalar[r, madd[m, aarr[i]]], scalar[r, m])),
+    madd, nsub = dom.group.add, cod.group.sub
+    d, scalar = D.d, D.scalar
+    # polarization of each f_(r): pol[q,r,m,n] = f_(r)(m+n) − f_(r)(n) − f_(r)(m)
+    pol = nsub(nsub(scalar[:, :, madd], scalar[:, :, None, :]), scalar[:, :, :, None])
+    pol_add, _, pol_scal, pol_scal2, _, _ = _bilinear_laws("FAC3", (ne,), pol, dom, cod)
+    return [
+        ("FAC1", (la,), lambda q, i: (bmask[T[q, aarr[i]]], np.ones_like(i))),
+        ("FAC2", (nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
+        ("FAC2", (nm, la, nm), lambda q, m, i, n: (d[q, madd[m, aarr[i]], n], d[q, m, n])),
+        ("FAC2", (nm, la, nm), lambda q, m, i, n: (d[q, n, madd[m, aarr[i]]], d[q, n, m])),
+        *_bilinear_laws("FAC2", (), d, dom, cod)[:4],  # sums and scalars, both slots
+        ("FAC3", (ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
         (
             "FAC3",
-            (ne, nm, ne),
-            lambda r, m, s: (scalar[r, dscal[m, s]], nscal[scalar[r, m], dom.sr.re.mul[s, s]]),
+            (ne, nm, la),
+            lambda q, r, m, i: (scalar[q, r, madd[m, aarr[i]]], scalar[q, r, m]),
         ),
+        *_homogeneity_laws("FAC3", dom, cod, D),
+        pol_add,
+        pol_scal,
+        pol_scal2,
     ]
-
-    def pol(r, m, n):
-        return nsub(nsub(scalar[r, madd[m, n]], scalar[r, n]), scalar[r, m])
-
-    laws += [
-        (
-            "FAC3",
-            (ne, nm, nm, nm),
-            lambda r, m, m2, n: (pol(r, madd[m, m2], n), nadd[pol(r, m, n), pol(r, m2, n)]),
-        ),
-        (
-            "FAC3",
-            (ne, nm, ne, nm),
-            lambda r, m, s, n: (pol(r, dscal[m, s], n), nscal[pol(r, m, n), s]),
-        ),
-        (
-            "FAC3",
-            (ne, nm, ne, nm),
-            lambda r, m, s, n: (pol(r, n, dscal[m, s]), nscal[pol(r, n, m), s]),
-        ),
-    ]
-    return laws
 
 
 # ---------------------------------------------------------------------------
 # deciders
 
 
-def _run_routes(primary_laws, secondary, *, jobs: int):
+_BHP_ROUTES = {
+    "relations": _relation_laws,
+    "definition": _def_route_laws,
+    "reduced": _cor_route_laws,
+}
+_CP_ROUTES = {
+    "definition": _cp_def_route_laws,
+    "reduced": _cp_cor_route_laws,
+    "factorization": _factorization_laws,
+}
+
+
+def _single(laws):
+    """A route's laws on a stack of one map: the candidate index is 0."""
+    return [(label, dims, partial(law, 0)) for label, dims, law in laws]
+
+
+def _run_routes(primary_laws, secondary):
     """Primary route exhaustively; secondaries exhaustively in the debug
     profile, stride-sampled in release.  A sampled route can only convict,
     never acquit: disagreement with an exhaustive primary is an internal
     error either way, a sampled pass against a failing primary is not."""
     cfg = get_config()
-    primary = run_laws(primary_laws, all_witnesses=cfg.exhaustive_witnesses, jobs=jobs)
+    primary = run_laws(_single(primary_laws), all_witnesses=cfg.exhaustive_witnesses)
     stride = 1 if cfg.profile == "debug" else max(1, cfg.sample_rate)
     outcomes = []
     for name, laws in secondary:
-        verdict = run_laws(laws, stride=stride, jobs=jobs)
+        verdict = run_laws(_single(laws), stride=stride)
         outcomes.append((name, verdict))
         if primary.passed and not verdict.passed:
             first = verdict.failures[0]
@@ -572,31 +618,39 @@ def _run_routes(primary_laws, secondary, *, jobs: int):
     return primary, tuple(outcomes)
 
 
+def _decide(kind: str, f: MapTable, routes: dict) -> QuadCertificate:
+    """The first of ``routes`` is the primary route, the others confirm it."""
+    T, stacks = _one_map(f)
+    (_, primary), *secondary = [
+        (name, build(f.dom, f.cod, T, stacks)) for name, build in routes.items()
+    ]
+    verdict, outcomes = _run_routes(primary, secondary)
+    return QuadCertificate(kind=kind, map=f, defects=_first(stacks), verdict=verdict,
+                           routes=outcomes, passed=verdict.passed)
+
+
+def _pair_map(f, ma: CpModule | None, nb: CpModule | None, refusal: str) -> MapTable:
+    """f as a pair map: a MapTable between pair modules, or a table with
+    both pair modules given."""
+    if (ma is None) != (nb is None):
+        raise PreconditionUnmet("pass both pair modules or neither")
+    if ma is not None:
+        if not isinstance(ma, CpModule) or not isinstance(nb, CpModule):
+            raise PreconditionUnmet(refusal)
+        f = MapTable(ma, nb, f.table if isinstance(f, MapTable) else f)
+    if not isinstance(f.dom, CpModule) or not isinstance(f.cod, CpModule):
+        raise PreconditionUnmet(refusal)
+    return f
+
+
 def is_bhp_quadratic(f: MapTable, *, _recertify: bool = True) -> QuadCertificate:
     """Decide quadraticity of a plain map.  Primary route: the eight
     relations; confirmed against the clause-level definition and against
     the reduced four-condition characterization.  For a passing map the
     scalar defects are re-certified quadratic as well."""
-    ensure_module_verified(f.dom)
-    ensure_module_verified(f.cod)
-    _require_commutative(f.dom)
-    bundle = defects(f)
-    cfg = get_config()
-    primary, outcomes = _run_routes(
-        _relation_laws(f),
-        [("definition", _def_route_laws(f, bundle)), ("reduced", _cor_route_laws(f, bundle))],
-        jobs=cfg.jobs,
-    )
-    cert = QuadCertificate(
-        kind="bhp",
-        map=f,
-        defects=bundle,
-        verdict=primary,
-        routes=outcomes,
-        passed=primary.passed,
-    )
+    cert = _decide("bhp", f, _BHP_ROUTES)
     if cert.passed and _recertify:
-        cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, bundle, kind="bhp")
+        cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="bhp")
     return cert
 
 
@@ -607,39 +661,12 @@ def is_cp_quadratic(f: MapTable, ma: CpModule | None = None, nb: CpModule | None
     conditions) characterization and the pointwise factorization one.
     A passing certificate carries the induced degree-1 and degree-2 maps,
     verified linear over the quotient ring."""
-    if (ma is None) != (nb is None):
-        raise PreconditionUnmet("pass both pair modules or neither")
-    if ma is not None:
-        if not isinstance(ma, CpModule) or not isinstance(nb, CpModule):
-            raise PreconditionUnmet("pair deciders need CP modules on both sides")
-        f = MapTable(ma, nb, f.table if isinstance(f, MapTable) else f)
-    if not isinstance(f.dom, CpModule) or not isinstance(f.cod, CpModule):
-        raise PreconditionUnmet("pair deciders need CP modules on both sides")
-    ensure_module_verified(f.dom)
-    ensure_module_verified(f.cod)
-    _require_commutative(f.dom)
-    bundle = defects(f)
-    cfg = get_config()
-    primary, outcomes = _run_routes(
-        _cp_def_route_laws(f, bundle),
-        [
-            ("reduced", _cp_cor_route_laws(f, bundle)),
-            ("factorization", _factorization_laws(f, bundle)),
-        ],
-        jobs=cfg.jobs,
-    )
-    cert = QuadCertificate(
-        kind="cp",
-        map=f,
-        defects=bundle,
-        verdict=primary,
-        routes=outcomes,
-        passed=primary.passed,
-    )
+    f = _pair_map(f, ma, nb, "pair deciders need CP modules on both sides")
+    cert = _decide("cp", f, _CP_ROUTES)
     if cert.passed:
         cert.graded = _graded_maps(f)
         if _recertify:
-            cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, bundle, kind="cp")
+            cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="cp")
     return cert
 
 
@@ -732,21 +759,15 @@ def three_defects_check(f: MapTable) -> Verdict:
     """d_{f_(r)}(m,m') = f_[H(r)](m,m') + d_f(m,m')·(r²−r), plus its r=2
     specialization d_{f_(2)}(m,m') = d_f(m,m') + d_f(m',m).  Requires the
     centrality and bilinearity clauses to hold first."""
-    ensure_module_verified(f.dom)
-    ensure_module_verified(f.cod)
-    _require_commutative(f.dom)
-    bundle = defects(f)
-    gate = run_laws(
-        _centrality_laws("BHP1", f, bundle)
-        + _bilinear_laws("BHP2", (), bundle.d, f)
-        + _bilinear_laws("BHP2", (f.dom.sr.ree.order,), bundle.bracket, f)
-    )
+    T, stacks = _one_map(f)
+    gate = run_laws(_single(_central_bilinear_laws(f.dom, f.cod, T, stacks)))
     if not gate.passed:
         first = gate.failures[0]
         raise PreconditionUnmet(
             f"three-defects identity needs central/bilinear defects; "
             f"{first.law} fails at {first.witness}"
         )
+    bundle = _first(stacks)
     dom, cod = f.dom, f.cod
     nm, ne = dom.nm, dom.sr.re.order
     madd = dom.group.add
@@ -917,12 +938,15 @@ def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -
     return out
 
 
-# -- vectorized-over-candidates deciders.  Used by the enumerator and by the
-# equivalence censuses, which certify that the different characterizations of
-# a quadratic map pick out identical sets of tables.
+# -- batch deciders: the route laws above swept over a stack of candidate
+# tables.  Used by the enumerator and by the equivalence censuses, which
+# certify that the different characterizations of a quadratic map pick out
+# identical sets of tables.
 
 
-def _batch_prepare(dom: BhpModule, cod: BhpModule, tables) -> np.ndarray:
+def _batch(dom: BhpModule, cod: BhpModule, tables, routes: dict, route: str) -> np.ndarray:
+    if route not in routes:
+        raise PreconditionUnmet(f"unknown route {route!r}")
     ensure_module_verified(dom)
     ensure_module_verified(cod)
     _require_commutative(dom)
@@ -931,122 +955,12 @@ def _batch_prepare(dom: BhpModule, cod: BhpModule, tables) -> np.ndarray:
         raise PreconditionUnmet(f"tables must be (K, {dom.nm})")
     if T.size and (T.min() < 0 or T.max() >= cod.nm):
         raise PreconditionUnmet("table entries out of range")
-    return T
-
-
-def _batch_defects(t, dom, cod):
-    """Per-candidate defect tables d[q,m,n], sd[q,m,r], bd[q,m,n,x]."""
-    nsub, nscal, nbr = cod.group.sub, cod.scal, cod.bracket
-    xs = np.arange(dom.sr.ree.order)
-    d = nsub(nsub(t[:, dom.group.add], t[:, None, :]), t[:, :, None])
-    sd = nsub(t[:, dom.scal], nscal[t])
-    bd = nsub(
-        t[:, dom.bracket],
-        nbr[t[:, :, None, None], t[:, None, :, None], xs[None, None, None, :]],
-    )
-    return d, sd, bd
-
-
-def _block_d_bilinear(d, dom, cod):
-    """d linear in each slot: additivity, scalar and bracket equivariance."""
-    madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
-    nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
-    rs = np.arange(dom.sr.re.order)
-    xs = np.arange(dom.sr.ree.order)
-    good = (d[:, madd, :] == nadd[d[:, :, None, :], d[:, None, :, :]]).all(axis=(1, 2, 3))
-    good &= (d[:, :, madd] == nadd[d[:, :, :, None], d[:, :, None, :]]).all(axis=(1, 2, 3))
-    good &= (d[:, dscal, :] == nscal[d[:, :, None, :], rs[None, None, :, None]]).all(axis=(1, 2, 3))
-    good &= (d[:, :, dscal] == nscal[d[:, :, :, None], rs[None, None, None, :]]).all(axis=(1, 2, 3))
-    good &= (
-        d[:, dbr, :]
-        == nbr[d[:, :, None, None, :], d[:, None, :, None, :], xs[None, None, None, :, None]]
-    ).all(axis=(1, 2, 3, 4))
-    good &= (
-        d[:, :, dbr]
-        == nbr[d[:, :, :, None, None], d[:, :, None, :, None], xs[None, None, None, None, :]]
-    ).all(axis=(1, 2, 3, 4))
-    return good
-
-
-def _block_bd_bilinear(bd, dom, cod):
-    """Every f_[x] linear in each slot (the parameter x rides on the last axis)."""
-    madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
-    nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
-    rs = np.arange(dom.sr.re.order)
-    xs = np.arange(dom.sr.ree.order)
-    good = (bd[:, madd, :, :] == nadd[bd[:, :, None, :, :], bd[:, None, :, :, :]]).all(
-        axis=(1, 2, 3, 4)
-    )
-    good &= (bd[:, :, madd, :] == nadd[bd[:, :, :, None, :], bd[:, :, None, :, :]]).all(
-        axis=(1, 2, 3, 4)
-    )
-    good &= (bd[:, dscal, :, :] == nscal[bd[:, :, None, :, :], rs[None, None, :, None, None]]).all(
-        axis=(1, 2, 3, 4)
-    )
-    good &= (bd[:, :, dscal, :] == nscal[bd[:, :, :, None, :], rs[None, None, None, :, None]]).all(
-        axis=(1, 2, 3, 4)
-    )
-    good &= (
-        bd[:, dbr, :, :]
-        == nbr[
-            bd[:, :, None, None, :, :],
-            bd[:, None, :, None, :, :],
-            xs[None, None, None, :, None, None],
-        ]
-    ).all(axis=(1, 2, 3, 4, 5))
-    good &= (
-        bd[:, :, dbr, :]
-        == nbr[
-            bd[:, :, :, None, None, :],
-            bd[:, :, None, :, None, :],
-            xs[None, None, None, None, :, None],
-        ]
-    ).all(axis=(1, 2, 3, 4, 5))
-    return good
-
-
-def _block_sd_homogeneous(sd, dom, cod):
-    """f_(r)(m·s) = f_(r)(m)·s² for all r, m, s."""
-    rs = np.arange(dom.sr.re.order)
-    sq = dom.sr.re.mul[rs, rs]
-    return (sd[:, dom.scal, :] == cod.scal[sd[:, :, None, :], sq[None, None, :, None]]).all(
-        axis=(1, 2, 3)
-    )
-
-
-def _block_centrality(t, d, sd, bd, dom, cod):
-    """Defect values central in the generated image, one candidate at a time
-    (the generated submodule differs per candidate)."""
-    from .modules import _submodule_closure
-
-    nee = cod.sr.ree.order
-    k = t.shape[0]
-    good = np.ones(k, dtype=bool)
-    for q in range(k):
-        image = np.array(sorted(_submodule_closure(cod, {int(v) for v in t[q]})), dtype=np.int64)
-        central = np.zeros(cod.nm, dtype=bool)
-        central[image] = True
-        central &= (cod.bracket[:, image, :] == 0).all(axis=(1, 2))
-        good[q] = (
-            central[d[q]].all() and central[sd[q]].all() and central[bd[q]].all()
-        )
-    return good
-
-
-def _chunked(fn, T: np.ndarray, per_candidate: int) -> np.ndarray:
-    K = T.shape[0]
-    ok = np.ones(K, dtype=bool)
-    if K == 0:
-        return ok
-    chunk = max(1, (1 << 20) // max(per_candidate, 1))
-    for start in range(0, K, chunk):
-        sl = slice(start, min(start + chunk, K))
-        ok[sl] = fn(T[sl])
-    return ok
+    laws = routes[route](dom, cod, T, _defect_stacks(dom, cod, T))
+    return passing_candidates(laws, len(T))
 
 
 def batch_cp_quadratic(ma: CpModule, nb: CpModule, tables, route: str = "definition") -> np.ndarray:
-    """Vectorized pair-quadraticity filter; one boolean per candidate row.
+    """Pair-quadraticity filter; one boolean per candidate row.
 
     route "definition": the four defining clauses.
     route "reduced": the bracket-defect-free characterization.
@@ -1055,184 +969,20 @@ def batch_cp_quadratic(ma: CpModule, nb: CpModule, tables, route: str = "definit
     """
     if not isinstance(ma, CpModule) or not isinstance(nb, CpModule):
         raise PreconditionUnmet("pair deciders need CP modules on both sides")
-    if route not in ("definition", "reduced", "factorization"):
-        raise PreconditionUnmet(f"unknown route {route!r}")
-    T = _batch_prepare(ma, nb, tables)
-    nm, ne, nee = ma.nm, ma.sr.re.order, ma.sr.ree.order
-    aarr = np.array(ma.aset, dtype=np.int64)
-    bmask = nb.amask.astype(bool)
-    madd, dscal = ma.group.add, ma.scal
-    nadd, nsub, nscal = nb.group.add, nb.group.sub, nb.scal
-    rs = np.arange(ne)
-
-    def eval_chunk(t: np.ndarray) -> np.ndarray:
-        d, sd, bd = _batch_defects(t, ma, nb)
-        good = bmask[t[:, aarr]].all(axis=1)
-        good &= bmask[d].all(axis=(1, 2))
-        good &= bmask[sd].all(axis=(1, 2))
-        if route == "definition":
-            good &= bmask[bd].all(axis=(1, 2, 3))
-            good &= (d[:, aarr, :] == 0).all(axis=(1, 2))
-            good &= (d[:, :, aarr] == 0).all(axis=(1, 2))
-            good &= (sd[:, aarr, :] == 0).all(axis=(1, 2))
-            good &= (bd[:, aarr, :, :] == 0).all(axis=(1, 2, 3))
-            good &= (bd[:, :, aarr, :] == 0).all(axis=(1, 2, 3))
-            good &= _block_d_bilinear(d, ma, nb)
-            good &= _block_bd_bilinear(bd, ma, nb)
-            good &= _block_sd_homogeneous(sd, ma, nb)
-        elif route == "reduced":
-            good &= (d[:, aarr, :] == 0).all(axis=(1, 2))
-            good &= (d[:, :, aarr] == 0).all(axis=(1, 2))
-            good &= (sd[:, aarr, :] == 0).all(axis=(1, 2))
-            good &= _block_d_bilinear(d, ma, nb)
-            good &= _block_sd_homogeneous(sd, ma, nb)
-        else:  # factorization
-            good &= (d[:, madd[:, aarr], :] == d[:, :, None, :]).all(axis=(1, 2, 3))
-            good &= (d[:, :, madd[:, aarr]] == d[:, :, :, None]).all(axis=(1, 2, 3))
-            good &= (sd[:, madd[:, aarr], :] == sd[:, :, None, :]).all(axis=(1, 2, 3))
-            good &= (d[:, madd, :] == nadd[d[:, :, None, :], d[:, None, :, :]]).all(axis=(1, 2, 3))
-            good &= (d[:, :, madd] == nadd[d[:, :, :, None], d[:, :, None, :]]).all(axis=(1, 2, 3))
-            good &= (d[:, dscal, :] == nscal[d[:, :, None, :], rs[None, None, :, None]]).all(
-                axis=(1, 2, 3)
-            )
-            good &= (d[:, :, dscal] == nscal[d[:, :, :, None], rs[None, None, None, :]]).all(
-                axis=(1, 2, 3)
-            )
-            good &= _block_sd_homogeneous(sd, ma, nb)
-            # polarization of each sd[r]: pol[q,m,n,r] biadditive and equivariant
-            pol = nsub(nsub(sd[:, madd, :], sd[:, None, :, :]), sd[:, :, None, :])
-            good &= (pol[:, madd, :, :] == nadd[pol[:, :, None, :, :], pol[:, None, :, :, :]]).all(
-                axis=(1, 2, 3, 4)
-            )
-            good &= (pol[:, dscal, :, :] == nscal[pol[:, :, None, :, :],
-                                                  rs[None, None, :, None, None]]).all(
-                axis=(1, 2, 3, 4)
-            )
-            good &= (pol[:, :, dscal, :] == nscal[pol[:, :, :, None, :],
-                                                  rs[None, None, None, :, None]]).all(
-                axis=(1, 2, 3, 4)
-            )
-        return good
-
-    per = nm * nm * max(nm * nee * nee, nm * nm, ne * ne) + 1
-    return _chunked(eval_chunk, T, per)
+    return _batch(ma, nb, tables, _CP_ROUTES, route)
 
 
 def batch_bhp_quadratic(
     dom: BhpModule, cod: BhpModule, tables, route: str = "relations"
 ) -> np.ndarray:
-    """Vectorized plain-quadraticity filter; one boolean per candidate row.
+    """Plain-quadraticity filter; one boolean per candidate row.
 
     route "relations": the eight-relation characterization.
     route "definition": central defect images + bilinearity + homogeneity.
     route "reduced": linearity of m ↦ [f(m),n]·x for n in the image, d_f
     bilinear, homogeneity, scalar defects killing the derived submodule.
     """
-    if route not in ("relations", "definition", "reduced"):
-        raise PreconditionUnmet(f"unknown route {route!r}")
-    T = _batch_prepare(dom, cod, tables)
-    nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
-    nadd, nsub, nneg, nscal, nbr = (
-        cod.group.add,
-        cod.group.sub,
-        cod.group.neg,
-        cod.scal,
-        cod.bracket,
-    )
-    mul, h = dom.sr.re.mul, dom.sr.h
-    rs = np.arange(ne)
-    xs = np.arange(nee)
-    sq = mul[rs, rs]
-    madd3 = madd[madd, :]
-    der = np.array(derived_module(dom), dtype=np.int64)
-
-    def eval_relations(t: np.ndarray) -> np.ndarray:
-        # B[q,m,n,x] = [f(m), f(n)]·x
-        B = nbr[t[:, :, None, None], t[:, None, :, None], xs[None, None, None, :]]
-        good = (B[:, madd, :, :] == nadd[B[:, :, None, :, :], B[:, None, :, :, :]]).all(
-            axis=(1, 2, 3, 4)
-        )
-        good &= (B[:, dscal, :, :] == nscal[B[:, :, None, :, :], rs[None, None, :, None, None]]).all(
-            axis=(1, 2, 3, 4)
-        )
-        good &= (B[:, dbr, :, :] == 0).all(axis=(1, 2, 3, 4, 5))
-        # relation at position 4: inclusion–exclusion of f over three summands
-        lhs4 = nadd[
-            nadd[nadd[t[:, madd3], t[:, :, None, None]], t[:, None, :, None]], t[:, None, None, :]
-        ]
-        s1 = t[:, madd]
-        sums3 = nadd[nadd[s1[:, :, :, None], s1[:, None, :, :]], s1[:, :, None, :]]
-        fm2 = t[:, None, :, None]
-        fm13 = s1[:, :, None, :]
-        comm = nadd[nadd[nadd[fm2, fm13], nneg[fm2]], nneg[fm13]]
-        good &= (lhs4 == nsub(sums3, comm)).all(axis=(1, 2, 3))
-        # relation at position 5: mixed-scalar sum formula
-        dd = madd[dscal[:, None, :, None], dscal[None, :, None, :]]
-        mulrs = mul[rs[:, None], rs[None, :]]
-        a1 = nscal[s1[:, :, :, None, None], mulrs[None, None, None, :, :]]
-        a2 = nscal[t[:, None, :, None, None], mulrs[None, None, None, :, :]]
-        a3 = nscal[t[:, :, None, None, None], mulrs[None, None, None, :, :]]
-        a4 = t[:, dscal][:, :, None, :, None]
-        a5 = t[:, dscal][:, None, :, None, :]
-        a6 = B[:, :, :, h[mulrs]]
-        good &= (t[:, dd] == nsub(nadd[nadd[nsub(nsub(a1, a2), a3), a4], a5], a6)).all(
-            axis=(1, 2, 3, 4)
-        )
-        # relation at position 6: f splits off bracket values additively
-        shift = madd[dbr[:, :, :, None], np.arange(nm)[None, None, None, :]]
-        good &= (t[:, shift] == nadd[t[:, dbr][:, :, :, :, None], t[:, None, None, None, :]]).all(
-            axis=(1, 2, 3, 4)
-        )
-        # relation at position 7: scalar-defect homogeneity in disguise
-        sd = nsub(t[:, dscal], nscal[t])
-        lhs7 = nsub(
-            t[:, dscal[:, mul.T]],
-            nscal[t[:, dscal][:, :, None, :], rs[None, None, :, None]],
-        )
-        good &= (lhs7 == nscal[sd[:, :, :, None], sq[None, None, None, :]]).all(axis=(1, 2, 3))
-        # relation at position 8: f equivariant on bracket values
-        hd = dscal[dbr]
-        good &= (t[:, hd] == nscal[t[:, dbr][:, :, :, :, None], rs[None, None, None, None, :]]).all(
-            axis=(1, 2, 3, 4)
-        )
-        return good
-
-    def eval_definition(t: np.ndarray) -> np.ndarray:
-        d, sd, bd = _batch_defects(t, dom, cod)
-        good = _block_centrality(t, d, sd, bd, dom, cod)
-        good &= _block_d_bilinear(d, dom, cod)
-        good &= _block_bd_bilinear(bd, dom, cod)
-        good &= _block_sd_homogeneous(sd, dom, cod)
-        return good
-
-    def eval_reduced(t: np.ndarray) -> np.ndarray:
-        d, sd, _bd = _batch_defects(t, dom, cod)
-        B = nbr[t[:, :, None, None], t[:, None, :, None], xs[None, None, None, :]]
-        good = (B[:, madd, :, :] == nadd[B[:, :, None, :, :], B[:, None, :, :, :]]).all(
-            axis=(1, 2, 3, 4)
-        )
-        good &= (B[:, dscal, :, :] == nscal[B[:, :, None, :, :], rs[None, None, :, None, None]]).all(
-            axis=(1, 2, 3, 4)
-        )
-        good &= (
-            B[:, dbr, :, :]
-            == nbr[
-                B[:, :, None, None, :, :],
-                B[:, None, :, None, :, :],
-                xs[None, None, None, :, None, None],
-            ]
-        ).all(axis=(1, 2, 3, 4, 5))
-        good &= _block_d_bilinear(d, dom, cod)
-        good &= _block_sd_homogeneous(sd, dom, cod)
-        good &= (sd[:, der, :] == 0).all(axis=(1, 2))
-        return good
-
-    fn = {"relations": eval_relations, "definition": eval_definition, "reduced": eval_reduced}[
-        route
-    ]
-    per = nm * nm * max(nee * nm * nee, nee * ne, nm) + 1
-    return _chunked(fn, T, per)
+    return _batch(dom, cod, tables, _BHP_ROUTES, route)
 
 
 class HomModule(CpModule):
@@ -1373,17 +1123,12 @@ def factorization_check(f: MapTable, ma: CpModule | None = None, nb: CpModule | 
     """The pointwise factorization properties of a quadratic pair map:
     d_f descends to a bilinear B-valued form on classes mod A, and f_(r)
     descends to a degree-2 form with bilinear polarization."""
-    if (ma is None) != (nb is None):
-        raise PreconditionUnmet("pass both pair modules or neither")
-    if ma is not None:
-        f = MapTable(ma, nb, f.table if isinstance(f, MapTable) else f)
-    if not isinstance(f.dom, CpModule) or not isinstance(f.cod, CpModule):
-        raise PreconditionUnmet("factorization check needs CP modules on both sides")
-    bundle = defects(f)
-    gate = run_laws(_cp_def_route_laws(f, bundle))
+    f = _pair_map(f, ma, nb, "factorization check needs CP modules on both sides")
+    T, stacks = _one_map(f)
+    gate = run_laws(_single(_cp_def_route_laws(f.dom, f.cod, T, stacks)))
     if not gate.passed:
         first = gate.failures[0]
         raise PreconditionUnmet(
             f"factorization needs a quadratic pair map; {first.law} fails at {first.witness}"
         )
-    return run_laws(_factorization_laws(f, bundle))
+    return run_laws(_single(_factorization_laws(f.dom, f.cod, T, stacks)))

@@ -90,12 +90,19 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``1.0`` are not integers here."""
+    return type(value) is int
+
+
 def _int_array(value, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=np.int64)
-    except (TypeError, ValueError) as e:
+        cells = np.asarray(value, dtype=object)
+        if not all(map(_is_int, cells.ravel().tolist())):
+            raise ValueError("an entry is not an integer")
+        return cells.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{what}: not a rectangular integer array ({e})") from None
-    return arr
 
 
 def _group_from(doc: dict, what: str) -> FiniteGroup:
@@ -112,7 +119,7 @@ def _near_ring_from(doc: dict, what: str) -> NearRing:
     add = _int_array(_need(doc, "add"), f"{what}.add")
     mul = _int_array(_need(doc, "mul"), f"{what}.mul")
     one = _need(doc, "one")
-    if not isinstance(one, int):
+    if not _is_int(one):
         raise ParseError(f"{what}.one: expected an integer")
     rd = bool(doc.get("right_distributive", True))
     try:
@@ -150,7 +157,7 @@ def from_doc(doc: dict):
         try:
             if kind == "cp_module":
                 aset = _need(doc, "aset")
-                if not isinstance(aset, list) or not all(isinstance(a, int) for a in aset):
+                if not isinstance(aset, list) or not all(map(_is_int, aset)):
                     raise ParseError("aset: expected a list of integers")
                 return CpModule(sr, group, scal, bracket, aset)
             return BhpModule(sr, group, scal, bracket)

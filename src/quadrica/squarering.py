@@ -216,8 +216,8 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
         ),
     ]
     cfg = get_config()
-    verdict = run_laws(laws, all_witnesses=cfg.exhaustive_witnesses, jobs=cfg.jobs)
-    derived_verdict = run_laws(derived, all_witnesses=cfg.exhaustive_witnesses, jobs=cfg.jobs)
+    verdict = run_laws(laws, all_witnesses=cfg.exhaustive_witnesses)
+    derived_verdict = run_laws(derived, all_witnesses=cfg.exhaustive_witnesses)
     if verdict.passed and not derived_verdict.passed:
         first = derived_verdict.failures[0]
         raise ConsistencyError(

@@ -1,22 +1,24 @@
 """Verdicts and the exhaustive table-identity sweep engine.
 
 Every axiom/relation check in the library is phrased as "evaluate two integer
-arrays over a full index grid and compare".  ``law_failures`` does that with
-chunking (so worst-case grids never materialise more than ``chunk_cells``
-elements at once), optional multithreading over the leading axis, and
-lexicographically-first witness extraction.
+arrays over a full index grid and compare".  The engine sweeps a law over a
+leading candidate axis and the grid, in blocks (so worst-case grids never
+materialise much more than ``chunk_cells`` elements at once).
+``passing_candidates`` reads one boolean per candidate, for batch deciders;
+``law_failures`` is the sweep of one candidate, with lexicographically-first
+witness extraction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Failure", "Verdict", "open_grid", "law_failures", "run_laws"]
+__all__ = ["Failure", "Verdict", "open_grid", "law_failures", "run_laws", "passing_candidates"]
 
 Law = Callable[..., tuple[np.ndarray, np.ndarray]]
 
@@ -70,32 +72,69 @@ def open_grid(dims: Sequence[int]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _scan(
-    label: str,
-    law: Law,
-    axis0: np.ndarray,
-    tail: tuple[np.ndarray, ...],
-    dims: tuple[int, ...],
-    all_witnesses: bool,
-) -> list[Failure]:
-    lhs, rhs = law(axis0, *tail)
-    sub = (axis0.size,) + dims[1:]
-    neq = np.broadcast_to(np.asarray(lhs) != np.asarray(rhs), sub)
+@lru_cache(maxsize=256)
+def _grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``open_grid(dims)``, cached and read-only: most sweeps are small, and
+    their cost is mostly per sweep, not per cell."""
+    grid = open_grid(dims)
+    for g in grid:
+        g.flags.writeable = False
+    return grid
+
+
+def _blocks(dims: tuple[int, ...], qs: np.ndarray, stride: int, chunk_cells: int):
+    """Split the sweep of the candidates ``qs`` over the grid ``dims`` into
+    blocks of about ``chunk_cells`` cells, splitting the candidates first,
+    then the leading grid axis, of which every stride-th index is kept.
+    Yields each block's slice of ``qs``, its candidates ``q`` and its grid,
+    shaped to broadcast over (candidates, *dims), and the block's shape."""
+    grid = _grid((1,) + dims)
+    qshape = (-1,) + (1,) * len(dims)
+    rest = prod(dims[1:])
+    if stride == 1 and qs.size * dims[0] * rest <= chunk_cells:
+        yield slice(0, qs.size), qs.reshape(qshape), grid[1:], (qs.size,) + dims
+        return
+    lead = np.arange(0, dims[0], stride)
+    per_q = lead.size * rest
+    q_step = max(1, chunk_cells // max(per_q, 1))
+    lead_step = lead.size if per_q <= chunk_cells else max(1, chunk_cells // rest)
+    for a in range(0, qs.size, q_step):
+        block = slice(a, min(a + q_step, qs.size))
+        q = qs[block].reshape(qshape)
+        for b in range(0, lead.size, lead_step):
+            i0 = lead[b : b + lead_step].reshape((1, -1) + (1,) * (len(dims) - 1))
+            yield block, q, (i0, *grid[2:]), (q.size, i0.size) + dims[1:]
+
+
+# The two evaluators below take the law's values as an argument, so that a
+# block's arrays are freed before the next block is evaluated.
+
+
+def _witnesses(label: str, values, i0: np.ndarray, shape, all_witnesses: bool):
+    lhs, rhs = (np.asarray(v) for v in values)
+    neq = lhs != rhs
     if not neq.any():
         return []
+    lhs, rhs, neq = (np.broadcast_to(v, shape)[0] for v in (lhs, rhs, neq))
     bad = np.argwhere(neq)  # C order == lexicographic
     if not all_witnesses:
         bad = bad[:1]
-    lhs_b = np.broadcast_to(np.asarray(lhs), sub)
-    rhs_b = np.broadcast_to(np.asarray(rhs), sub)
     out = []
     for b in bad:
         here = tuple(int(v) for v in b)
-        witness = (int(axis0.ravel()[b[0]]),) + here[1:]
-        out.append(
-            Failure(label, witness, f"lhs={int(lhs_b[here])} rhs={int(rhs_b[here])}")
-        )
+        witness = (int(i0.ravel()[here[0]]),) + here[1:]
+        out.append(Failure(label, witness, f"lhs={int(lhs[here])} rhs={int(rhs[here])}"))
     return out
+
+
+def _fails_per_candidate(values) -> np.ndarray:
+    """Per candidate of the block (or one value for all): some cell fails."""
+    lhs, rhs = values
+    neq = np.asarray(lhs) != np.asarray(rhs)
+    return neq.reshape(len(neq), -1).any(axis=1)
+
+
+_ONE = np.zeros(1, dtype=np.int64)
 
 
 def law_failures(
@@ -106,12 +145,13 @@ def law_failures(
     all_witnesses: bool = False,
     chunk_cells: int = 1 << 22,
     stride: int = 1,
-    jobs: int = 1,
 ) -> list[Failure]:
-    """Evaluate ``law`` over the full grid, return [] or the violations.
+    """Evaluate ``law(*grid)`` over the full grid, return [] or the violations.
 
-    ``stride > 1`` checks only every stride-th index of the leading axis
-    (deterministic sampling for release-profile secondary routes).
+    This is the sweep of a single candidate: the law does not see the
+    candidate axis and the witnesses drop it.  ``stride > 1`` checks only
+    every stride-th index of the leading axis (deterministic sampling for
+    release-profile secondary routes).
     """
     dims = tuple(int(d) for d in dims)
     if prod(dims) == 0:
@@ -121,35 +161,34 @@ def law_failures(
         if int(lhs) != int(rhs):
             return [Failure(label, (), f"lhs={int(lhs)} rhs={int(rhs)}")]
         return []
-    tail = open_grid(dims)[1:]
-    d0 = dims[0]
-    rest = prod(dims[1:])
-    step = d0 if d0 * rest <= chunk_cells else max(1, chunk_cells // rest)
-    shape0 = (-1,) + (1,) * (len(dims) - 1)
-    starts = list(range(0, d0, step))
-
-    def scan_range(start: int) -> list[Failure]:
-        idx = np.arange(start, min(d0, start + step))
-        if stride > 1:
-            idx = idx[(idx % stride) == 0]
-            if idx.size == 0:
-                return []
-        return _scan(label, law, idx.reshape(shape0), tail, dims, all_witnesses)
-
-    if jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_chunk = list(pool.map(scan_range, starts))
-    else:
-        per_chunk = []
-        for s in starts:
-            found = scan_range(s)
-            per_chunk.append(found)
-            if found and not all_witnesses:
-                break
-    failures = [f for chunk in per_chunk for f in chunk]
-    if failures and not all_witnesses:
-        failures = [min(failures, key=lambda f: f.witness)]
+    failures: list[Failure] = []
+    for _, _, grid, shape in _blocks(dims, _ONE, stride, chunk_cells):
+        failures += _witnesses(label, law(*grid), grid[0], shape, all_witnesses)
+        if failures and not all_witnesses:
+            break
     return failures
+
+
+def passing_candidates(laws: Iterable[tuple[str, Sequence[int], Law]], count: int) -> np.ndarray:
+    """One boolean per candidate ``0 .. count-1``: whether ``law(q, *grid)``
+    holds everywhere on the grid for every law.  A candidate that fails a
+    law is not swept by the laws after it; the mask is the same, since it
+    is the AND of the laws.  Blocks hold about 2**20 cells, to bound the
+    memory of the several block-sized arrays a law allocates."""
+    alive = np.arange(count)
+    for _label, dims, law in laws:
+        if alive.size == 0:
+            break
+        dims = tuple(dims)
+        if prod(dims) == 0:
+            continue
+        bad = np.zeros(alive.size, dtype=bool)
+        for block, q, grid, _ in _blocks(dims, alive, 1, 1 << 20):
+            bad[block] |= _fails_per_candidate(law(q, *grid))
+        alive = alive[~bad]
+    mask = np.zeros(count, dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def run_laws(
@@ -157,7 +196,6 @@ def run_laws(
     *,
     all_witnesses: bool = False,
     stride: int = 1,
-    jobs: int = 1,
 ) -> Verdict:
     """Run a batch of laws and fold the results into one Verdict."""
     failures: list[Failure] = []
@@ -165,8 +203,6 @@ def run_laws(
     for label, dims, law in laws:
         checked.append(label)
         failures.extend(
-            law_failures(
-                label, dims, law, all_witnesses=all_witnesses, stride=stride, jobs=jobs
-            )
+            law_failures(label, dims, law, all_witnesses=all_witnesses, stride=stride)
         )
     return Verdict.from_failures(failures, checked)

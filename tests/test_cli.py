@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from quadrica import MapTable, build_example, dumps, free_cp_pair, regular_module, to_doc
+from quadrica import (
+    Config,
+    MapTable,
+    build_example,
+    dumps,
+    free_cp_pair,
+    get_config,
+    regular_module,
+    to_doc,
+)
 from quadrica.cli import main
 
 from conftest import triangular_square_ring
@@ -77,9 +86,7 @@ def test_quad_output_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["quad", path])
     second = capsys.readouterr().out
-    main(["quad", path, "--jobs", "2"])
-    third = capsys.readouterr().out
-    assert first == second == third
+    assert first == second
 
 
 def test_parse_failures_exit_two(tmp_path, capsys):
@@ -182,3 +189,31 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "square_ring"
+
+
+def test_non_integer_table_entries_exit_two(tmp_path, capsys):
+    docs = {}
+    for kind in ("sym", "rnil"):
+        path = str(tmp_path / f"{kind}2.pair")
+        assert main(["example", kind, "2", "--emit", "pair", "--out", path]) == 0
+        docs[kind] = json.loads(open(path).read())
+    assert docs["sym"]["group"]["add"][0][1] == 1
+    assert docs["rnil"]["square_ring"]["re"]["one"] == 1
+    cases = [("sym", ("group", "add", 0), 1, entry) for entry in (1.5, True, "1")]
+    cases.append(("rnil", ("square_ring", "re"), "one", True))
+    for kind, where, key, value in cases:
+        bad = json.loads(json.dumps(docs[kind]))
+        node = bad
+        for step in where:
+            node = node[step]
+        node[key] = value
+        assert main(["verify", write(tmp_path, "bad.pair", json.dumps(bad))]) == 2, value
+
+
+def test_in_process_calls_do_not_inherit_flags(tmp_path, capsys):
+    path = str(tmp_path / "sym2.pair")
+    assert main(["example", "sym", "2", "--emit", "pair", "--out", path]) == 0
+    assert main(["verify", path, "--profile", "release", "--cap-group", "8"]) == 0
+    assert get_config() == Config(cap_group=8, profile="release")
+    assert main(["verify", path]) == 0
+    assert get_config() == Config()

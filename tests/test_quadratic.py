@@ -20,6 +20,7 @@ from quadrica import (
     free_cp_pair,
     is_bhp_quadratic,
     is_cp_quadratic,
+    naive_bhp_quadratic,
     naive_cp_quadratic,
     promote_to_cp,
     ree_module,
@@ -157,6 +158,14 @@ def test_batch_bhp_routes_agree_on_a_full_census():
         assert np.array_equal(by_rel, batch_bhp_quadratic(reg, reg, tables, route=route))
     for table, expect in zip(tables[:: 7], by_rel[:: 7]):
         assert is_bhp_quadratic(MapTable(reg, reg, table)).passed == bool(expect)
+
+
+def test_naive_bhp_oracle_agrees_on_a_full_census():
+    reg = regular_module(build_example("rnil", 4))
+    tables = all_tables(4, 4)
+    mask = batch_bhp_quadratic(reg, reg, tables)
+    assert int(mask.sum()) == 8
+    assert [naive_bhp_quadratic(reg, reg, t) for t in tables] == mask.tolist()
 
 
 def test_unknown_batch_route_is_refused():
