@@ -493,7 +493,11 @@ def main(argv: list[str] | None = None) -> int:
         overrides["cap_ring"] = args.cap_ring
     if args.profile is not None:
         overrides["profile"] = args.profile
-    set_config(Config(**overrides))
+    try:
+        set_config(Config(**overrides))
+    except ValueError as err:  # e.g. a non-positive cap
+        print(f"usage mismatch: {err}", file=sys.stderr)
+        return 4
     ws = Workspace()
     try:
         return args.fn(ws, args)

@@ -16,7 +16,7 @@ import numpy as np
 from .config import get_config
 from .errors import ConsistencyError, NotNormal, PreconditionUnmet
 from .groups import FiniteGroup, closed_sets_between
-from .squarering import OperadTrunc2, SquareRing, ensure_verified, operad_of
+from .squarering import OperadTrunc2, SquareRing, _frozen_table, ensure_verified, operad_of
 from .verdict import Verdict, law_failures, run_laws
 
 __all__ = [
@@ -71,8 +71,8 @@ class BhpModule:
         ensure_verified(sr)
         self.sr = sr
         self.group = group
-        self.scal = np.ascontiguousarray(scal, dtype=np.int64)
-        self.bracket = np.ascontiguousarray(bracket, dtype=np.int64)
+        self.scal = _frozen_table(scal)
+        self.bracket = _frozen_table(bracket)
         nm, ne, nee = group.order, sr.re.order, sr.ree.order
         if self.scal.shape != (nm, ne):
             raise PreconditionUnmet(f"scal shape {self.scal.shape}, expected {(nm, ne)}")
@@ -114,7 +114,7 @@ class BhpModule:
 class CpModule(BhpModule):
     """A BHP-module together with the distinguished subgroup A."""
 
-    __slots__ = ("aset", "amask")
+    __slots__ = ("aset", "amask", "_gr")
 
     def __init__(self, sr: SquareRing, group: FiniteGroup, scal, bracket, aset):
         super().__init__(sr, group, scal, bracket)
@@ -123,7 +123,9 @@ class CpModule(BhpModule):
         if any(a < 0 or a >= self.nm for a in self.aset):
             raise PreconditionUnmet("A contains out-of-range elements")
         mask[list(self.aset)] = 1
+        mask.flags.writeable = False
         self.amask = mask
+        self._gr: GradedAlgebra2 | None = None
 
     @property
     def base(self) -> BhpModule:
@@ -560,10 +562,19 @@ def _bar_module_laws(barmod: BarModule, bar) -> list:
 
 
 def gr(pair: CpModule) -> GradedAlgebra2:
-    """The graded object of a CP pair; every induced table is re-checked for
-    well-definedness, and the pairing for the equivariance law
-    [m·r, n·s]·(x·t) = ([m,n]·x)·rst."""
+    """The graded object of a verified CP pair, built once per pair and
+    cached on it (its tables are read-only, so it cannot go stale).  On the
+    build every induced table is re-checked for well-definedness, and the
+    pairing for the equivariance law [m·r, n·s]·(x·t) = ([m,n]·x)·rst.
+    The pair is verified first on every call; a pair that fails, or a build
+    that raises, leaves nothing cached."""
     ensure_module_verified(pair)
+    if pair._gr is None:
+        pair._gr = _build_gr(pair)
+    return pair._gr
+
+
+def _build_gr(pair: CpModule) -> GradedAlgebra2:
     sr = pair.sr
     operad = operad_of(sr)
     bar = operad.op1
@@ -641,6 +652,8 @@ def gr(pair: CpModule) -> GradedAlgebra2:
     if not verdict.passed:
         first = verdict.failures[0]
         raise ConsistencyError(f"graded structure violates {first.law} at {first.witness}")
+    for table in (scal1, scal2, pairing, proj1, embed2):
+        table.flags.writeable = False  # shared by every caller of the cache
     return GradedAlgebra2(
         operad=operad, deg1=deg1, deg2=deg2, pairing=pairing, proj1=proj1, embed2=embed2
     )
@@ -698,7 +711,7 @@ def regular_module(sr: SquareRing) -> BhpModule:
     ensure_verified(sr)
     ne = sr.re.order
     bracket = sr.p[sr.act[:, :, :, sr.one]]
-    mod = BhpModule(sr, sr.re.group, sr.re.mul.copy(), bracket.reshape(ne, ne, sr.ree.order))
+    mod = BhpModule(sr, sr.re.group, sr.re.mul, bracket.reshape(ne, ne, sr.ree.order))
     _require_pass(verify_bhp_module(mod), "regular module")
     return mod
 
@@ -709,7 +722,7 @@ def ree_module(sr: SquareRing) -> BhpModule:
     nee = sr.ree.order
     scal = sr.act[sr.one, sr.one]  # (nee, ne)
     bracket = np.zeros((nee, nee, nee), dtype=np.int64)
-    mod = BhpModule(sr, sr.ree, scal.copy(), bracket)
+    mod = BhpModule(sr, sr.ree, scal, bracket)
     _require_pass(verify_bhp_module(mod), "R_ee module")
     return mod
 

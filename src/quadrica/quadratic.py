@@ -587,9 +587,10 @@ _CP_ROUTES = {
 }
 
 
-def _single(laws):
-    """A route's laws on a stack of one map: the candidate index is 0."""
-    return [(label, dims, partial(law, 0)) for label, dims, law in laws]
+def _single(laws, q: int = 0):
+    """A route's laws on the one map ``q`` of their stack (the stack of one
+    map by default)."""
+    return [(label, dims, partial(law, q)) for label, dims, law in laws]
 
 
 def _run_routes(primary_laws, secondary):
@@ -672,18 +673,32 @@ def is_cp_quadratic(f: MapTable, ma: CpModule | None = None, nb: CpModule | None
 
 def _scalar_defects_quadratic(f: MapTable, bundle: DefectBundle, kind: str) -> bool:
     """The scalar defects of a quadratic map are themselves quadratic;
-    recomputed here for every passing certificate (depth one only)."""
-    for r in range(f.dom.sr.re.order):
-        fr = MapTable(f.dom, f.cod, bundle.scalar[r])
-        if kind == "bhp":
-            sub = is_bhp_quadratic(fr, _recertify=False)
-        else:
-            sub = is_cp_quadratic(fr, _recertify=False)
-        if not sub.passed:
+    recertified for every passing certificate (depth one only).  The |R_e|
+    tables f_(r) go through every route as one stack, exhaustively in every
+    profile; for pair maps each f_(r) also gets its induced graded maps.  A
+    rejection raises ConsistencyError, and only then is the single-map
+    decider re-run on the rejected f_(r), so that the message names the
+    failed law."""
+    dom, cod, T = f.dom, f.cod, bundle.scalar
+    if kind == "bhp":
+        routes, decide = _BHP_ROUTES, is_bhp_quadratic
+    else:
+        routes, decide = _CP_ROUTES, is_cp_quadratic
+    stacks = _defect_stacks(dom, cod, T)
+    route_laws = [build(dom, cod, T, stacks) for build in routes.values()]
+    passing = np.logical_and.reduce([passing_candidates(laws, len(T)) for laws in route_laws])
+    for r, table in enumerate(T):
+        fr = MapTable(dom, cod, table)
+        if not passing[r]:
+            sub = decide(fr, _recertify=False)  # raises itself if its routes disagree
+            # it can pass only in the release profile, by sampling a route the stack swept
+            verdicts = [sub.verdict] + [run_laws(_single(laws, r)) for laws in route_laws]
+            law = next(v.failures[0].law for v in verdicts if not v.passed)
             raise ConsistencyError(
-                f"scalar defect f_({r}) of a certified quadratic map fails "
-                f"{sub.verdict.failures[0].law}"
+                f"scalar defect f_({r}) of a certified quadratic map fails {law}"
             )
+        if kind == "cp":
+            _graded_maps(fr)
     return True
 
 

@@ -62,18 +62,28 @@ AXIOM_TEXT = {
 }
 
 
+def _frozen_table(table) -> np.ndarray:
+    """A read-only int64 copy of ``table``.  Verified objects cache what
+    they derive from their tables (verdict, commutativity, operad, graded
+    object), which is sound only if the tables never change; the copy
+    leaves the caller's own array writable."""
+    out = np.array(table, dtype=np.int64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 class SquareRing:
     """Carrier tuple; run :func:`verify_square_ring` before using it."""
 
-    __slots__ = ("re", "ree", "act", "h", "p", "t", "_verdict", "_commutative")
+    __slots__ = ("re", "ree", "act", "h", "p", "t", "_verdict", "_commutative", "_operad")
 
     def __init__(self, re: NearRing, ree: FiniteGroup, act, h, p, t):
         self.re = re
         self.ree = ree
-        self.act = np.ascontiguousarray(act, dtype=np.int64)
-        self.h = np.ascontiguousarray(h, dtype=np.int64)
-        self.p = np.ascontiguousarray(p, dtype=np.int64)
-        self.t = np.ascontiguousarray(t, dtype=np.int64)
+        self.act = _frozen_table(act)
+        self.h = _frozen_table(h)
+        self.p = _frozen_table(p)
+        self.t = _frozen_table(t)
         ne, nee = re.order, ree.order
         expect = (ne, ne, nee, ne)
         if self.act.shape != expect:
@@ -91,6 +101,7 @@ class SquareRing:
             raise PreconditionUnmet("action entries out of range")
         self._verdict: Verdict | None = None
         self._commutative: bool | None = None
+        self._operad: OperadTrunc2 | None = None
 
     @property
     def one(self) -> int:
@@ -290,12 +301,23 @@ class OperadTrunc2:
 
 
 def operad_of(sr: SquareRing) -> OperadTrunc2:
-    """Reduce the action mod im P; well-definedness is re-checked, not assumed."""
+    """The truncated operad of a verified square ring, built once per ring
+    and cached on it: the action is reduced mod im P and its
+    well-definedness re-checked, not assumed.  A build that raises is not
+    cached, so every later call raises again."""
+    ensure_verified(sr)
+    if sr._operad is None:
+        sr._operad = _build_operad(sr)
+    return sr._operad
+
+
+def _build_operad(sr: SquareRing) -> OperadTrunc2:
     bar = cokernel_p(sr)
     proj = bar.proj
     k = bar.order
     reps = np.array([int(np.flatnonzero(proj == i)[0]) for i in range(k)], dtype=np.int64)
     ract = sr.act[np.ix_(reps, reps, np.arange(sr.ree.order), reps)]
+    ract.flags.writeable = False  # shared by every caller of the cache
     bad = law_failures(
         "operad-action-well-defined",
         (sr.re.order, sr.re.order, sr.ree.order, sr.re.order),
@@ -305,7 +327,7 @@ def operad_of(sr: SquareRing) -> OperadTrunc2:
         raise ConsistencyError(
             f"action does not descend to cosets of im P at {bad[0].witness}"
         )
-    return OperadTrunc2(op1=bar, op2=sr.ree, act=ract, t=sr.t.copy())
+    return OperadTrunc2(op1=bar, op2=sr.ree, act=ract, t=sr.t)
 
 
 def is_commutative(sr: SquareRing) -> bool:

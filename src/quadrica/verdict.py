@@ -161,6 +161,12 @@ def law_failures(
         if int(lhs) != int(rhs):
             return [Failure(label, (), f"lhs={int(lhs)} rhs={int(rhs)}")]
         return []
+    if stride == 1 and prod(dims) <= chunk_cells:  # one block: no block bookkeeping
+        grid = _grid((1,) + dims)[1:]
+        lhs, rhs = law(*grid)
+        if not (lhs != rhs).any():
+            return []
+        return _witnesses(label, (lhs, rhs), grid[0], (1,) + dims, all_witnesses)
     failures: list[Failure] = []
     for _, _, grid, shape in _blocks(dims, _ONE, stride, chunk_cells):
         failures += _witnesses(label, law(*grid), grid[0], shape, all_witnesses)

@@ -149,6 +149,14 @@ def test_usage_mismatches_exit_four(tmp_path, capsys):
     assert info.value.code == 4
 
 
+@pytest.mark.parametrize("flag", ["--cap-group", "--cap-ring"])
+def test_non_positive_caps_exit_four(tmp_path, capsys, flag):
+    pair = write_doc(tmp_path, "sym2.pair", free_cp_pair(build_example("sym", 2)))
+    assert main(["verify", pair, flag, "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage mismatch: ") and captured.out == ""
+
+
 def test_quad_requires_a_commutative_base(tmp_path, capsys):
     sr = triangular_square_ring()
     reg = regular_module(sr)

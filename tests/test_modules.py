@@ -29,6 +29,7 @@ from quadrica import (
     verify_cp_module,
     zero_module,
 )
+from quadrica.errors import PreconditionUnmet
 
 SPOT_RINGS = [("sym", 2), ("rnil", 4), ("tensor", 3), ("gamma", 4)]
 
@@ -130,6 +131,36 @@ def test_gr_of_free_pair():
     assert g.operad.sizes == (2, 2)
     assert sorted(g.proj1.tolist()) == [0, 0, 1, 1]
     assert g.pairing.shape == (2, 2, 2)
+
+
+def test_gr_is_built_once_per_verified_pair():
+    pair = free_cp_pair(build_example("sym", 2))
+    assert gr(pair) is gr(pair)
+    with pytest.raises(ValueError):
+        gr(pair).pairing[0, 0, 0] = 1  # the cached object is shared by every caller
+
+
+def test_gr_of_a_failing_pair_raises_every_time_and_caches_nothing():
+    sr = build_example("sym", 2)
+    reg = regular_module(sr)
+    bad = CpModule(sr, reg.group, reg.scal, reg.bracket, (0, 2))  # fails MC0
+    for _ in range(2):
+        with pytest.raises(PreconditionUnmet, match="MC0"):
+            gr(bad)
+        assert bad._gr is None
+
+
+def test_verified_module_tables_are_read_only_copies():
+    sr = build_example("sym", 2)
+    reg = regular_module(sr)
+    scal = reg.scal.copy()
+    pair = CpModule(sr, reg.group, scal, reg.bracket, sr.im_p())
+    assert verify_cp_module(pair).passed
+    for table in (pair.scal, pair.bracket, pair.amask):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    scal[0, 0] = 1  # the caller's own array stays writable and is not shared
+    assert pair.scal[0, 0] == 0
 
 
 def test_gr_gamma_and_gr_z_agree_when_center_is_derived():

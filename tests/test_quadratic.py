@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,12 +31,15 @@ from quadrica import (
 )
 from quadrica.errors import (
     CertificateInvalid,
+    ConsistencyError,
     NonCommutativeRing,
     NotComposable,
     PreconditionUnmet,
     SearchSpaceTooLarge,
 )
+from quadrica.quadratic import DefectBundle, _defect_stacks, _scalar_defects_quadratic
 
+from _census import module_census, pair_census
 from conftest import triangular_square_ring
 
 
@@ -199,6 +204,59 @@ def test_three_defects_gates_on_quadraticity():
     sr = build_example("tensor", 3)
     with pytest.raises(PreconditionUnmet):
         three_defects_check(square_map(sr, regular_module(sr)))
+
+
+# ---------------------------------------------------------------------------
+# recertification of the scalar defects
+
+
+def test_scalar_defects_of_census_maps_are_quadratic_map_by_map():
+    """Every scalar defect f_(r) of every accepted plain and pair map of the
+    rnil 2 / sym 2 census passes the single-map decider on its own, and
+    every batch route accepts the whole stack of them: the stacked
+    recertification and the per-map decision agree."""
+    distinct = 0
+    for kind in ("rnil", "sym"):
+        mods = module_census(build_example(kind, 2))
+        pairs = [p for m in mods for p in pair_census(m)]
+        plain_routes = ("relations", "definition", "reduced")
+        pair_routes = ("definition", "reduced", "factorization")
+        for objs, batch, decide, routes in (
+            (mods, batch_bhp_quadratic, is_bhp_quadratic, plain_routes),
+            (pairs, batch_cp_quadratic, is_cp_quadratic, pair_routes),
+        ):
+            for dom in objs:
+                for cod in objs:
+                    tables = all_tables(dom.nm, cod.nm)
+                    accepted = tables[batch(dom, cod, tables)]
+                    if not len(accepted):
+                        continue
+                    rows = _defect_stacks(dom, cod, accepted).scalar.reshape(-1, dom.nm)
+                    for route in routes:
+                        assert batch(dom, cod, rows, route=route).all()
+                    for row in np.unique(rows, axis=0):
+                        distinct += 1
+                        assert decide(MapTable(dom, cod, row), _recertify=False).passed
+    assert distinct == 314
+
+
+@pytest.mark.parametrize("kind", ["bhp", "cp"])
+def test_a_forged_scalar_defect_is_refused_by_name(kind):
+    sr = build_example("tensor", 2)
+    module = free_cp_pair(sr) if kind == "cp" else regular_module(sr)
+    f = square_map(sr, module)
+    decide = is_cp_quadratic if kind == "cp" else is_bhp_quadratic
+    batch = batch_cp_quadratic if kind == "cp" else batch_bhp_quadratic
+    tables = all_tables(module.nm, module.nm)
+    bad = tables[~batch(module, module, tables)][0]
+    law = decide(MapTable(module, module, bad)).verdict.failures[0].law
+    real = defects(f)
+    scalar = real.scalar.copy()
+    scalar[1] = bad
+    forged = DefectBundle(d=real.d, scalar=scalar, bracket=real.bracket)
+    with pytest.raises(ConsistencyError, match=rf"f_\(1\) .* fails {re.escape(law)}$"):
+        _scalar_defects_quadratic(f, forged, kind)
+    assert decide(f).scalar_defects_quadratic is True
 
 
 # ---------------------------------------------------------------------------

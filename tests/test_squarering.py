@@ -81,6 +81,15 @@ def test_operad_sizes():
         assert operad_of(build_example(kind, n)).sizes == sizes
 
 
+def test_operad_is_built_once_per_verified_ring():
+    sr = build_example("gamma", 4)
+    assert operad_of(sr) is operad_of(sr)
+    with pytest.raises(ValueError):
+        sr.act[0, 0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        operad_of(sr).act[0, 0, 0, 0] = 1
+
+
 def test_shape_of_t_per_family():
     n = 3
     tensor = build_example("tensor", n)
@@ -125,6 +134,10 @@ def test_ensure_verified_raises_on_garbage():
     broken = SquareRing(sr.re, sr.ree, sr.act, sr.h, np.array([1, 1]), sr.t)
     with pytest.raises(PreconditionUnmet):
         ensure_verified(broken)
+    for _ in range(2):  # a failed build is never cached
+        with pytest.raises(PreconditionUnmet):
+            operad_of(broken)
+        assert broken._operad is None
 
 
 def test_noncommutative_ring_still_verifies_as_square_ring():
