@@ -7,7 +7,7 @@ decision failure, 2 unparseable document, 3 a cap or search bound was hit,
 4 usage mismatch (wrong document kind, non-composable maps, bad arguments).
 
 Output on stdout is deterministic: reports depend only on the input documents
-and flags, never on worker count or environment.
+and flags, never on the environment.
 """
 
 from __future__ import annotations
@@ -421,9 +421,6 @@ def _common_flags(sub: argparse.ArgumentParser, *, limit: bool = False,
                      help="largest group order the tools will materialize")
     sub.add_argument("--cap-ring", type=int, default=None,
                      help="largest ring order the tools will materialize")
-    sub.add_argument("--profile", choices=("debug", "release"), default=None,
-                     help="debug: every confirmation route exhaustive; "
-                          "release: secondary routes sample deterministically")
     if limit:
         sub.add_argument("--limit", type=int, default=1_000_000,
                          help="refuse enumerations larger than this")
@@ -491,8 +488,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["cap_group"] = args.cap_group
     if args.cap_ring is not None:
         overrides["cap_ring"] = args.cap_ring
-    if args.profile is not None:
-        overrides["profile"] = args.profile
     try:
         set_config(Config(**overrides))
     except ValueError as err:  # e.g. a non-positive cap

@@ -1,4 +1,4 @@
-"""Run-time knobs: size caps, verification profile, witness policy."""
+"""Run-time knobs: size caps and witness policy."""
 
 from __future__ import annotations
 
@@ -11,25 +11,17 @@ __all__ = ["Config", "DEFAULT", "get_config", "set_config", "check_cap"]
 
 @dataclass(frozen=True)
 class Config:
-    """Immutable configuration bundle.
-
-    profile "debug" runs every cross-check exhaustively; "release" keeps the
-    primary route exhaustive and runs secondary routes on a deterministic
-    index-stride sample of rate ``sample_rate`` (1 = everything, k = every
-    k-th tuple).
-    """
+    """Immutable configuration bundle.  Every check runs exhaustively;
+    ``exhaustive_witnesses`` lists every failing cell of a law instead of
+    the lexicographically-first one."""
 
     cap_group: int = 64
     cap_ring: int = 16
-    profile: str = "debug"
-    sample_rate: int = 7
     exhaustive_witnesses: bool = False
 
     def __post_init__(self) -> None:
-        if self.profile not in ("debug", "release"):
-            raise ValueError(f"unknown profile {self.profile!r}")
-        if self.cap_group < 1 or self.cap_ring < 1 or self.sample_rate < 1:
-            raise ValueError("caps and sample_rate must be positive")
+        if self.cap_group < 1 or self.cap_ring < 1:
+            raise ValueError("caps must be positive")
 
 
 DEFAULT = Config()
@@ -42,7 +34,7 @@ def get_config() -> Config:
 
 def set_config(cfg: Config | None = None, **overrides) -> Config:
     """Install a new process-wide config; returns it.  Keyword form patches
-    the current one, e.g. ``set_config(profile="release")``."""
+    the current one, e.g. ``set_config(exhaustive_witnesses=True)``."""
     global _current
     _current = replace(_current, **overrides) if cfg is None else cfg
     return _current

@@ -12,7 +12,7 @@ from typing import Callable, FrozenSet, Iterable, Sequence
 
 import numpy as np
 
-from .config import get_config
+from .config import check_cap, get_config
 from .errors import NotAGroup, NotNormal
 from .verdict import law_failures
 
@@ -26,15 +26,25 @@ __all__ = [
 ]
 
 
+def _frozen_table(table) -> np.ndarray:
+    """A read-only int64 copy of ``table``.  Groups, rings, square rings and
+    modules cache what they derive from their tables (center, verdict,
+    commutativity, operad, graded object), which is sound only if the tables
+    never change; the copy leaves the caller's own array writable."""
+    out = np.array(table, dtype=np.int64, order="C")
+    out.flags.writeable = False
+    return out
+
+
 class FiniteGroup:
     """A validated finite group; use :func:`build_group` for raw tables."""
 
     __slots__ = ("order", "add", "neg", "_center", "_derived")
 
     def __init__(self, add: np.ndarray, neg: np.ndarray):
-        self.add = np.ascontiguousarray(add, dtype=np.int64)
-        self.neg = np.ascontiguousarray(neg, dtype=np.int64)
-        self.order = int(add.shape[0])
+        self.add = _frozen_table(add)
+        self.neg = _frozen_table(neg)
+        self.order = int(self.add.shape[0])
         self._center: tuple[int, ...] | None = None
         self._derived: tuple[int, ...] | None = None
 
@@ -191,11 +201,7 @@ def build_group(add_table) -> FiniteGroup:
     n = add.shape[0]
     if n == 0:
         raise NotAGroup("empty carrier")
-    cfg = get_config()
-    if n > cfg.cap_group:
-        from .errors import CapExceeded
-
-        raise CapExceeded("group carrier", n, cfg.cap_group)
+    check_cap("group carrier", n, get_config().cap_group)
     if add.min() < 0 or add.max() >= n:
         raise NotAGroup("table entries out of range")
     e = _find_neutral(add)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import get_config
+from .config import check_cap, get_config
 from .errors import ConsistencyError, NotNormal, PreconditionUnmet
-from .groups import FiniteGroup, closed_sets_between
-from .squarering import OperadTrunc2, SquareRing, _frozen_table, ensure_verified, operad_of
-from .verdict import Verdict, law_failures, run_laws
+from .groups import FiniteGroup, _frozen_table, closed_sets_between
+from .squarering import OperadTrunc2, SquareRing, cokernel_p, ensure_verified, operad_of
+from .verdict import Failure, Verdict, law_failures, run_laws
 
 __all__ = [
     "BhpModule",
@@ -248,8 +248,6 @@ def verify_cp_module(mod: CpModule) -> Verdict:
         all_witnesses=cfg.exhaustive_witnesses,
     )
     if 0 not in mod.aset:
-        from .verdict import Failure
-
         verdict = verdict.merge(
             Verdict(False, (Failure("MC0", (0,), "A must contain 0"),), ("MC0",))
         )
@@ -492,10 +490,7 @@ def admissible_intermediates(mod: BhpModule, *, max_order: int = 16) -> list[tup
     """All scalar-stable subgroups A with [M,M]_R <= A <= Z_R(M); each pair
     (M,A) is a CP-module and is re-verified here."""
     ensure_module_verified(mod)
-    if mod.nm > max_order:
-        from .errors import CapExceeded
-
-        raise CapExceeded("admissible_intermediates carrier", mod.nm, max_order)
+    check_cap("admissible_intermediates carrier", mod.nm, max_order)
     lower = derived_module(mod)
     upper = r_center(mod)
 
@@ -729,8 +724,6 @@ def ree_module(sr: SquareRing) -> BhpModule:
 
 def rbar_regular_module(sr: SquareRing) -> BhpModule:
     """R̄ = R_e/im P as a zero-bracket module (scal through the projection)."""
-    from .squarering import cokernel_p
-
     bar = cokernel_p(sr)
     k = bar.order
     reps = np.array([int(np.flatnonzero(bar.proj == i)[0]) for i in range(k)], dtype=np.int64)

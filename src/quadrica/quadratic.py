@@ -594,16 +594,12 @@ def _single(laws, q: int = 0):
 
 
 def _run_routes(primary_laws, secondary):
-    """Primary route exhaustively; secondaries exhaustively in the debug
-    profile, stride-sampled in release.  A sampled route can only convict,
-    never acquit: disagreement with an exhaustive primary is an internal
-    error either way, a sampled pass against a failing primary is not."""
-    cfg = get_config()
-    primary = run_laws(_single(primary_laws), all_witnesses=cfg.exhaustive_witnesses)
-    stride = 1 if cfg.profile == "debug" else max(1, cfg.sample_rate)
+    """Every route exhaustively; a secondary route whose outcome differs
+    from the primary's is an internal error, in either direction."""
+    primary = run_laws(_single(primary_laws), all_witnesses=get_config().exhaustive_witnesses)
     outcomes = []
     for name, laws in secondary:
-        verdict = run_laws(_single(laws), stride=stride)
+        verdict = run_laws(_single(laws))
         outcomes.append((name, verdict))
         if primary.passed and not verdict.passed:
             first = verdict.failures[0]
@@ -611,7 +607,7 @@ def _run_routes(primary_laws, secondary):
                 f"routes disagree: primary passes but {name} fails "
                 f"{first.law} at {first.witness}"
             )
-        if not primary.passed and verdict.passed and stride == 1:
+        if not primary.passed and verdict.passed:
             raise ConsistencyError(
                 f"routes disagree: primary fails {primary.failures[0].law} "
                 f"but {name} passes"
@@ -674,31 +670,23 @@ def is_cp_quadratic(f: MapTable, ma: CpModule | None = None, nb: CpModule | None
 def _scalar_defects_quadratic(f: MapTable, bundle: DefectBundle, kind: str) -> bool:
     """The scalar defects of a quadratic map are themselves quadratic;
     recertified for every passing certificate (depth one only).  The |R_e|
-    tables f_(r) go through every route as one stack, exhaustively in every
-    profile; for pair maps each f_(r) also gets its induced graded maps.  A
-    rejection raises ConsistencyError, and only then is the single-map
-    decider re-run on the rejected f_(r), so that the message names the
-    failed law."""
+    tables f_(r) go through every route as one stack; for pair maps each
+    f_(r) also gets its induced graded maps.  A rejected f_(r) raises
+    ConsistencyError naming the first law it fails, primary route first."""
     dom, cod, T = f.dom, f.cod, bundle.scalar
-    if kind == "bhp":
-        routes, decide = _BHP_ROUTES, is_bhp_quadratic
-    else:
-        routes, decide = _CP_ROUTES, is_cp_quadratic
+    routes = _BHP_ROUTES if kind == "bhp" else _CP_ROUTES
     stacks = _defect_stacks(dom, cod, T)
     route_laws = [build(dom, cod, T, stacks) for build in routes.values()]
     passing = np.logical_and.reduce([passing_candidates(laws, len(T)) for laws in route_laws])
     for r, table in enumerate(T):
-        fr = MapTable(dom, cod, table)
         if not passing[r]:
-            sub = decide(fr, _recertify=False)  # raises itself if its routes disagree
-            # it can pass only in the release profile, by sampling a route the stack swept
-            verdicts = [sub.verdict] + [run_laws(_single(laws, r)) for laws in route_laws]
+            verdicts = (run_laws(_single(laws, r)) for laws in route_laws)
             law = next(v.failures[0].law for v in verdicts if not v.passed)
             raise ConsistencyError(
                 f"scalar defect f_({r}) of a certified quadratic map fails {law}"
             )
         if kind == "cp":
-            _graded_maps(fr)
+            _graded_maps(MapTable(dom, cod, table))
     return True
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import get_config
-from .errors import CapExceeded, NotARing
-from .groups import FiniteGroup, build_group, cyclic
+from .config import check_cap, get_config
+from .errors import NotARing
+from .groups import FiniteGroup, _frozen_table, build_group, cyclic
 from .verdict import law_failures
 
 __all__ = ["NearRing", "CommutativeRing", "build_near_ring", "zmod"]
@@ -32,7 +32,7 @@ class NearRing:
         right_distributive: bool = True,
     ):
         self.group = group
-        self.mul = np.ascontiguousarray(mul, dtype=np.int64)
+        self.mul = _frozen_table(mul)
         self.one = int(one)
         self.order = group.order
         self._validate(right_distributive)
@@ -53,9 +53,7 @@ class NearRing:
 
     def _validate(self, right_distributive: bool) -> None:
         n = self.order
-        cfg = get_config()
-        if n > cfg.cap_ring:
-            raise CapExceeded("ring carrier", n, cfg.cap_ring)
+        check_cap("ring carrier", n, get_config().cap_ring)
         if self.mul.shape != (n, n):
             raise NotARing(f"mul table shape {self.mul.shape}, expected {(n, n)}")
         if self.mul.min() < 0 or self.mul.max() >= n:

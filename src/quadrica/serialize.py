@@ -151,6 +151,8 @@ def from_doc(doc: dict):
             raise ParseError(str(e)) from None
     if kind in ("bhp_module", "cp_module"):
         sr = from_doc(_need(doc, "square_ring"))
+        if not isinstance(sr, SquareRing):
+            raise ParseError("square_ring must be a square ring document")
         group = _group_from(_need(doc, "group"), "group")
         scal = _int_array(_need(doc, "scal"), "scal")
         bracket = _int_array(_need(doc, "bracket"), "bracket")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import get_config
 from .errors import ConsistencyError, NotARing, PreconditionUnmet
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _frozen_table
 from .rings import NearRing
 from .verdict import Verdict, law_failures, run_laws
 
@@ -60,16 +60,6 @@ AXIOM_TEXT = {
     "imP-central": "P(x) + r = r + P(x)",
     "commutator-form": "r + s - r - s = P((s,r)·H(2))",
 }
-
-
-def _frozen_table(table) -> np.ndarray:
-    """A read-only int64 copy of ``table``.  Verified objects cache what
-    they derive from their tables (verdict, commutativity, operad, graded
-    object), which is sound only if the tables never change; the copy
-    leaves the caller's own array writable."""
-    out = np.array(table, dtype=np.int64, order="C")
-    out.flags.writeable = False
-    return out
 
 
 class SquareRing:

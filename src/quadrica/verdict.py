@@ -3,7 +3,7 @@
 Every axiom/relation check in the library is phrased as "evaluate two integer
 arrays over a full index grid and compare".  The engine sweeps a law over a
 leading candidate axis and the grid, in blocks (so worst-case grids never
-materialise much more than ``chunk_cells`` elements at once).
+materialise much more than one block of cells at once).
 ``passing_candidates`` reads one boolean per candidate, for batch deciders;
 ``law_failures`` is the sweep of one candidate, with lexicographically-first
 witness extraction.
@@ -82,27 +82,26 @@ def _grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return grid
 
 
-def _blocks(dims: tuple[int, ...], qs: np.ndarray, stride: int, chunk_cells: int):
+def _blocks(dims: tuple[int, ...], qs: np.ndarray, chunk_cells: int):
     """Split the sweep of the candidates ``qs`` over the grid ``dims`` into
     blocks of about ``chunk_cells`` cells, splitting the candidates first,
-    then the leading grid axis, of which every stride-th index is kept.
-    Yields each block's slice of ``qs``, its candidates ``q`` and its grid,
-    shaped to broadcast over (candidates, *dims), and the block's shape."""
+    then the leading grid axis into ranges.  Yields each block's slice of
+    ``qs``, its candidates ``q`` and its grid, shaped to broadcast over
+    (candidates, *dims), and the block's shape."""
     grid = _grid((1,) + dims)
     qshape = (-1,) + (1,) * len(dims)
     rest = prod(dims[1:])
-    if stride == 1 and qs.size * dims[0] * rest <= chunk_cells:
+    per_q = dims[0] * rest
+    if qs.size * per_q <= chunk_cells:
         yield slice(0, qs.size), qs.reshape(qshape), grid[1:], (qs.size,) + dims
         return
-    lead = np.arange(0, dims[0], stride)
-    per_q = lead.size * rest
-    q_step = max(1, chunk_cells // max(per_q, 1))
-    lead_step = lead.size if per_q <= chunk_cells else max(1, chunk_cells // rest)
+    q_step = max(1, chunk_cells // per_q)
+    lead_step = dims[0] if per_q <= chunk_cells else max(1, chunk_cells // rest)
     for a in range(0, qs.size, q_step):
         block = slice(a, min(a + q_step, qs.size))
         q = qs[block].reshape(qshape)
-        for b in range(0, lead.size, lead_step):
-            i0 = lead[b : b + lead_step].reshape((1, -1) + (1,) * (len(dims) - 1))
+        for b in range(0, dims[0], lead_step):
+            i0 = grid[1][:, b : b + lead_step]
             yield block, q, (i0, *grid[2:]), (q.size, i0.size) + dims[1:]
 
 
@@ -136,6 +135,12 @@ def _fails_per_candidate(values) -> np.ndarray:
 
 _ONE = np.zeros(1, dtype=np.int64)
 
+# Cells per block.  A one-map sweep up to _SWEEP_CELLS runs as one block,
+# with no block bookkeeping, which is most of the cost of a small sweep.
+_SWEEP_CELLS = 1 << 22
+# A candidate-stack law allocates several block-sized arrays at once.
+_BATCH_CELLS = 1 << 20
+
 
 def law_failures(
     label: str,
@@ -143,15 +148,11 @@ def law_failures(
     law: Law,
     *,
     all_witnesses: bool = False,
-    chunk_cells: int = 1 << 22,
-    stride: int = 1,
 ) -> list[Failure]:
     """Evaluate ``law(*grid)`` over the full grid, return [] or the violations.
 
     This is the sweep of a single candidate: the law does not see the
-    candidate axis and the witnesses drop it.  ``stride > 1`` checks only
-    every stride-th index of the leading axis (deterministic sampling for
-    release-profile secondary routes).
+    candidate axis and the witnesses drop it.
     """
     dims = tuple(int(d) for d in dims)
     if prod(dims) == 0:
@@ -161,14 +162,14 @@ def law_failures(
         if int(lhs) != int(rhs):
             return [Failure(label, (), f"lhs={int(lhs)} rhs={int(rhs)}")]
         return []
-    if stride == 1 and prod(dims) <= chunk_cells:  # one block: no block bookkeeping
+    if prod(dims) <= _SWEEP_CELLS:  # one block: no block bookkeeping
         grid = _grid((1,) + dims)[1:]
         lhs, rhs = law(*grid)
         if not (lhs != rhs).any():
             return []
         return _witnesses(label, (lhs, rhs), grid[0], (1,) + dims, all_witnesses)
     failures: list[Failure] = []
-    for _, _, grid, shape in _blocks(dims, _ONE, stride, chunk_cells):
+    for _, _, grid, shape in _blocks(dims, _ONE, _SWEEP_CELLS):
         failures += _witnesses(label, law(*grid), grid[0], shape, all_witnesses)
         if failures and not all_witnesses:
             break
@@ -179,8 +180,7 @@ def passing_candidates(laws: Iterable[tuple[str, Sequence[int], Law]], count: in
     """One boolean per candidate ``0 .. count-1``: whether ``law(q, *grid)``
     holds everywhere on the grid for every law.  A candidate that fails a
     law is not swept by the laws after it; the mask is the same, since it
-    is the AND of the laws.  Blocks hold about 2**20 cells, to bound the
-    memory of the several block-sized arrays a law allocates."""
+    is the AND of the laws."""
     alive = np.arange(count)
     for _label, dims, law in laws:
         if alive.size == 0:
@@ -189,7 +189,7 @@ def passing_candidates(laws: Iterable[tuple[str, Sequence[int], Law]], count: in
         if prod(dims) == 0:
             continue
         bad = np.zeros(alive.size, dtype=bool)
-        for block, q, grid, _ in _blocks(dims, alive, 1, 1 << 20):
+        for block, q, grid, _ in _blocks(dims, alive, _BATCH_CELLS):
             bad[block] |= _fails_per_candidate(law(q, *grid))
         alive = alive[~bad]
     mask = np.zeros(count, dtype=bool)
@@ -201,14 +201,11 @@ def run_laws(
     laws: Iterable[tuple[str, Sequence[int], Law]],
     *,
     all_witnesses: bool = False,
-    stride: int = 1,
 ) -> Verdict:
     """Run a batch of laws and fold the results into one Verdict."""
     failures: list[Failure] = []
     checked: list[str] = []
     for label, dims, law in laws:
         checked.append(label)
-        failures.extend(
-            law_failures(label, dims, law, all_witnesses=all_witnesses, stride=stride)
-        )
+        failures.extend(law_failures(label, dims, law, all_witnesses=all_witnesses))
     return Verdict.from_failures(failures, checked)

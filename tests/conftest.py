@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quadrica import Config, SquareRing, build_example, build_near_ring, cyclic, set_config
+
+# fixed examples and no example database: every run draws the same cases
+# and saves none of them
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 # every family/modulus combination with a lawful epsilon; 20 rings in all
 RING_SPECS = (
@@ -14,7 +20,8 @@ RING_SPECS = (
 
 @pytest.fixture(autouse=True)
 def _default_config():
-    """Tests poke at the global caps/profile; always start from defaults."""
+    """Tests poke at the global caps and witness policy; always start from
+    defaults."""
     set_config(Config())
     yield
     set_config(Config())

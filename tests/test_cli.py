@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrica import (
     Config,
@@ -18,6 +22,7 @@ from quadrica import (
     to_doc,
 )
 from quadrica.cli import main
+from quadrica.serialize import KINDS
 
 from conftest import triangular_square_ring
 
@@ -94,6 +99,9 @@ def test_parse_failures_exit_two(tmp_path, capsys):
     assert main(["verify", bad]) == 2
     missing = str(tmp_path / "does-not-exist.doc")
     assert main(["verify", missing]) == 2
+    pair = to_doc(free_cp_pair(build_example("sym", 2)))
+    nested = dict(pair, square_ring=pair)  # a module where the ring belongs
+    assert main(["verify", write(tmp_path, "nested.pair", json.dumps(nested))]) == 2
 
 
 def test_carrier_axiom_failures_exit_one(tmp_path, capsys):
@@ -184,9 +192,14 @@ def test_example_emit_variants(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_release_profile_is_accepted(tmp_path, capsys):
+def test_the_removed_profile_flag_exits_four(tmp_path, capsys):
     path = square_map_doc(tmp_path, 2)
-    assert main(["quad", path, "--profile", "release"]) == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["quad", path, "--profile", "release"])
+    assert stop.value.code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: quadrica") and "unrecognized arguments: --profile" in err
 
 
 def test_console_entry_point():
@@ -221,7 +234,73 @@ def test_non_integer_table_entries_exit_two(tmp_path, capsys):
 def test_in_process_calls_do_not_inherit_flags(tmp_path, capsys):
     path = str(tmp_path / "sym2.pair")
     assert main(["example", "sym", "2", "--emit", "pair", "--out", path]) == 0
-    assert main(["verify", path, "--profile", "release", "--cap-group", "8"]) == 0
-    assert get_config() == Config(cap_group=8, profile="release")
+    assert main(["verify", path, "--cap-ring", "8", "--cap-group", "8"]) == 0
+    assert get_config() == Config(cap_group=8, cap_ring=8)
     assert main(["verify", path]) == 0
     assert get_config() == Config()
+
+
+# ---------------------------------------------------------------------------
+# hostile documents
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """The example documents the fuzzer mutates, and a file to write to."""
+    sr = build_example("sym", 2)
+    pair = free_cp_pair(sr)
+    square = MapTable(pair, pair, sr.re.mul[np.arange(pair.nm), np.arange(pair.nm)])
+    docs = [to_doc(obj) for obj in (sr, pair, regular_module(sr), square)]
+    return docs, tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+_ODD_VALUES = [2**63, -1, 1.5, 1.0, True, None, "1", [], {}, [[]], *KINDS, "group"]
+
+
+def _mutate(data, doc, seeds):
+    """One random edit at one random place: a new value (type, range or
+    kind), the value wrapped in a list, removed, or grown by a copy of its
+    last entry (shape), or replaced by another whole document (nesting)."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(["value", "wrap", "drop", "grow", "nest"]))
+    if not path:
+        return {} if op == "drop" else [doc] if op == "wrap" else doc
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    key, node = path[-1], parent[path[-1]]
+    if op == "value":
+        parent[key] = data.draw(st.one_of(st.integers(-2, 66), st.sampled_from(_ODD_VALUES)))
+    elif op == "wrap":
+        parent[key] = [node]
+    elif op == "drop":
+        del parent[key]
+    elif op == "grow" and isinstance(node, list) and node:
+        node.append(json.loads(json.dumps(node[-1])))
+    elif op == "nest":
+        parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(seeds))))
+    return doc
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_mutated_documents_keep_the_exit_code_contract(fuzz_seeds, data):
+    seeds, path = fuzz_seeds
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(seeds))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc, seeds)
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "quad"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in range(5), (command, code)

@@ -6,6 +6,8 @@ import pytest
 from quadrica import (
     BhpModule,
     CpModule,
+    FiniteGroup,
+    NearRing,
     admissible_intermediates,
     build_example,
     derived_module,
@@ -161,6 +163,21 @@ def test_verified_module_tables_are_read_only_copies():
             table[0] = 1
     scal[0, 0] = 1  # the caller's own array stays writable and is not shared
     assert pair.scal[0, 0] == 0
+
+
+def test_group_and_ring_tables_are_read_only_copies():
+    sr = build_example("sym", 2)
+    pair = free_cp_pair(sr)
+    gr(pair)  # caches a verdict and a graded object derived from these tables
+    for table in (pair.group.add, pair.group.neg, sr.re.mul, sr.ree.add):
+        with pytest.raises(ValueError):
+            table[1] = 1
+    add, neg, mul = pair.group.add.copy(), pair.group.neg.copy(), sr.re.mul.copy()
+    group = FiniteGroup(add, neg)
+    ring = NearRing(sr.re.group, mul, sr.one)
+    for mine, kept in ((add, group.add), (neg, group.neg), (mul, ring.mul)):
+        mine[1] += 1  # the caller's own array stays writable and is not shared
+        assert not np.array_equal(mine, kept)
 
 
 def test_gr_gamma_and_gr_z_agree_when_center_is_derived():
