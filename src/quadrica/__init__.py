@@ -18,7 +18,7 @@ from .errors import (
 )
 from .config import Config, get_config, set_config
 from .verdict import Failure, Verdict
-from .groups import FiniteGroup, build_group, cyclic, dihedral, direct_product
+from .groups import FiniteGroup, build_group, cyclic, dihedral, direct_product, generators
 from .rings import CommutativeRing, NearRing, build_near_ring, zmod
 from .squarering import (
     RingBar,

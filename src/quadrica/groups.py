@@ -19,6 +19,7 @@ from .verdict import law_failures
 __all__ = [
     "FiniteGroup",
     "build_group",
+    "generators",
     "cyclic",
     "direct_product",
     "dihedral",
@@ -39,7 +40,7 @@ def _frozen_table(table) -> np.ndarray:
 class FiniteGroup:
     """A validated finite group; use :func:`build_group` for raw tables."""
 
-    __slots__ = ("order", "add", "neg", "_center", "_derived")
+    __slots__ = ("order", "add", "neg", "_center", "_derived", "_generators")
 
     def __init__(self, add: np.ndarray, neg: np.ndarray):
         self.add = _frozen_table(add)
@@ -47,6 +48,7 @@ class FiniteGroup:
         self.order = int(self.add.shape[0])
         self._center: tuple[int, ...] | None = None
         self._derived: tuple[int, ...] | None = None
+        self._generators: tuple[int, ...] | None = None
 
     # -- element arithmetic (works on scalars and arrays) --------------------
 
@@ -178,6 +180,21 @@ class FiniteGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteGroup(order={self.order})"
+
+
+def generators(group: FiniteGroup) -> tuple[int, ...]:
+    """A generating set of ``group``, picked greedily: the least element not
+    yet in the subgroup generated by the elements picked so far.  Empty for
+    the trivial group.  Cached on the group, whose tables are read-only."""
+    if group._generators is None:
+        picked: list[int] = []
+        span = {0}
+        for a in range(group.order):
+            if a not in span:
+                picked.append(a)
+                span = set(group.subgroup_closure(picked))
+        group._generators = tuple(picked)
+    return group._generators
 
 
 def _find_neutral(add: np.ndarray) -> int | None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import check_cap, get_config
 from .errors import ConsistencyError, NotNormal, PreconditionUnmet
-from .groups import FiniteGroup, _frozen_table, closed_sets_between
+from .groups import FiniteGroup, _frozen_table, closed_sets_between, generators
 from .squarering import OperadTrunc2, SquareRing, cokernel_p, ensure_verified, operad_of
 from .verdict import Failure, Verdict, law_failures, run_laws
 
@@ -146,18 +146,48 @@ class CpModule(BhpModule):
 # verification
 
 
+# Each law is (label, dims, law, reduced).  ``reduced`` is None, or the same
+# law body with its additive module arguments running over the carrier's
+# generators, as (dims, law); ``_decide`` says when it stands for the law.
+
+
 def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
     sr = mod.sr
     nm, ne, nee = mod.nm, sr.re.order, sr.ree.order
-    madd, msub = mod.group.add, mod.group.sub
+    madd = mod.group.add
     scal, bracket = mod.scal, mod.bracket
     add, mul = sr.re.add, sr.re.mul
     eadd = sr.ree.add
     one, h, p, t, act = sr.one, sr.h, sr.p, sr.t, sr.act
+    gens = np.array(generators(mod.group), dtype=np.int64)
+    ng = len(gens)
+
+    def mc5_left(m, m2, n, x):
+        return bracket[madd[m, m2], n, x], madd[bracket[m, n, x], bracket[m2, n, x]]
+
+    def mc5_right(m, n, n2, x):
+        return bracket[m, madd[n, n2], x], madd[bracket[m, n, x], bracket[m, n2, x]]
+
+    def mc6(m, n, r, s, x, u):
+        return scal[bracket[scal[m, r], scal[n, s], x], u], bracket[m, n, act[r, s, x, u]]
+
+    def mc7(m, m2, x, n, y):
+        return bracket[bracket[m, m2, x], n, y], np.zeros_like(m + m2 + n)
+
     laws = [
-        ("MC1", (nm,), lambda m: (scal[m, one], m)),
-        ("MC1", (nm, ne, ne), lambda m, r, s: (scal[scal[m, r], s], scal[m, mul[r, s]])),
-        ("MC1", (nm, ne, ne), lambda m, r, s: (scal[m, add[r, s]], madd[scal[m, r], scal[m, s]])),
+        ("MC1", (nm,), lambda m: (scal[m, one], m), None),
+        (
+            "MC1",
+            (nm, ne, ne),
+            lambda m, r, s: (scal[scal[m, r], s], scal[m, mul[r, s]]),
+            None,
+        ),
+        (
+            "MC1",
+            (nm, ne, ne),
+            lambda m, r, s: (scal[m, add[r, s]], madd[scal[m, r], scal[m, s]]),
+            None,
+        ),
         (
             "MC2",
             (nm, nm, ne),
@@ -165,24 +195,21 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 scal[madd[m, n], r],
                 madd[madd[scal[m, r], scal[n, r]], bracket[m, n, h[r]]],
             ),
+            None,
         ),
-        ("MC3", (nm, nee), lambda m, x: (scal[m, p[x]], bracket[m, m, x])),
-        ("MC4", (nm, nm, nee), lambda m, n, x: (bracket[m, n, t[x]], bracket[n, m, x])),
+        ("MC3", (nm, nee), lambda m, x: (scal[m, p[x]], bracket[m, m, x]), None),
+        ("MC4", (nm, nm, nee), lambda m, n, x: (bracket[m, n, t[x]], bracket[n, m, x]), None),
         (
             "MC5",
             (nm, nm, nm, nee),
-            lambda m, m2, n, x: (
-                bracket[madd[m, m2], n, x],
-                madd[bracket[m, n, x], bracket[m2, n, x]],
-            ),
+            mc5_left,
+            ((nm, ng, nm, nee), lambda m, i, n, x: mc5_left(m, gens[i], n, x)),
         ),
         (
             "MC5",
             (nm, nm, nm, nee),
-            lambda m, n, n2, x: (
-                bracket[m, madd[n, n2], x],
-                madd[bracket[m, n, x], bracket[m, n2, x]],
-            ),
+            mc5_right,
+            ((nm, nm, ng, nee), lambda m, n, j, x: mc5_right(m, n, gens[j], x)),
         ),
         (
             "MC5",
@@ -191,13 +218,15 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 bracket[m, n, eadd[x, y]],
                 madd[bracket[m, n, x], bracket[m, n, y]],
             ),
+            None,
         ),
         (
             "MC6",
             (nm, nm, ne, ne, nee, ne),
-            lambda m, n, r, s, x, u: (
-                scal[bracket[scal[m, r], scal[n, s], x], u],
-                bracket[m, n, act[r, s, x, u]],
+            mc6,
+            (
+                (ng, ng, ne, ne, nee, ne),
+                lambda i, j, r, s, x, u: mc6(gens[i], gens[j], r, s, x, u),
             ),
         ),
     ]
@@ -206,47 +235,119 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
             (
                 "MC7",
                 (nm, nm, nee, nm, nee),
-                lambda m, m2, x, n, y: (
-                    bracket[bracket[m, m2, x], n, y],
-                    np.zeros_like(m + m2 + n),
+                mc7,
+                (
+                    (ng, ng, nee, ng, nee),
+                    lambda i, j, x, k, y: mc7(gens[i], gens[j], x, gens[k], y),
                 ),
             )
         )
     return laws
 
 
-def verify_bhp_module(mod: BhpModule) -> Verdict:
-    """Exhaustive MC1–MC7 check; result is cached on the module."""
-    cfg = get_config()
-    verdict = run_laws(
-        _bhp_laws(mod, with_mc7=True),
-        all_witnesses=cfg.exhaustive_witnesses,
-    )
-    mod._verdict = verdict
-    return verdict
-
-
-def verify_cp_module(mod: CpModule) -> Verdict:
-    """MC0 + MC1–MC6 + MC7a/MC7b (MC7 is implied and not re-checked)."""
+def _cp_laws(mod: CpModule):
     sr = mod.sr
     nm, ne, nee = mod.nm, sr.re.order, sr.ree.order
     amask, aarr = mod.amask, np.array(mod.aset or [0], dtype=np.int64)
     la = len(mod.aset)
     scal, bracket = mod.scal, mod.bracket
-    cp_laws = [
-        ("MC0", (la, ne), lambda i, r: (amask[scal[aarr[i], r]], np.ones_like(i + r))),
+    return [
+        ("MC0", (la, ne), lambda i, r: (amask[scal[aarr[i], r]], np.ones_like(i + r)), None),
         (
             "MC7a",
             (la, nm, nee),
             lambda i, n, x: (bracket[aarr[i], n, x], np.zeros_like(i + n + x)),
+            None,
         ),
-        ("MC7b", (nm, nm, nee), lambda m, n, x: (amask[bracket[m, n, x]], np.ones_like(m + n))),
+        (
+            "MC7b",
+            (nm, nm, nee),
+            lambda m, n, x: (amask[bracket[m, n, x]], np.ones_like(m + n)),
+            None,
+        ),
     ]
-    cfg = get_config()
-    verdict = run_laws(
-        _bhp_laws(mod, with_mc7=False) + cp_laws,
-        all_witnesses=cfg.exhaustive_witnesses,
+
+
+def _module_laws(mod: BhpModule):
+    """Every law of the module's verdict, in verdict order."""
+    if isinstance(mod, CpModule):
+        return _bhp_laws(mod, with_mc7=False) + _cp_laws(mod)
+    return _bhp_laws(mod, with_mc7=True)
+
+
+def _decide(laws) -> Verdict:
+    """The verdict of ``run_laws`` over the full laws, witnesses included.
+
+    The laws without a reduced form are swept in full first.  If they all
+    hold, the reduced forms are swept; if those hold too, every law holds
+    (proofs in ``verify_bhp_module``).  Otherwise the laws with a reduced
+    form are swept in full as well, so every failure and witness is the
+    exhaustive one.  Failures and ``checked`` keep the law order."""
+    all_witnesses = get_config().exhaustive_witnesses
+    found = {
+        i: law_failures(label, dims, law, all_witnesses=all_witnesses)
+        for i, (label, dims, law, reduced) in enumerate(laws)
+        if reduced is None
+    }
+    reduced_hold = not any(found.values()) and all(
+        not law_failures(label, *reduced)
+        for label, _, _, reduced in laws
+        if reduced is not None
     )
+    failures: list[Failure] = []
+    for i, (label, dims, law, _) in enumerate(laws):
+        if i in found:
+            failures += found[i]
+        elif not reduced_hold:
+            failures += law_failures(label, dims, law, all_witnesses=all_witnesses)
+    return Verdict.from_failures(failures, [label for label, *_ in laws])
+
+
+def verify_bhp_module(mod: BhpModule) -> Verdict:
+    """The MC1–MC7 verdict of ``mod``, cached on the module.  It equals the
+    exhaustive sweep of every law, witnesses included; the first two
+    clauses of MC5, MC6 and MC7 are decided on generator tuples of the
+    carrier M when every other law holds (see ``_decide``).  Let G be
+    ``generators(M)``; M is a group, so G generates it.
+
+    Lemma.  A map φ: M → M with φ(m + g) = φ(m) + φ(g) for all m ∈ M and
+    g ∈ G is a homomorphism.  Let S be the set of g for which this holds.
+    If S is not empty, m = 0 gives φ(0) = 0; then for g, g' ∈ S,
+    φ(m + g + g') = φ(m) + φ(g) + φ(g') = φ(m) + φ(g + g'), so S is closed
+    under +.  In a finite group that makes S a subgroup, so S ⊇ ⟨G⟩ = M.
+    (If M = 0 there is nothing to prove.)  Two homomorphisms that agree on
+    G are equal; so two maps that are additive in each of some arguments
+    are equal once they agree whenever those arguments lie in G.
+
+    * MC5, clauses 1–2: the lemma for m ↦ [m,n]·x and n ↦ [m,n]·x, so
+      the added element runs over G.  Clause 3 is swept in full.
+    * MC7, given MC5: [[m,m']·x, n]·y is additive in m, m' and n, being
+      built from the maps that MC5 makes additive, and so is 0; generator
+      triples (m, m', n) decide it.  (In a pair module MC7 follows from
+      MC7a and MC7b: [m,m']·x lies in A, which the bracket kills.)
+    * MC6, given MC2, MC4, MC5 and MC7: the right side [m,n]·z is additive
+      in m and n by MC5.  On the left, MC2 writes (m+m')·r as
+      m·r + m'·r + [m,m']·H(r), MC5 splits the bracket over that sum, and
+      the last term [[m,m']·H(r), n·s]·x is a bracket of a bracket, 0 by
+      MC7.  In n the extra term is [m·r, β]·x with β a bracket, which is
+      [β, m·r]·T(x) by MC4, so 0 again.  Finally MC2 gives
+      (α + α')·u = α·u + α'·u + [α,α']·H(u), and [α,α']·H(u) = 0 by MC7
+      since α is a bracket.  So both sides are additive in m and in n, and
+      generator pairs (m, n) decide MC6, with r, s, x, u swept in full.
+
+    Each reduced form sweeps a subset of its law's cells, so a reduced
+    form that fails means a law that fails, and then the full sweeps give
+    the witnesses."""
+    verdict = _decide(_module_laws(mod))
+    mod._verdict = verdict
+    return verdict
+
+
+def verify_cp_module(mod: CpModule) -> Verdict:
+    """MC0 + MC1–MC6 + MC7a/MC7b (MC7 is implied and not re-checked), with
+    the same exhaustive verdict and generator reductions as
+    ``verify_bhp_module``."""
+    verdict = _decide(_module_laws(mod))
     if 0 not in mod.aset:
         verdict = verdict.merge(
             Verdict(False, (Failure("MC0", (0,), "A must contain 0"),), ("MC0",))

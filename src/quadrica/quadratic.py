@@ -995,6 +995,48 @@ class HomModule(CpModule):
     __slots__ = ("dom_pair", "cod_pair", "maps")
 
 
+def _row_ranks(tables: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
+    """The index in ``tables`` (distinct rows) of each row of ``rows`` (last
+    axis), or -1 where it is none of them.  A row is read as an int64 key,
+    mixed radix ``base``, as many digits at a time as fit; after each chunk
+    the keys become ranks among the tables' prefixes, so long rows cannot
+    overflow."""
+    k, width = tables.shape
+    step = 1
+    while step < width and k * base ** (step + 1) < 2**62:
+        step += 1
+    tkey = np.zeros(k, dtype=np.int64)
+    rkey = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for c in range(0, width, step):
+        weights = base ** np.arange(min(step, width - c) - 1, -1, -1, dtype=np.int64)
+        span = base ** len(weights)
+        tkey = tkey * span + tables[:, c : c + step] @ weights
+        rkey = rkey * span + rows[..., c : c + step] @ weights
+        keys = np.unique(tkey)
+        pos = np.minimum(np.searchsorted(keys, rkey), len(keys) - 1)
+        rkey = np.where(keys[pos] == rkey, pos, -1)
+        tkey = np.searchsorted(keys, tkey)
+    return np.where(rkey >= 0, np.argsort(tkey)[rkey], -1)
+
+
+def _first_missing(neg, add, bracket, scal) -> str:
+    """Which pointwise operation gives the first result outside the
+    carrier, in the order of a cell-by-cell assembly: per map i, its
+    negation, then per map j the sum and the brackets, then its scalar
+    multiples."""
+    for i in range(len(neg)):
+        if neg[i] < 0:
+            return "negation"
+        for j in range(len(neg)):
+            if add[i, j] < 0:
+                return "sum"
+            if (bracket[i, j] < 0).any():
+                return "bracket"
+        if (scal[i] < 0).any():
+            return "scalar multiple"
+    raise AssertionError("no result is outside the carrier")
+
+
 def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     """Carrier: every quadratic pair map (M,A) → (N,B), under pointwise
     (f+g)(m) = f(m)+g(m), (f·r)(m) = f(m)·r, ([f,g]·x)(m) = [f(m),g(m)]·x.
@@ -1003,30 +1045,19 @@ def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     closure theorem, machine-checked on every call."""
     maps = enumerate_cp_quadratic(ma, nb, limit=limit)
     tables = np.stack([f.table for f in maps]) if maps else np.zeros((0, ma.nm), dtype=np.int64)
-    order = [tuple(map(int, t)) for t in tables]
-    rank = {t: i for i, t in enumerate(order)}
-    k = len(order)
+    k = len(tables)
     check_cap("hom-module carrier", k, get_config().cap_group)
-
-    def locate(arr: np.ndarray, what: str) -> int:
-        key = tuple(map(int, arr))
-        if key not in rank:
-            raise ConsistencyError(f"pointwise {what} left the carrier of quadratic maps")
-        return rank[key]
-
-    nadd, nneg = nb.group.add, nb.group.neg
-    add = np.zeros((k, k), dtype=np.int64)
-    neg = np.zeros(k, dtype=np.int64)
-    scal = np.zeros((k, ma.sr.re.order), dtype=np.int64)
-    bracket = np.zeros((k, k, ma.sr.ree.order), dtype=np.int64)
-    for i in range(k):
-        neg[i] = locate(nneg[tables[i]], "negation")
-        for j in range(k):
-            add[i, j] = locate(nadd[tables[i], tables[j]], "sum")
-            for x in range(ma.sr.ree.order):
-                bracket[i, j, x] = locate(nb.bracket[tables[i], tables[j], x], "bracket")
-        for r in range(ma.sr.re.order):
-            scal[i, r] = locate(nb.scal[tables[i], r], "scalar multiple")
+    # every pointwise result as a row of N-values, located among the tables
+    fi, fj = tables[:, None, :], tables[None, :, :]
+    xs = np.arange(ma.sr.ree.order)[:, None]
+    rs = np.arange(ma.sr.re.order)[:, None]
+    neg = _row_ranks(tables, nb.group.neg[tables], nb.nm)
+    add = _row_ranks(tables, nb.group.add[fi, fj], nb.nm)
+    bracket = _row_ranks(tables, nb.bracket[fi[:, :, None], fj[:, :, None], xs], nb.nm)
+    scal = _row_ranks(tables, nb.scal[tables[:, None, :], rs], nb.nm)
+    if min(t.min(initial=0) for t in (neg, add, bracket, scal)) < 0:
+        what = _first_missing(neg, add, bracket, scal)
+        raise ConsistencyError(f"pointwise {what} left the carrier of quadratic maps")
     group = FiniteGroup(add, neg)
     bmask = nb.amask
     aarr = np.array(ma.aset, dtype=np.int64)

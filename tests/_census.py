@@ -99,8 +99,9 @@ def _bracket_from_gens(g: FiniteGroup, vecs, gen_count, nee, assignment):
     return bracket
 
 
-def module_census(sr: SquareRing, max_order: int = 4) -> list[BhpModule]:
-    """Every module over sr with carrier order ≤ max_order, one per table."""
+def module_candidates(sr: SquareRing, max_order: int = 4):
+    """Every candidate module table over sr with carrier order ≤ max_order,
+    verified or not (see the completeness argument above)."""
     nee = sr.ree.order
     one, v, coords = _ring_basis(sr)
     im_p = {int(p) for p in sr.p}
@@ -112,7 +113,6 @@ def module_census(sr: SquareRing, max_order: int = 4) -> list[BhpModule]:
                 break
         if x0 is None:
             raise AssertionError("extra basis vector is not P(x0); census rule missing")
-    found: list[BhpModule] = []
     for g, gens, vecs in abelian_carriers(max_order):
         nm = g.order
         gen_count = len(gens)
@@ -143,17 +143,18 @@ def module_census(sr: SquareRing, max_order: int = 4) -> list[BhpModule]:
                     break
             if not ok:
                 continue
-            mod = BhpModule(sr, g, scal, bracket)
-            if verify_bhp_module(mod).passed:
-                found.append(mod)
-    return found
+            yield BhpModule(sr, g, scal, bracket)
 
 
-def pair_census(mod: BhpModule) -> list[CpModule]:
-    """Every distinguished subgroup making mod a verified pair module."""
+def module_census(sr: SquareRing, max_order: int = 4) -> list[BhpModule]:
+    """Every module over sr with carrier order ≤ max_order, one per table."""
+    return [m for m in module_candidates(sr, max_order) if verify_bhp_module(m).passed]
+
+
+def pair_candidates(mod: BhpModule):
+    """mod with each subgroup containing 0 as its distinguished part."""
     nm = mod.nm
     add, neg = mod.group.add, mod.group.neg
-    out = []
     members = list(range(1, nm))
     for k in range(nm):
         for rest in itertools.combinations(members, k):
@@ -163,10 +164,12 @@ def pair_census(mod: BhpModule) -> list[CpModule]:
                 continue
             if any(int(neg[a]) not in inset for a in aset):
                 continue
-            pair = CpModule(mod.sr, mod.group, mod.scal, mod.bracket, aset)
-            if verify_cp_module(pair).passed:
-                out.append(pair)
-    return out
+            yield CpModule(mod.sr, mod.group, mod.scal, mod.bracket, aset)
+
+
+def pair_census(mod: BhpModule) -> list[CpModule]:
+    """Every distinguished subgroup making mod a verified pair module."""
+    return [p for p in pair_candidates(mod) if verify_cp_module(p).passed]
 
 
 def all_tables(dom_order: int, cod_order: int) -> np.ndarray:

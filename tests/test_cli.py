@@ -3,8 +3,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "square_ring"
+
+
+# Verifies a document with the address space of the process capped at what
+# the interpreter holds after importing the CLI plus a budget in bytes.
+_VERIFY_UNDER_BUDGET = """
+import resource, sys
+from quadrica.cli import main
+kib = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:"))
+limit = kib * 1024 + int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["verify", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_64_element_hom_carrier_verifies_at_the_default_caps_within_48_mb():
+    """The Hom of the Z/4 ``gamma`` free pair (64 maps, written by
+    ``quadrica hom`` and stored as compact JSON): 64 elements is the
+    default group cap.  Swept in full, its MC6 grid alone has
+    64·64·16·16·4·16 ≈ 67M cells and needs more than 48 MB on top of the
+    interpreter; on pairs of its 4 generators it has 262k."""
+    doc = Path(__file__).parent / "data" / "gamma4_hom.cpmod"
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_UNDER_BUDGET, str(doc), str(48 << 20)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "result: PASS"
 
 
 def test_non_integer_table_entries_exit_two(tmp_path, capsys):

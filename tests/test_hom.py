@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+
+import quadrica.quadratic as quadratic
 
 from quadrica import (
     MapTable,
@@ -17,7 +21,8 @@ from quadrica import (
     set_config,
     verify_cp_module,
 )
-from quadrica.errors import CapExceeded, CertificateInvalid, PreconditionUnmet
+from quadrica.errors import CapExceeded, CertificateInvalid, ConsistencyError, PreconditionUnmet
+from quadrica.quadratic import _row_ranks
 
 
 def sym2_pair():
@@ -74,6 +79,79 @@ def test_hom_members_are_quadratic_and_nothing_else_is():
         table = np.array([(flat >> (2 * k)) & 3 for k in range(4)], dtype=np.int64)
         expect = tuple(map(int, table)) in keys
         assert is_cp_quadratic(MapTable(pair, pair, table)).passed == expect
+
+
+def assemble_by_lookup(tables, nb, ne, nee):
+    """Hom tables built cell by cell through a dict of map tables: the
+    first result outside the carrier raises, or the four tables."""
+    rank = {tuple(t): i for i, t in enumerate(tables.tolist())}
+
+    def locate(row, what):
+        key = tuple(int(v) for v in row)
+        if key not in rank:
+            raise ConsistencyError(f"pointwise {what} left the carrier of quadratic maps")
+        return rank[key]
+
+    k = len(tables)
+    add = np.zeros((k, k), dtype=np.int64)
+    neg = np.zeros(k, dtype=np.int64)
+    scal = np.zeros((k, ne), dtype=np.int64)
+    bracket = np.zeros((k, k, nee), dtype=np.int64)
+    for i in range(k):
+        neg[i] = locate(nb.group.neg[tables[i]], "negation")
+        for j in range(k):
+            add[i, j] = locate(nb.group.add[tables[i], tables[j]], "sum")
+            for x in range(nee):
+                bracket[i, j, x] = locate(nb.bracket[tables[i], tables[j], x], "bracket")
+        for r in range(ne):
+            scal[i, r] = locate(nb.scal[tables[i], r], "scalar multiple")
+    return add, neg, scal, bracket
+
+
+@pytest.mark.parametrize("kind,n", [("sym", 2), ("gamma", 2), ("rnil", 3), ("classical", 4)])
+def test_forged_carriers_fail_like_a_cell_by_cell_lookup(kind, n, monkeypatch):
+    """Every sub-list of the Hom carrier that keeps the zero map, handed to
+    the assembly as if enumerated: a list not closed under the pointwise
+    operations raises the error of the first cell outside it, and a closed
+    one gives the tables of the lookup."""
+    pair = free_cp_pair(build_example(kind, n))
+    maps = quadratic.enumerate_cp_quadratic(pair, pair)
+    ne, nee = pair.sr.re.order, pair.sr.ree.order
+    messages = set()
+    for size in range(len(maps)):
+        for rest in itertools.combinations(maps[1:], size):
+            forged = [maps[0], *rest]
+            monkeypatch.setattr(quadratic, "enumerate_cp_quadratic", lambda *a, **k: forged)
+            tables = np.stack([f.table for f in forged])
+            try:
+                expected = assemble_by_lookup(tables, pair, ne, nee)
+            except ConsistencyError as exc:
+                with pytest.raises(ConsistencyError) as got:
+                    hom_module(pair, pair)
+                assert str(got.value) == str(exc)
+                messages.add(str(exc).split()[1])
+                continue
+            hm = hom_module(pair, pair)
+            for got, want in zip((hm.group.add, hm.group.neg, hm.scal, hm.bracket), expected):
+                assert np.array_equal(got, want)
+    assert messages == {
+        ("sym", 2): {"sum", "bracket"},
+        ("gamma", 2): {"sum", "scalar"},
+        ("rnil", 3): {"negation"},
+        ("classical", 4): {"negation", "sum"},
+    }[kind, n]
+
+
+def test_row_ranks_match_a_dict_lookup_on_rows_too_long_for_one_key():
+    rng = np.random.default_rng(7)
+    for base, width in ((3, 5), (4, 40), (16, 70), (1, 9)):
+        tables = np.unique(rng.integers(0, base, size=(30, width)), axis=0)
+        rng.shuffle(tables)
+        rows = np.concatenate([tables, rng.integers(0, base, size=(30, width))])
+        rows = rows[rng.permutation(len(rows))][None]
+        index = {tuple(t): i for i, t in enumerate(tables.tolist())}
+        expected = [[index.get(tuple(r), -1) for r in block] for block in rows.tolist()]
+        assert _row_ranks(tables, rows, base).tolist() == expected
 
 
 def test_hom_respects_the_group_cap():

@@ -1,0 +1,287 @@
+"""The generator route of the module verifiers.
+
+``verify_bhp_module`` and ``verify_cp_module`` decide the first two clauses
+of MC5, MC6 and MC7 on generator tuples of the carrier once every other law
+holds, and sweep them in full otherwise.  Their verdicts must equal a plain
+exhaustive ``run_laws`` over every law: passed, each failure with its
+witness and detail, and ``checked``.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from math import prod
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import quadrica.modules as modules
+from quadrica import (
+    BhpModule,
+    CpModule,
+    Failure,
+    FiniteGroup,
+    Verdict,
+    build_example,
+    cyclic,
+    dihedral,
+    direct_product,
+    free_cp_pair,
+    generators,
+    get_config,
+    hom_module,
+    rbar_regular_module,
+    ree_module,
+    regular_module,
+    set_config,
+    verify_bhp_module,
+    verify_cp_module,
+    zero_module,
+)
+from quadrica.modules import _module_laws
+from quadrica.verdict import law_failures, run_laws
+
+from conftest import RING_SPECS
+from _census import module_candidates, pair_candidates
+
+HOM_KINDS = ("classical", "rnil", "lambda", "tensor", "sym", "gamma")
+
+
+def exhaustive(mod: BhpModule) -> Verdict:
+    """Every law of the module swept in full, as ``run_laws`` does."""
+    laws = [law[:3] for law in _module_laws(mod)]
+    verdict = run_laws(laws, all_witnesses=get_config().exhaustive_witnesses)
+    if isinstance(mod, CpModule) and 0 not in mod.aset:
+        verdict = verdict.merge(
+            Verdict(False, (Failure("MC0", (0,), "A must contain 0"),), ("MC0",))
+        )
+    return verdict
+
+
+def verify(mod: BhpModule) -> Verdict:
+    return verify_cp_module(mod) if isinstance(mod, CpModule) else verify_bhp_module(mod)
+
+
+def assert_agrees(mod: BhpModule) -> None:
+    for all_witnesses in (False, True):
+        set_config(exhaustive_witnesses=all_witnesses)
+        assert verify(mod) == exhaustive(mod)
+
+
+def standard_structures(sr):
+    return (
+        regular_module(sr),
+        ree_module(sr),
+        rbar_regular_module(sr),
+        free_cp_pair(sr),
+        zero_module(sr),
+    )
+
+
+@cache
+def census_structures() -> tuple[BhpModule, ...]:
+    """Every module and pair candidate the census of ``_census.py`` builds
+    over ``rnil`` and ``sym`` at n = 2, verified or not."""
+    out = []
+    for kind in ("rnil", "sym"):
+        for mod in module_candidates(build_example(kind, 2)):
+            out.append(mod)
+            if exhaustive(mod).passed:
+                out.extend(pair_candidates(mod))
+    return tuple(out)
+
+
+def test_generators_are_picked_greedily_and_cached():
+    pair = free_cp_pair(build_example("sym", 2))
+    groups = [
+        cyclic(1),
+        cyclic(6),
+        direct_product(cyclic(2), cyclic(2)),
+        direct_product(cyclic(2), cyclic(4)),
+        dihedral(4),
+        hom_module(pair, pair).group,
+    ]
+    for group in groups:
+        gens = generators(group)
+        assert generators(group) is gens
+        assert group.subgroup_closure(gens) == tuple(range(group.order))
+        for i, g in enumerate(gens):
+            span = group.subgroup_closure(gens[:i])
+            assert g == min(set(range(group.order)) - set(span))
+    assert generators(cyclic(1)) == ()
+    assert generators(direct_product(cyclic(2), cyclic(2))) == (1, 2)
+
+
+def test_criterion_2_structures_keep_the_exhaustive_verdict():
+    structures = 0
+    for kind, n, eps in RING_SPECS:
+        for mod in standard_structures(build_example(kind, n, epsilon=eps)):
+            assert_agrees(mod)
+            structures += 1
+    assert structures == 100
+
+
+def test_census_modules_pairs_and_failing_candidates_keep_the_exhaustive_verdict():
+    structures = census_structures()
+    failing = 0
+    for mod in structures:
+        assert_agrees(mod)
+        failing += not verify(mod).passed
+    assert failing > 0 and failing < len(structures)
+
+
+@pytest.mark.parametrize("kind", HOM_KINDS)
+def test_hom_carriers_keep_the_exhaustive_verdict(kind):
+    pair = free_cp_pair(build_example(kind, 2))
+    assert_agrees(hom_module(pair, pair))
+
+
+@cache
+def mutation_bases() -> tuple[BhpModule, ...]:
+    """Verified structures with at least one non-generator element."""
+    out = []
+    for kind, n in (("sym", 2), ("tensor", 2), ("gamma", 2), ("rnil", 3), ("lambda", 3)):
+        sr = build_example(kind, n)
+        out += [regular_module(sr), ree_module(sr), free_cp_pair(sr)]
+        pair = free_cp_pair(sr)
+        if kind in ("sym", "gamma"):
+            out.append(hom_module(pair, pair))
+    out += [m for m in census_structures() if m.nm == 4 and exhaustive(m).passed]
+    return tuple(m for m in out if len(generators(m.group)) < m.nm)
+
+
+@st.composite
+def mutants(draw) -> BhpModule:
+    """A verified structure with one ``scal`` or ``bracket`` entry changed at
+    a module argument outside the generating set."""
+    bases = mutation_bases()
+    mod = bases[draw(st.integers(0, len(bases) - 1))]
+    gens = set(generators(mod.group))
+    m = draw(st.sampled_from([a for a in range(mod.nm) if a not in gens]))
+    scal, bracket = mod.scal.copy(), mod.bracket.copy()
+    value = draw(st.integers(0, mod.nm - 1))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, mod.nm - 1))
+        x = draw(st.integers(0, mod.sr.ree.order - 1))
+        cell = (m, n, x) if draw(st.booleans()) else (n, m, x)
+        bracket[cell] = value
+    else:
+        scal[m, draw(st.integers(0, mod.sr.re.order - 1))] = value
+    if isinstance(mod, CpModule):
+        return CpModule(mod.sr, mod.group, scal, bracket, mod.aset)
+    return BhpModule(mod.sr, mod.group, scal, bracket)
+
+
+@given(mutants())
+def test_mutants_off_the_generators_keep_the_exhaustive_verdict(mod):
+    assert_agrees(mod)
+
+
+def mc5_only_mutant(*, pair: bool) -> BhpModule:
+    """The zero-bracket module (Z/2)² over ``lambda 2`` (H = 0, P = 0,
+    T = id) with [1,3]·1 = [3,1]·1 = 2: MC1–MC4 and the x-clause of MC5
+    still hold, but the bracket is not additive, at the non-generator 3."""
+    sr = build_example("lambda", 2)
+    group = direct_product(cyclic(2), cyclic(2))
+    scal = np.zeros((4, 2), dtype=np.int64)
+    scal[:, sr.one] = np.arange(4)
+    bracket = np.zeros((4, 4, 2), dtype=np.int64)
+    bracket[1, 3, 1] = bracket[3, 1, 1] = 2
+    if pair:
+        return CpModule(sr, group, scal, bracket, (0, 2))
+    return BhpModule(sr, group, scal, bracket)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_a_mutant_only_the_mc5_sweep_catches(pair):
+    """Every law without a reduced form holds, and so do the generator
+    sweeps of MC6 and MC7; only MC5 fails, which the reduced MC5 catches
+    with m running over the whole carrier.  The verdict is then the
+    exhaustive one, witnesses from the full sweeps."""
+    mod = mc5_only_mutant(pair=pair)
+    assert generators(mod.group) == (1, 2)
+    for label, dims, law, reduced in _module_laws(mod):
+        if reduced is None:
+            assert not law_failures(label, dims, law), label
+        elif label != "MC5":
+            assert not law_failures(label, *reduced), label
+            assert not law_failures(label, dims, law), label
+    verdict = verify(mod)
+    assert verdict.failures == (
+        Failure("MC5", (1, 2, 1, 1), "lhs=2 rhs=0"),
+        Failure("MC5", (1, 1, 2, 1), "lhs=2 rhs=0"),
+    )
+    assert_agrees(mod)
+
+
+def mc6_only_module(*, pair: bool) -> BhpModule:
+    """A module over ``gamma 2`` on (Z/2)⁶ with basis e0..e5 (the bits of
+    an element).  The bracket at x = 1 is the symmetric product with
+    e1∗e4 = e2∗e3 = e5 and all other basis products 0; m·(0,1) = γ(m) with
+    γ(e1) = e3, γ(e2) = e4, γ = 0 on the other basis elements and
+    γ(m+n) = γ(m) + γ(n) + m∗n.  γ(m)∗m = 0 for every m, so MC1 holds, and
+    so does every law but MC6, which fails since γ(e1)∗e2 = e5: only at
+    the generators (e1, e2) = (2, 4) and (4, 2), not at a pair (g, g) nor
+    at one holding the first generator e0, which nothing involves."""
+    sr = build_example("gamma", 2)
+    m = np.arange(64)
+    group = FiniteGroup(m[:, None] ^ m[None, :], m)
+    bits = (m[:, None] >> np.arange(6)) & 1
+    form = np.zeros((6, 6), dtype=np.int64)
+    form[1, 4] = form[4, 1] = form[2, 3] = form[3, 2] = 1
+    prod = (bits @ form @ bits.T % 2) << 5
+    gamma = (bits[:, 1] << 3) ^ (bits[:, 2] << 4) ^ ((bits @ np.triu(form) * bits).sum(1) % 2 << 5)
+    scal = np.stack([0 * m, gamma, m, m ^ gamma], axis=1)  # R_e index 2r + s for (r, s)
+    bracket = np.stack([0 * prod, prod], axis=2)
+    if pair:
+        return CpModule(sr, group, scal, bracket, (0, 32))
+    return BhpModule(sr, group, scal, bracket)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_a_module_that_fails_only_mc6_at_distinct_generators(pair):
+    mod = mc6_only_module(pair=pair)
+    assert generators(mod.group) == (1, 2, 4, 8, 16, 32)
+    for label, dims, law, _ in _module_laws(mod):
+        assert bool(law_failures(label, dims, law)) == (label == "MC6"), label
+    verdict = verify(mod)
+    assert verdict.failures == (Failure("MC6", (2, 4, 1, 2, 1, 2), "lhs=32 rhs=0"),)
+    assert_agrees(mod)
+
+
+def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
+    """The (label, dims) of every sweep that verifying ``mod`` runs."""
+    seen = []
+
+    def counting(label, dims, law, **kwargs):
+        seen.append((label, tuple(dims)))
+        return law_failures(label, dims, law, **kwargs)
+
+    monkeypatch.setattr(modules, "law_failures", counting)
+    verify(mod)
+    monkeypatch.undo()
+    return seen
+
+
+def full_sweeps(mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
+    return [(label, tuple(dims)) for label, dims, _, _ in _module_laws(mod)]
+
+
+def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
+    # all laws hold: the reduced forms stand for their laws
+    pair = free_cp_pair(build_example("sym", 2))
+    hom = hom_module(pair, pair)
+    laws = _module_laws(hom)
+    expected = [(label, tuple(dims)) for label, dims, _, r in laws if r is None]
+    expected += [(label, r[0]) for label, _, _, r in laws if r is not None]
+    seen = sweeps(monkeypatch, hom)
+    assert sorted(seen) == sorted(expected)
+    assert 2 * sum(prod(d) for _, d in seen) < sum(prod(d) for _, d in full_sweeps(hom))
+    # MC1 fails: every law once, in full, and no reduced form
+    candidate = next(m for m in census_structures() if exhaustive(m).failed_laws()[:1] == ("MC1",))
+    assert sorted(sweeps(monkeypatch, candidate)) == sorted(full_sweeps(candidate))
+    # the first reduced form fails: it, then every law once in full
+    mutant = mc5_only_mutant(pair=False)
+    assert sorted(sweeps(monkeypatch, mutant)) == sorted(full_sweeps(mutant) + [("MC5", (4, 2, 4, 2))])
