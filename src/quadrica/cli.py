@@ -3,8 +3,9 @@
 One invocation = one workspace: every structure named on the command line is
 parsed, verified (or tagged unverified), and recorded with its provenance
 before any command logic runs.  Exit codes: 0 success, 1 verification or
-decision failure, 2 unparseable document, 3 a cap or search bound was hit,
-4 usage mismatch (wrong document kind, non-composable maps, bad arguments).
+decision failure, 2 unparseable document, 3 a cap or search bound was hit or
+memory ran out, 4 usage mismatch (wrong document kind, non-composable maps,
+bad arguments).
 
 Output on stdout is deterministic: reports depend only on the input documents
 and flags, never on the environment.
@@ -423,7 +424,7 @@ def _common_flags(sub: argparse.ArgumentParser, *, limit: bool = False,
                      help="largest ring order the tools will materialize")
     if limit:
         sub.add_argument("--limit", type=int, default=1_000_000,
-                         help="refuse enumerations larger than this")
+                         help="stop a search that visits more partial tables than this")
     if out:
         sub.add_argument("--out", default=None, help="write the emitted document here")
 
@@ -505,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CapExceeded, SearchSpaceTooLarge) as err:
         print(f"bound exceeded: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("bound exceeded: out of memory; lower --cap-group or --cap-ring, "
+              "or allow the process more memory", file=sys.stderr)
         return 3
     except (NotComposable, PreconditionUnmet, NonCommutativeRing, InvalidEpsilon,
             CertificateInvalid) as err:

@@ -59,11 +59,10 @@ class CertificateInvalid(QuadricaError):
 
 
 class SearchSpaceTooLarge(QuadricaError):
-    """An enumeration would exceed the caller-supplied limit."""
+    """A search visited more nodes than the caller-supplied limit."""
 
-    def __init__(self, bound: int, limit: int):
-        super().__init__(f"search space has {bound} candidates, limit is {limit}")
-        self.bound = bound
+    def __init__(self, limit: int):
+        super().__init__(f"search visited more than {limit} nodes")
         self.limit = limit
 
 

@@ -148,7 +148,7 @@ class CpModule(BhpModule):
 
 # Each law is (label, dims, law, reduced).  ``reduced`` is None, or the same
 # law body with its additive module arguments running over the carrier's
-# generators, as (dims, law); ``_decide`` says when it stands for the law.
+# generators, as (dims, law); ``run_laws`` says when it stands for the law.
 
 
 def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
@@ -275,39 +275,11 @@ def _module_laws(mod: BhpModule):
     return _bhp_laws(mod, with_mc7=True)
 
 
-def _decide(laws) -> Verdict:
-    """The verdict of ``run_laws`` over the full laws, witnesses included.
-
-    The laws without a reduced form are swept in full first.  If they all
-    hold, the reduced forms are swept; if those hold too, every law holds
-    (proofs in ``verify_bhp_module``).  Otherwise the laws with a reduced
-    form are swept in full as well, so every failure and witness is the
-    exhaustive one.  Failures and ``checked`` keep the law order."""
-    all_witnesses = get_config().exhaustive_witnesses
-    found = {
-        i: law_failures(label, dims, law, all_witnesses=all_witnesses)
-        for i, (label, dims, law, reduced) in enumerate(laws)
-        if reduced is None
-    }
-    reduced_hold = not any(found.values()) and all(
-        not law_failures(label, *reduced)
-        for label, _, _, reduced in laws
-        if reduced is not None
-    )
-    failures: list[Failure] = []
-    for i, (label, dims, law, _) in enumerate(laws):
-        if i in found:
-            failures += found[i]
-        elif not reduced_hold:
-            failures += law_failures(label, dims, law, all_witnesses=all_witnesses)
-    return Verdict.from_failures(failures, [label for label, *_ in laws])
-
-
 def verify_bhp_module(mod: BhpModule) -> Verdict:
     """The MC1–MC7 verdict of ``mod``, cached on the module.  It equals the
     exhaustive sweep of every law, witnesses included; the first two
     clauses of MC5, MC6 and MC7 are decided on generator tuples of the
-    carrier M when every other law holds (see ``_decide``).  Let G be
+    carrier M when every other law holds (see ``verdict.run_laws``).  Let G be
     ``generators(M)``; M is a group, so G generates it.
 
     Lemma.  A map φ: M → M with φ(m + g) = φ(m) + φ(g) for all m ∈ M and
@@ -338,7 +310,7 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
     Each reduced form sweeps a subset of its law's cells, so a reduced
     form that fails means a law that fails, and then the full sweeps give
     the witnesses."""
-    verdict = _decide(_module_laws(mod))
+    verdict = run_laws(_module_laws(mod), all_witnesses=get_config().exhaustive_witnesses)
     mod._verdict = verdict
     return verdict
 
@@ -347,7 +319,7 @@ def verify_cp_module(mod: CpModule) -> Verdict:
     """MC0 + MC1–MC6 + MC7a/MC7b (MC7 is implied and not re-checked), with
     the same exhaustive verdict and generator reductions as
     ``verify_bhp_module``."""
-    verdict = _decide(_module_laws(mod))
+    verdict = run_laws(_module_laws(mod), all_witnesses=get_config().exhaustive_witnesses)
     if 0 not in mod.aset:
         verdict = verdict.merge(
             Verdict(False, (Failure("MC0", (0,), "A must contain 0"),), ("MC0",))

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionUnmet,
     SearchSpaceTooLarge,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generators
 from .modules import (
     BhpModule,
     CpModule,
@@ -51,7 +51,7 @@ from .modules import (
     verify_cp_module,
 )
 from .squarering import is_commutative
-from .verdict import Verdict, law_failures, passing_candidates, run_laws
+from .verdict import Verdict, _law_parts, law_failures, passing_candidates, run_laws
 
 __all__ = [
     "MapTable",
@@ -316,20 +316,74 @@ def _relation_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundl
 
 def _bilinear_laws(label: str, phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
     """phi(q, extra_dims..., m, m') must be linear in each of m, m'.  ``phi``
-    indexes as phi[(q, *extra, m, m')]; extra dimensions come first."""
+    indexes as phi[(q, *extra, m, m')]; extra dimensions come first.
+
+    Four of the six laws carry a reduced form over G = ``generators(M)``
+    (G = {0} when M = 0, so that G is never empty), by the lemma in the
+    docstring of ``modules.verify_bhp_module``: a map ψ with
+    ψ(m + g) = ψ(m) + ψ(g) for every m ∈ M and g ∈ G is a homomorphism, and
+    two homomorphisms that agree on G are equal.
+
+    * ``_first_add`` with m' ∈ G and ``_second_add`` with the added element
+      in G: the lemma for m ↦ φ(m, n) and for n ↦ φ(m, n), with no other
+      law needed.
+    * ``_first_br``, φ([m,m']·x, n) = [φ(m,n), φ(m',n)]·x, on m, m' ∈ G with
+      x and n swept in full, once both additivity laws of φ hold.  In m,
+      the left side is m ↦ [m,m']·x, additive by MC5 of M, followed by
+      φ(·, n), additive by ``_first_add``; the right side is m ↦ φ(m,n),
+      additive, followed by [·, φ(m',n)]·x, additive by MC5 of N.  The same
+      holds in m'.  So for m' ∈ G the two sides agree on G as maps of m,
+      hence for every m; then for each m they agree on G as maps of m',
+      hence for every m'.  ``_second_br`` is the same argument for
+      φ(n, ·), with ``_second_add``.  n is swept in full:
+      [φ(m,n), φ(m',n)]·x is not additive in n.
+
+    Each reduced form sweeps a subset of its law's cells.  The scalar laws
+    keep their full sweeps."""
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
+    gens = np.array(generators(dom.group) or (0,), dtype=np.int64)
+    ng = len(gens)
     k = phi_dims  # leading extra dims: () for d, (nee,) for the bracket defects
-    specs = [
-        ((nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd)),
-        ((nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd)),
-        ((nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal)),
-        ((nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal)),
-        ((nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr)),
-        ((nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr)),
+
+    def first_add(*a):
+        return _first_add(a, phi, madd, nadd)
+
+    def second_add(*a):
+        return _second_add(a, phi, madd, nadd)
+
+    def first_br(*a):
+        return _first_br(a, phi, dbr, nbr)
+
+    def second_br(*a):
+        return _second_br(a, phi, dbr, nbr)
+
+    return [
+        (label, k + (nm, nm, nm), first_add,
+         (k + (nm, ng, nm), _on_generators(first_add, gens, -2))),
+        (label, k + (nm, nm, nm), second_add,
+         (k + (nm, nm, ng), _on_generators(second_add, gens, -1))),
+        (label, k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), None),
+        (label, k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), None),
+        (label, k + (nm, nm, nee, nm), first_br,
+         (k + (ng, ng, nee, nm), _on_generators(first_br, gens, -4, -3))),
+        (label, k + (nm, nm, nee, nm), second_br,
+         (k + (ng, ng, nee, nm), _on_generators(second_br, gens, -4, -3))),
     ]
-    return [(label, k + dims, fn) for dims, fn in specs]
+
+
+def _on_generators(law, gens: np.ndarray, *slots: int):
+    """``law`` with its arguments at the positions ``slots`` (counted from
+    the end) read as indices into ``gens``."""
+
+    def reduced(*args):
+        args = list(args)
+        for i in slots:
+            args[i] = gens[args[i]]
+        return law(*args)
+
+    return reduced
 
 
 # In the six helpers below ``extra`` starts with the candidate index q.
@@ -589,8 +643,11 @@ _CP_ROUTES = {
 
 def _single(laws, q: int = 0):
     """A route's laws on the one map ``q`` of their stack (the stack of one
-    map by default)."""
-    return [(label, dims, partial(law, q)) for label, dims, law in laws]
+    map by default), reduced forms included."""
+    return [
+        (label, dims, partial(law, q), reduced and (reduced[0], partial(reduced[1], q)))
+        for label, dims, law, reduced in _law_parts(laws)
+    ]
 
 
 def _run_routes(primary_laws, secondary):
@@ -874,71 +931,79 @@ def _cp_constraint_schedule(ma: CpModule, nb: CpModule):
 
 def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> list[MapTable]:
     """All quadratic pair maps (M,A) → (N,B), in lexicographic table order.
-    Search is depth-first with f(0)=0 and incremental rejection on the
-    membership/vanishing clauses; completions are filtered by the full
-    batch decision and each survivor is certified."""
+
+    The search is depth-first over tables with f(0) = 0, rejecting a
+    partial table as soon as a membership or vanishing clause fails on the
+    entries assigned so far.  It raises ``SearchSpaceTooLarge`` once it has
+    visited more than ``limit`` partial tables.  The leaves then go through
+    each route of ``batch_cp_quadratic`` as one stack; a route whose mask
+    differs from the definition's raises ``ConsistencyError``.  Each
+    accepted table gets its induced graded maps, verified linear."""
     ensure_module_verified(ma)
     ensure_module_verified(nb)
     _require_commutative(ma)
     nm, ncod = ma.nm, nb.nm
-    bound = ncod ** max(nm - 1, 0)
-    if bound > limit:
-        raise SearchSpaceTooLarge(bound, limit)
     pairs, scals, bracks = _cp_constraint_schedule(ma, nb)
-    amask, bmask = ma.amask, nb.amask
-    nsub, nscal, nbr = nb.group.sub, nb.scal, nb.bracket
-    F = np.zeros(nm, dtype=np.int64)
-    found: list[np.ndarray] = []
+    # the search reads single entries: Python lists index faster than arrays
+    amask, bmask = ma.amask.tolist(), nb.amask.tolist()
+    sub = nb.group.add[:, nb.group.neg].tolist()  # sub[a][b] = a − b
+    nscal, nbr = nb.scal.tolist(), nb.bracket.tolist()
+    F = [0] * nm
+    found: list[list[int]] = []
+    nodes = 0
 
     def ok_at(k: int) -> bool:
         for i, j, s in pairs[k]:
-            dv = int(nsub(nsub(F[s], F[j]), F[i]))
+            dv = sub[sub[F[s]][F[j]]][F[i]]
             if not bmask[dv]:
                 return False
             if (amask[i] or amask[j]) and dv != 0:
                 return False
         for i, r, j in scals[k]:
-            sv = int(nsub(F[j], nscal[F[i], r]))
+            sv = sub[F[j]][nscal[F[i]][r]]
             if not bmask[sv]:
                 return False
             if amask[i] and sv != 0:
                 return False
         for i, j, x, b in bracks[k]:
-            bv = int(nsub(F[b], nbr[F[i], F[j], x]))
+            bv = sub[F[b]][nbr[F[i]][F[j]][x]]
             if not bmask[bv]:
                 return False
             if (amask[i] or amask[j]) and bv != 0:
                 return False
         return True
 
-    def dfs(k: int) -> None:
-        if k == nm:
+    def visit(k: int) -> None:
+        """The node F[0..k]: checked, then extended if it passes."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise SearchSpaceTooLarge(limit)
+        if not ok_at(k):
+            return
+        if k + 1 == nm:
             found.append(F.copy())
             return
         for v in range(ncod):
-            F[k] = v
-            if ok_at(k):
-                dfs(k + 1)
-        F[k] = 0
+            F[k + 1] = v
+            visit(k + 1)
+        F[k + 1] = 0
 
-    if nm == 1:
-        if ok_at(0):
-            found.append(F.copy())
-    else:
-        if ok_at(0):
-            dfs(1)
-    if not found:
-        return []
-    tables = np.stack(found)
-    keep = batch_cp_quadratic(ma, nb, tables)
-    out = []
-    for table in tables[keep]:
-        f = MapTable(ma, nb, table)
-        cert = is_cp_quadratic(f, _recertify=False)
-        if not cert.passed:
-            raise ConsistencyError("batch filter accepted a non-quadratic table")
-        out.append(f)
-    return out
+    visit(0)
+    tables = np.array(found, dtype=np.int64)  # the zero map passes every check
+    masks = {route: batch_cp_quadratic(ma, nb, tables, route=route) for route in _CP_ROUTES}
+    keep = masks["definition"]
+    for route, mask in masks.items():
+        if not np.array_equal(mask, keep):
+            leaf = int(np.flatnonzero(mask != keep)[0])
+            verb = "accepts" if keep[leaf] else "rejects"
+            raise ConsistencyError(
+                f"routes disagree on leaf {leaf}: definition {verb} it, {route} does not"
+            )
+    maps = [MapTable(ma, nb, table) for table in tables[keep]]
+    for f in maps:
+        _graded_maps(f)
+    return maps
 
 
 # -- batch deciders: the route laws above swept over a stack of candidate
@@ -1044,7 +1109,7 @@ def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     must itself pass the full pair-module verification — the capstone
     closure theorem, machine-checked on every call."""
     maps = enumerate_cp_quadratic(ma, nb, limit=limit)
-    tables = np.stack([f.table for f in maps]) if maps else np.zeros((0, ma.nm), dtype=np.int64)
+    tables = np.stack([f.table for f in maps])
     k = len(tables)
     check_cap("hom-module carrier", k, get_config().cap_group)
     # every pointwise result as a row of N-values, located among the tables
@@ -1079,6 +1144,11 @@ def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     return hom
 
 
+def _tables(hom: HomModule) -> np.ndarray:
+    """The tables of the carrier's maps, one row per element."""
+    return np.stack([f.table for f in hom.maps])
+
+
 def pullback(f: QuadCertificate, lc: CpModule, limit: int = 1_000_000) -> MapTable:
     """Precomposition h ↦ h∘f between hom modules, certified linear."""
     if f.kind != "cp" or not f.passed:
@@ -1087,13 +1157,9 @@ def pullback(f: QuadCertificate, lc: CpModule, limit: int = 1_000_000) -> MapTab
         raise CertificateInvalid("certificate does not re-verify from scratch")
     hom_src = hom_module(f.map.cod, lc, limit=limit)
     hom_dst = hom_module(f.map.dom, lc, limit=limit)
-    rank = {tuple(map(int, g.table)): i for i, g in enumerate(hom_dst.maps)}
-    table = np.zeros(hom_src.nm, dtype=np.int64)
-    for i, h in enumerate(hom_src.maps):
-        key = tuple(map(int, h.table[f.map.table]))
-        if key not in rank:
-            raise ConsistencyError("precomposition left the target hom carrier")
-        table[i] = rank[key]
+    table = _row_ranks(_tables(hom_dst), _tables(hom_src)[:, f.map.table], lc.nm)
+    if table.min() < 0:
+        raise ConsistencyError("precomposition left the target hom carrier")
     out = MapTable(hom_src, hom_dst, table)
     if not is_cp_linear(table, hom_src, hom_dst):
         raise ConsistencyError("precomposition by a quadratic pair map is not linear")
@@ -1109,13 +1175,9 @@ def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> Qua
         raise CertificateInvalid("certificate does not re-verify from scratch")
     hom_src = hom_module(ma, g.map.dom, limit=limit)
     hom_dst = hom_module(ma, g.map.cod, limit=limit)
-    rank = {tuple(map(int, h.table)): i for i, h in enumerate(hom_dst.maps)}
-    table = np.zeros(hom_src.nm, dtype=np.int64)
-    for i, h in enumerate(hom_src.maps):
-        key = tuple(map(int, g.map.table[h.table]))
-        if key not in rank:
-            raise ConsistencyError("postcomposition left the target hom carrier")
-        table[i] = rank[key]
+    table = _row_ranks(_tables(hom_dst), g.map.table[_tables(hom_src)], g.map.cod.nm)
+    if table.min() < 0:
+        raise ConsistencyError("postcomposition left the target hom carrier")
     out = is_cp_quadratic(MapTable(hom_src, hom_dst, table))
     if not out.passed:
         raise ConsistencyError("postcomposition by a quadratic pair map is not quadratic")

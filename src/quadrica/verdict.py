@@ -7,33 +7,56 @@ materialise much more than one block of cells at once).
 ``passing_candidates`` reads one boolean per candidate, for batch deciders;
 ``law_failures`` is the sweep of one candidate, with lexicographically-first
 witness extraction.
+
+A law is a tuple ``(label, dims, law)`` or ``(label, dims, law, reduced)``.
+``reduced`` is None, or ``(dims, law)``: the same law body with some of its
+additive arguments running over a generating set.  Whoever writes a reduced
+form proves that, once every law without a reduced form and every reduced
+form hold, every law holds; ``run_laws`` and ``passing_candidates`` apply
+that one rule, and their results are those of the full sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Failure", "Verdict", "open_grid", "law_failures", "run_laws", "passing_candidates"]
+__all__ = [
+    "Failure",
+    "Verdict",
+    "WITNESS_CAP",
+    "open_grid",
+    "law_failures",
+    "run_laws",
+    "passing_candidates",
+]
 
 Law = Callable[..., tuple[np.ndarray, np.ndarray]]
+
+# The most witnesses ``law_failures(..., all_witnesses=True)`` lists for one
+# law; the last one listed counts the failing cells left out.
+WITNESS_CAP = 1024
 
 
 @dataclass(frozen=True)
 class Failure:
     """One violated law: the label, the lexicographically-first witness tuple
-    (indices in the law's own quantifier order), and the two values."""
+    (indices in the law's own quantifier order), and the two values.
+    ``omitted`` counts the failing cells of the same sweep after this one
+    that are not listed (see ``WITNESS_CAP``)."""
 
     law: str
     witness: tuple[int, ...]
     detail: str = ""
+    omitted: int = 0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.law} at {self.witness}: {self.detail}"
+        more = f" ({self.omitted} more failing cells not listed)" if self.omitted else ""
+        return f"{self.law} at {self.witness}: {self.detail}{more}"
 
 
 @dataclass(frozen=True)
@@ -109,21 +132,20 @@ def _blocks(dims: tuple[int, ...], qs: np.ndarray, chunk_cells: int):
 # block's arrays are freed before the next block is evaluated.
 
 
-def _witnesses(label: str, values, i0: np.ndarray, shape, all_witnesses: bool):
+def _witnesses(label: str, values, i0: np.ndarray, shape, limit: int):
+    """At most ``limit`` failing cells of one block as Failures, in
+    lexicographic order, and the number of failing cells of the block."""
     lhs, rhs = (np.asarray(v) for v in values)
     neq = lhs != rhs
     if not neq.any():
-        return []
+        return [], 0
     lhs, rhs, neq = (np.broadcast_to(v, shape)[0] for v in (lhs, rhs, neq))
     bad = np.argwhere(neq)  # C order == lexicographic
-    if not all_witnesses:
-        bad = bad[:1]
     out = []
-    for b in bad:
-        here = tuple(int(v) for v in b)
+    for here in map(tuple, bad[:limit].tolist()):
         witness = (int(i0.ravel()[here[0]]),) + here[1:]
         out.append(Failure(label, witness, f"lhs={int(lhs[here])} rhs={int(rhs[here])}"))
-    return out
+    return out, len(bad)
 
 
 def _fails_per_candidate(values) -> np.ndarray:
@@ -149,7 +171,9 @@ def law_failures(
     *,
     all_witnesses: bool = False,
 ) -> list[Failure]:
-    """Evaluate ``law(*grid)`` over the full grid, return [] or the violations.
+    """Evaluate ``law(*grid)`` over the full grid, return [] or the violations:
+    the first one, or with ``all_witnesses`` the first ``WITNESS_CAP``, the
+    last of which counts the failing cells left out.
 
     This is the sweep of a single candidate: the law does not see the
     candidate axis and the witnesses drop it.
@@ -162,27 +186,37 @@ def law_failures(
         if int(lhs) != int(rhs):
             return [Failure(label, (), f"lhs={int(lhs)} rhs={int(rhs)}")]
         return []
+    limit = WITNESS_CAP if all_witnesses else 1
     if prod(dims) <= _SWEEP_CELLS:  # one block: no block bookkeeping
         grid = _grid((1,) + dims)[1:]
         lhs, rhs = law(*grid)
         if not (lhs != rhs).any():
             return []
-        return _witnesses(label, (lhs, rhs), grid[0], (1,) + dims, all_witnesses)
-    failures: list[Failure] = []
-    for _, _, grid, shape in _blocks(dims, _ONE, _SWEEP_CELLS):
-        failures += _witnesses(label, law(*grid), grid[0], shape, all_witnesses)
-        if failures and not all_witnesses:
-            break
+        failures, failing = _witnesses(label, (lhs, rhs), grid[0], (1,) + dims, limit)
+    else:
+        failures, failing = [], 0
+        for _, _, grid, shape in _blocks(dims, _ONE, _SWEEP_CELLS):
+            found, count = _witnesses(label, law(*grid), grid[0], shape, limit - len(failures))
+            failures += found
+            failing += count
+            if failures and not all_witnesses:
+                break
+    if all_witnesses and failing > len(failures):
+        failures[-1] = replace(failures[-1], omitted=failing - len(failures))
     return failures
 
 
-def passing_candidates(laws: Iterable[tuple[str, Sequence[int], Law]], count: int) -> np.ndarray:
-    """One boolean per candidate ``0 .. count-1``: whether ``law(q, *grid)``
-    holds everywhere on the grid for every law.  A candidate that fails a
-    law is not swept by the laws after it; the mask is the same, since it
-    is the AND of the laws."""
-    alive = np.arange(count)
-    for _label, dims, law in laws:
+def _law_parts(laws) -> list[tuple]:
+    """Each law as ``(label, dims, law, reduced)``, with ``reduced`` None
+    where the tuple has no fourth slot."""
+    return [law if len(law) == 4 else (*law, None) for law in laws]
+
+
+def _survivors(sweeps, alive: np.ndarray) -> np.ndarray:
+    """The candidates of ``alive`` for which every ``law(q, *grid)`` of
+    ``sweeps``, a sequence of ``(dims, law)``, holds everywhere.  A
+    candidate that fails a law is not swept by the laws after it."""
+    for dims, law in sweeps:
         if alive.size == 0:
             break
         dims = tuple(dims)
@@ -192,20 +226,48 @@ def passing_candidates(laws: Iterable[tuple[str, Sequence[int], Law]], count: in
         for block, q, grid, _ in _blocks(dims, alive, _BATCH_CELLS):
             bad[block] |= _fails_per_candidate(law(q, *grid))
         alive = alive[~bad]
+    return alive
+
+
+def passing_candidates(laws: Iterable[tuple], count: int) -> np.ndarray:
+    """One boolean per candidate ``0 .. count-1``: whether ``law(q, *grid)``
+    holds everywhere on the grid for every law.  The laws without a reduced
+    form run first, in full; only the candidates that pass them all go on
+    to the reduced forms.  That is the decision rule of ``run_laws``, so
+    the mask is that of the full sweeps."""
+    laws = _law_parts(laws)
+    alive = _survivors([(dims, fn) for _, dims, fn, reduced in laws if reduced is None],
+                       np.arange(count))
+    alive = _survivors([reduced for *_, reduced in laws if reduced is not None], alive)
     mask = np.zeros(count, dtype=bool)
     mask[alive] = True
     return mask
 
 
-def run_laws(
-    laws: Iterable[tuple[str, Sequence[int], Law]],
-    *,
-    all_witnesses: bool = False,
-) -> Verdict:
-    """Run a batch of laws and fold the results into one Verdict."""
+def run_laws(laws: Iterable[tuple], *, all_witnesses: bool = False) -> Verdict:
+    """The verdict of sweeping every law in full, witnesses included.
+
+    The laws without a reduced form are swept in full first.  If they all
+    hold, the reduced forms are swept; if those hold too, every law holds
+    (by the proofs that come with the reduced forms).  Otherwise the laws
+    with a reduced form are swept in full as well, so every failure and
+    witness is the exhaustive one.  Failures and ``checked`` keep the law
+    order."""
+    laws = _law_parts(laws)
+    found = {
+        i: law_failures(label, dims, fn, all_witnesses=all_witnesses)
+        for i, (label, dims, fn, reduced) in enumerate(laws)
+        if reduced is None
+    }
+    reduced_hold = not any(found.values()) and all(
+        not law_failures(label, *reduced)
+        for label, _, _, reduced in laws
+        if reduced is not None
+    )
     failures: list[Failure] = []
-    checked: list[str] = []
-    for label, dims, law in laws:
-        checked.append(label)
-        failures.extend(law_failures(label, dims, law, all_witnesses=all_witnesses))
-    return Verdict.from_failures(failures, checked)
+    for i, (label, dims, fn, _) in enumerate(laws):
+        if i in found:
+            failures += found[i]
+        elif not reduced_hold:
+            failures += law_failures(label, dims, fn, all_witnesses=all_witnesses)
+    return Verdict.from_failures(failures, [label for label, *_ in laws])

@@ -121,6 +121,21 @@ def test_enum_census_and_limit(tmp_path, capsys):
     assert main(["enum", pair, pair, "--limit", "3"]) == 3
 
 
+def test_the_limit_counts_the_search_nodes_visited(tmp_path, capsys):
+    """The Z/3 ``sym`` free pair has 9^8 tables with f(0) = 0, but its
+    pruned search visits between 1,000 and 1,000,000 partial tables: the
+    default limit lets it finish, and only the group cap stops the 81-map
+    carrier."""
+    pair = write_doc(tmp_path, "sym3.pair", free_cp_pair(build_example("sym", 3)))
+    capsys.readouterr()
+    assert main(["enum", pair, pair, "--limit", "1000"]) == 3
+    assert "search visited more than 1000 nodes" in capsys.readouterr().err
+    assert main(["hom", pair, pair]) == 3
+    assert "hom-module carrier has 81 elements, cap is 64" in capsys.readouterr().err
+    assert main(["hom", pair, pair, "--cap-group", "128"]) == 0
+    assert "hom module order: 81" in capsys.readouterr().err
+
+
 def test_hom_emits_a_verifiable_document(tmp_path, capsys):
     pair = write_doc(tmp_path, "sym2.pair", free_cp_pair(build_example("sym", 2)))
     out_path = str(tmp_path / "hom.cpmod")
@@ -242,6 +257,22 @@ def test_a_64_element_hom_carrier_verifies_at_the_default_caps_within_48_mb():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "result: PASS"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_running_out_of_memory_exits_three_without_a_traceback():
+    """With 2 MB above the interpreter an allocation fails while the same
+    document is read and verified; that is a bound, not a crash."""
+    doc = Path(__file__).parent / "data" / "gamma4_hom.cpmod"
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_UNDER_BUDGET, str(doc), str(2 << 20)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("bound exceeded: out of memory")
+    assert "Traceback" not in proc.stderr
 
 
 def test_non_integer_table_entries_exit_two(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import quadrica.modules as modules
+import quadrica.verdict as engine
 from quadrica import (
     BhpModule,
     CpModule,
@@ -259,7 +259,7 @@ def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
         seen.append((label, tuple(dims)))
         return law_failures(label, dims, law, **kwargs)
 
-    monkeypatch.setattr(modules, "law_failures", counting)
+    monkeypatch.setattr(engine, "law_failures", counting)
     verify(mod)
     monkeypatch.undo()
     return seen

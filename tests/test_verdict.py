@@ -1,0 +1,42 @@
+"""The sweep engine's witness policy: the first failing cell of a law, or
+with ``all_witnesses`` at most ``WITNESS_CAP`` of them, the last of which
+counts the failing cells left out."""
+
+from __future__ import annotations
+
+import numpy as np
+
+import quadrica.verdict as engine
+from quadrica.verdict import WITNESS_CAP, Failure, law_failures, run_laws
+
+CELLS = WITNESS_CAP + 100
+
+
+def identity_is_zero(i):
+    """Fails at every cell but 0."""
+    return i, np.zeros_like(i)
+
+
+def test_the_witness_list_stops_at_the_cap_and_counts_the_rest(monkeypatch):
+    failures = law_failures("L", (CELLS,), identity_is_zero, all_witnesses=True)
+    assert [f.witness for f in failures] == [(i,) for i in range(1, WITNESS_CAP + 1)]
+    assert failures[0] == Failure("L", (1,), "lhs=1 rhs=0")
+    assert [f.omitted for f in failures] == [0] * (WITNESS_CAP - 1) + [CELLS - 1 - WITNESS_CAP]
+    assert law_failures("L", (CELLS,), identity_is_zero) == failures[:1]
+    # the same list when the sweep runs in blocks of 64 cells
+    monkeypatch.setattr(engine, "_SWEEP_CELLS", 64)
+    assert law_failures("L", (CELLS,), identity_is_zero, all_witnesses=True) == failures
+
+
+def test_a_verdict_names_each_law_whose_witnesses_were_left_out():
+    laws = [
+        ("L", (CELLS,), identity_is_zero),
+        ("M", (4, 3), lambda a, b: (a * b, np.zeros_like(a + b))),
+        ("N", (2,), lambda a: (a, a)),
+    ]
+    verdict = run_laws(laws, all_witnesses=True)
+    assert verdict.failed_laws() == ("L", "M")
+    assert len(verdict.failures) == WITNESS_CAP + 6
+    omitted = [(f.law, f.omitted) for f in verdict.failures if f.omitted]
+    assert omitted == [("L", CELLS - 1 - WITNESS_CAP)]
+    assert not any(f.omitted for f in run_laws(laws).failures)
