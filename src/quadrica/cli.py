@@ -1,8 +1,8 @@
 """Command-line driver.
 
-One invocation = one workspace: every structure named on the command line is
-parsed, verified (or tagged unverified), and recorded with its provenance
-before any command logic runs.  Exit codes: 0 success, 1 verification or
+Every document named on the command line is read, parsed and verified
+before any command logic runs; a command refuses to compute with a
+structure that fails verification.  Exit codes: 0 success, 1 verification or
 decision failure, 2 unparseable document, 3 a cap or search bound was hit or
 memory ran out, 4 usage mismatch (wrong document kind, non-composable maps,
 bad arguments).
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -59,26 +58,14 @@ from .serialize import dumps, loads
 from .squarering import SquareRing, verify_square_ring
 from .verdict import Verdict
 
-__all__ = ["Workspace", "WorkspaceEntry", "main"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# workspace
+# loading
 
 
-@dataclass
-class WorkspaceEntry:
-    """One named structure: where it came from and whether it verified."""
-
-    name: str
-    kind: str
-    obj: Any
-    provenance: str
-    verified: bool
-    verdict: Verdict | None
-
-
-def _verify_structure(obj: Any) -> tuple[str, Verdict | None]:
+def _verify_structure(obj: Any) -> tuple[str, Verdict]:
     if isinstance(obj, SquareRing):
         return "square_ring", verify_square_ring(obj)
     if isinstance(obj, CpModule):
@@ -88,49 +75,37 @@ def _verify_structure(obj: Any) -> tuple[str, Verdict | None]:
     if isinstance(obj, MapTable):
         _, vd = _verify_structure(obj.dom)
         _, vc = _verify_structure(obj.cod)
-        assert vd is not None and vc is not None
         return "map", vd.merge(vc)
     raise PreconditionUnmet(f"cannot verify objects of type {type(obj).__name__}")
 
 
-class Workspace:
-    """Named structures keyed by identifier.  Everything stored has been
-    run through its verifier; entries that fail stay in the workspace but
-    are tagged unverified, and commands refuse to compute with them."""
+def _load(path: str) -> tuple[str, Any, Verdict]:
+    """The document at ``path`` read, parsed and verified: its kind, the
+    structure and its verdict."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from err
+    obj = loads(text)
+    kind, verdict = _verify_structure(obj)
+    return kind, obj, verdict
 
-    def __init__(self) -> None:
-        self._entries: dict[str, WorkspaceEntry] = {}
 
-    def add(self, name: str, obj: Any, provenance: str) -> WorkspaceEntry:
-        base, k = name, 1
-        while name in self._entries:
-            k += 1
-            name = f"{base}#{k}"
-        kind, verdict = _verify_structure(obj)
-        entry = WorkspaceEntry(
-            name=name,
-            kind=kind,
-            obj=obj,
-            provenance=provenance,
-            verified=bool(verdict.passed) if verdict is not None else False,
-            verdict=verdict,
-        )
-        self._entries[name] = entry
-        return entry
+class _Unverified(Exception):
+    """A document that fails verification; ``main`` prints its failures and
+    exits 1.  Arguments: the path, the kind and the verdict."""
 
-    def load(self, path: str) -> WorkspaceEntry:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise ParseError(f"cannot read {path}: {err}") from err
-        return self.add(path, loads(text), provenance=f"file:{path}")
 
-    def get(self, name: str) -> WorkspaceEntry:
-        return self._entries[name]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
+def _checked(path: str, loaded: tuple[str, Any, Verdict], want: str, command: str) -> Any:
+    """The structure of a loaded document, refused unless it is of kind
+    ``want`` and passes verification."""
+    kind, obj, verdict = loaded
+    if kind != want:
+        raise PreconditionUnmet(f"{command} needs a {want} document, got {kind} ({path})")
+    if not verdict.passed:
+        raise _Unverified(path, kind, verdict)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -183,54 +158,30 @@ def _emit(doc_text: str, report: dict, args, human_lines: list[str]) -> None:
                 print(line, file=sys.stderr)
 
 
-def _require_kind(entry: WorkspaceEntry, kinds: tuple[str, ...], command: str) -> None:
-    if entry.kind not in kinds:
-        raise PreconditionUnmet(
-            f"{command} needs a {' or '.join(kinds)} document, got {entry.kind} ({entry.name})"
-        )
-
-
-def _require_verified(entry: WorkspaceEntry) -> int | None:
-    """Report-and-fail path for structures that do not pass verification."""
-    if entry.verified:
-        return None
-    assert entry.verdict is not None
-    print(f"{entry.name}: {entry.kind} fails verification", file=sys.stderr)
-    for f in entry.verdict.failures:
-        print(f"  FAIL {f.law} at {f.witness}: {f.detail}", file=sys.stderr)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_verify(ws: Workspace, args) -> int:
-    entry = ws.load(args.path)
-    assert entry.verdict is not None
+def cmd_verify(args) -> int:
+    kind, _, verdict = _load(args.path)
     if args.format == "structured":
         report = {
             "command": "verify",
-            "kind": entry.kind,
-            "provenance": entry.provenance,
-            **_verdict_doc(entry.verdict),
+            "kind": kind,
+            "provenance": f"file:{args.path}",
+            **_verdict_doc(verdict),
         }
         print(json.dumps(report, sort_keys=True))
     else:
-        print(f"kind: {entry.kind}")
-        print(f"source: {entry.provenance}")
-        _print_verdict_human(entry.verdict, sys.stdout)
-        print(f"result: {'PASS' if entry.verified else 'FAIL'}")
-    return 0 if entry.verified else 1
+        print(f"kind: {kind}")
+        print(f"source: file:{args.path}")
+        _print_verdict_human(verdict, sys.stdout)
+        print(f"result: {'PASS' if verdict.passed else 'FAIL'}")
+    return 0 if verdict.passed else 1
 
 
-def cmd_quad(ws: Workspace, args) -> int:
-    entry = ws.load(args.path)
-    _require_kind(entry, ("map",), "quad")
-    bad = _require_verified(entry)
-    if bad is not None:
-        return bad
-    f: MapTable = entry.obj
+def cmd_quad(args) -> int:
+    f: MapTable = _checked(args.path, _load(args.path), "map", "quad")
     if isinstance(f.dom, CpModule) and isinstance(f.cod, CpModule):
         cert = is_cp_quadratic(f)
     else:
@@ -263,22 +214,13 @@ def cmd_quad(ws: Workspace, args) -> int:
     return 0 if cert.passed else 1
 
 
-def _load_pair(ws: Workspace, path: str, command: str) -> CpModule | int:
-    entry = ws.load(path)
-    _require_kind(entry, ("cp_module",), command)
-    bad = _require_verified(entry)
-    if bad is not None:
-        return bad
-    return entry.obj
+def _load_pair(path: str, command: str) -> CpModule:
+    return _checked(path, _load(path), "cp_module", command)
 
 
-def cmd_enum(ws: Workspace, args) -> int:
-    ma = _load_pair(ws, args.domain, "enum")
-    if isinstance(ma, int):
-        return ma
-    nb = _load_pair(ws, args.codomain, "enum")
-    if isinstance(nb, int):
-        return nb
+def cmd_enum(args) -> int:
+    ma = _load_pair(args.domain, "enum")
+    nb = _load_pair(args.codomain, "enum")
     maps = enumerate_cp_quadratic(ma, nb, limit=args.limit)
     tables = [[int(v) for v in f.table] for f in maps]
     if args.format == "structured":
@@ -291,13 +233,9 @@ def cmd_enum(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_hom(ws: Workspace, args) -> int:
-    ma = _load_pair(ws, args.domain, "hom")
-    if isinstance(ma, int):
-        return ma
-    nb = _load_pair(ws, args.codomain, "hom")
-    if isinstance(nb, int):
-        return nb
+def cmd_hom(args) -> int:
+    ma = _load_pair(args.domain, "hom")
+    nb = _load_pair(args.codomain, "hom")
     h = hom_module(ma, nb, limit=args.limit)
     report = {
         "command": "hom",
@@ -314,16 +252,9 @@ def cmd_hom(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_compose(ws: Workspace, args) -> int:
-    first = ws.load(args.first)
-    then = ws.load(args.then)
-    for entry in (first, then):
-        _require_kind(entry, ("map",), "compose")
-        bad = _require_verified(entry)
-        if bad is not None:
-            return bad
-    f: MapTable = first.obj
-    g: MapTable = then.obj
+def cmd_compose(args) -> int:
+    loaded = [(path, _load(path)) for path in (args.first, args.then)]
+    f, g = (_checked(path, doc, "map", "compose") for path, doc in loaded)
     if not (isinstance(f.dom, CpModule) and isinstance(g.dom, CpModule)):
         raise PreconditionUnmet("compose needs maps between pair modules")
     fc = is_cp_quadratic(f)
@@ -347,13 +278,8 @@ def cmd_compose(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_gr(ws: Workspace, args) -> int:
-    entry = ws.load(args.path)
-    _require_kind(entry, ("cp_module",), "gr")
-    bad = _require_verified(entry)
-    if bad is not None:
-        return bad
-    g = gr(entry.obj)
+def cmd_gr(args) -> int:
+    g = gr(_load_pair(args.path, "gr"))
     if args.format == "structured":
         report = {
             "command": "gr",
@@ -378,7 +304,7 @@ def cmd_gr(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_example(ws: Workspace, args) -> int:
+def cmd_example(args) -> int:
     sr = build_example(args.kind, args.n, args.epsilon)
     if args.emit == "ring":
         obj: Any = sr
@@ -388,13 +314,13 @@ def cmd_example(ws: Workspace, args) -> int:
         obj = regular_module(sr)
     else:
         obj = ree_module(sr)
-    entry = ws.add(f"{args.kind}-{args.n}", obj, provenance=f"builtin:{args.kind}({args.n})")
+    _, verdict = _verify_structure(obj)
     report = {
         "command": "example",
         "kind": args.kind,
         "n": args.n,
         "emit": args.emit,
-        "verified": entry.verified,
+        "verified": bool(verdict.passed),
     }
     lines = [f"built {args.kind} over Z/{args.n} ({args.emit}); verification PASS"]
     _emit(dumps(obj), report, args, lines)
@@ -494,9 +420,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # e.g. a non-positive cap
         print(f"usage mismatch: {err}", file=sys.stderr)
         return 4
-    ws = Workspace()
     try:
-        return args.fn(ws, args)
+        return args.fn(args)
+    except _Unverified as err:
+        path, kind, verdict = err.args
+        print(f"{path}: {kind} fails verification", file=sys.stderr)
+        for f in verdict.failures:
+            print(f"  FAIL {f.law} at {f.witness}: {f.detail}", file=sys.stderr)
+        return 1
     except ParseError as err:
         cause = err.__cause__
         if isinstance(cause, (NotAGroup, NotARing, NotAnAlgebra)):

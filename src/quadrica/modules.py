@@ -146,9 +146,9 @@ class CpModule(BhpModule):
 # verification
 
 
-# Each law is (label, dims, law, reduced).  ``reduced`` is None, or the same
-# law body with its additive module arguments running over the carrier's
-# generators, as (dims, law); ``run_laws`` says when it stands for the law.
+# Each law is (label, dims, law, reduced).  ``reduced`` is None, or the
+# law's dims with some of its additive module arguments running over G, the
+# carrier's generators; ``run_laws`` says when it stands for the law.
 
 
 def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
@@ -159,21 +159,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
     add, mul = sr.re.add, sr.re.mul
     eadd = sr.ree.add
     one, h, p, t, act = sr.one, sr.h, sr.p, sr.t, sr.act
-    gens = np.array(generators(mod.group), dtype=np.int64)
-    ng = len(gens)
-
-    def mc5_left(m, m2, n, x):
-        return bracket[madd[m, m2], n, x], madd[bracket[m, n, x], bracket[m2, n, x]]
-
-    def mc5_right(m, n, n2, x):
-        return bracket[m, madd[n, n2], x], madd[bracket[m, n, x], bracket[m, n2, x]]
-
-    def mc6(m, n, r, s, x, u):
-        return scal[bracket[scal[m, r], scal[n, s], x], u], bracket[m, n, act[r, s, x, u]]
-
-    def mc7(m, m2, x, n, y):
-        return bracket[bracket[m, m2, x], n, y], np.zeros_like(m + m2 + n)
-
+    G = generators(mod.group)
     laws = [
         ("MC1", (nm,), lambda m: (scal[m, one], m), None),
         (
@@ -202,14 +188,20 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
         (
             "MC5",
             (nm, nm, nm, nee),
-            mc5_left,
-            ((nm, ng, nm, nee), lambda m, i, n, x: mc5_left(m, gens[i], n, x)),
+            lambda m, m2, n, x: (
+                bracket[madd[m, m2], n, x],
+                madd[bracket[m, n, x], bracket[m2, n, x]],
+            ),
+            (nm, G, nm, nee),
         ),
         (
             "MC5",
             (nm, nm, nm, nee),
-            mc5_right,
-            ((nm, nm, ng, nee), lambda m, n, j, x: mc5_right(m, n, gens[j], x)),
+            lambda m, n, n2, x: (
+                bracket[m, madd[n, n2], x],
+                madd[bracket[m, n, x], bracket[m, n2, x]],
+            ),
+            (nm, nm, G, nee),
         ),
         (
             "MC5",
@@ -223,11 +215,11 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
         (
             "MC6",
             (nm, nm, ne, ne, nee, ne),
-            mc6,
-            (
-                (ng, ng, ne, ne, nee, ne),
-                lambda i, j, r, s, x, u: mc6(gens[i], gens[j], r, s, x, u),
+            lambda m, n, r, s, x, u: (
+                scal[bracket[scal[m, r], scal[n, s], x], u],
+                bracket[m, n, act[r, s, x, u]],
             ),
+            (G, G, ne, ne, nee, ne),
         ),
     ]
     if with_mc7:
@@ -235,11 +227,11 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
             (
                 "MC7",
                 (nm, nm, nee, nm, nee),
-                mc7,
-                (
-                    (ng, ng, nee, ng, nee),
-                    lambda i, j, x, k, y: mc7(gens[i], gens[j], x, gens[k], y),
+                lambda m, m2, x, n, y: (
+                    bracket[bracket[m, m2, x], n, y],
+                    np.zeros_like(m + m2 + n),
                 ),
+                (G, G, nee, G, nee),
             )
         )
     return laws
@@ -248,15 +240,14 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
 def _cp_laws(mod: CpModule):
     sr = mod.sr
     nm, ne, nee = mod.nm, sr.re.order, sr.ree.order
-    amask, aarr = mod.amask, np.array(mod.aset or [0], dtype=np.int64)
-    la = len(mod.aset)
+    A, amask = mod.aset, mod.amask
     scal, bracket = mod.scal, mod.bracket
     return [
-        ("MC0", (la, ne), lambda i, r: (amask[scal[aarr[i], r]], np.ones_like(i + r)), None),
+        ("MC0", (A, ne), lambda a, r: (amask[scal[a, r]], np.ones_like(a + r)), None),
         (
             "MC7a",
-            (la, nm, nee),
-            lambda i, n, x: (bracket[aarr[i], n, x], np.zeros_like(i + n + x)),
+            (A, nm, nee),
+            lambda a, n, x: (bracket[a, n, x], np.zeros_like(a + n + x)),
             None,
         ),
         (

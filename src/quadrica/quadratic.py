@@ -51,7 +51,7 @@ from .modules import (
     verify_cp_module,
 )
 from .squarering import is_commutative
-from .verdict import Verdict, _law_parts, law_failures, passing_candidates, run_laws
+from .verdict import Verdict, law_failures, passing_candidates, run_laws
 
 __all__ = [
     "MapTable",
@@ -343,47 +343,18 @@ def _bilinear_laws(label: str, phi_dims: tuple, phi, dom: BhpModule, cod: BhpMod
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
-    gens = np.array(generators(dom.group) or (0,), dtype=np.int64)
-    ng = len(gens)
+    G = generators(dom.group) or (0,)
     k = phi_dims  # leading extra dims: () for d, (nee,) for the bracket defects
-
-    def first_add(*a):
-        return _first_add(a, phi, madd, nadd)
-
-    def second_add(*a):
-        return _second_add(a, phi, madd, nadd)
-
-    def first_br(*a):
-        return _first_br(a, phi, dbr, nbr)
-
-    def second_br(*a):
-        return _second_br(a, phi, dbr, nbr)
-
     return [
-        (label, k + (nm, nm, nm), first_add,
-         (k + (nm, ng, nm), _on_generators(first_add, gens, -2))),
-        (label, k + (nm, nm, nm), second_add,
-         (k + (nm, nm, ng), _on_generators(second_add, gens, -1))),
+        (label, k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), k + (nm, G, nm)),
+        (label, k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), k + (nm, nm, G)),
         (label, k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), None),
         (label, k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), None),
-        (label, k + (nm, nm, nee, nm), first_br,
-         (k + (ng, ng, nee, nm), _on_generators(first_br, gens, -4, -3))),
-        (label, k + (nm, nm, nee, nm), second_br,
-         (k + (ng, ng, nee, nm), _on_generators(second_br, gens, -4, -3))),
+        (label, k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr),
+         k + (G, G, nee, nm)),
+        (label, k + (nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr),
+         k + (G, G, nee, nm)),
     ]
-
-
-def _on_generators(law, gens: np.ndarray, *slots: int):
-    """``law`` with its arguments at the positions ``slots`` (counted from
-    the end) read as indices into ``gens``."""
-
-    def reduced(*args):
-        args = list(args)
-        for i in slots:
-            args[i] = gens[args[i]]
-        return law(*args)
-
-    return reduced
 
 
 # In the six helpers below ``extra`` starts with the candidate index q.
@@ -513,13 +484,12 @@ def _cor_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBund
     ]
     laws += _bilinear_laws("BHPc2", (), D.d, dom, cod)
     laws += _homogeneity_laws("BHPc3", dom, cod, D)
-    der = np.array(derived_module(dom), dtype=np.int64)
     scalar = D.scalar
     laws.append(
         (
             "BHPc4",
-            (ne, len(der)),
-            lambda q, r, i: (scalar[q, r, der[i]], np.zeros_like(r + i)),
+            (ne, derived_module(dom)),
+            lambda q, r, m: (scalar[q, r, m], np.zeros_like(r + m)),
         )
     )
     return laws
@@ -528,11 +498,10 @@ def _cor_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBund
 def _cp_membership_laws(dom: CpModule, cod: CpModule, T, D: DefectBundle, with_brackets: bool,
                         label: str):
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    aarr = np.array(dom.aset, dtype=np.int64)
     bmask = cod.amask
     d, scalar, bracket = D.d, D.scalar, D.bracket
     laws = [
-        (label, (len(aarr),), lambda q, i: (bmask[T[q, aarr[i]]], np.ones_like(i))),
+        (label, (dom.aset,), lambda q, a: (bmask[T[q, a]], np.ones_like(a))),
         (label, (nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
         (label, (ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
     ]
@@ -549,25 +518,24 @@ def _cp_membership_laws(dom: CpModule, cod: CpModule, T, D: DefectBundle, with_b
 
 def _cp_vanishing_laws(dom: CpModule, D: DefectBundle, with_brackets: bool, label: str):
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    aarr = np.array(dom.aset, dtype=np.int64)
-    la = len(aarr)
+    A = dom.aset
     d, scalar, bracket = D.d, D.scalar, D.bracket
     laws = [
-        (label, (nm, la), lambda q, m, i: (d[q, m, aarr[i]], np.zeros_like(m + i))),
-        (label, (la, nm), lambda q, i, m: (d[q, aarr[i], m], np.zeros_like(m + i))),
-        (label, (ne, la), lambda q, r, i: (scalar[q, r, aarr[i]], np.zeros_like(r + i))),
+        (label, (nm, A), lambda q, m, a: (d[q, m, a], np.zeros_like(m + a))),
+        (label, (A, nm), lambda q, a, m: (d[q, a, m], np.zeros_like(m + a))),
+        (label, (ne, A), lambda q, r, a: (scalar[q, r, a], np.zeros_like(r + a))),
     ]
     if with_brackets:
         laws += [
             (
                 label,
-                (nee, nm, la),
-                lambda q, x, m, i: (bracket[q, x, m, aarr[i]], np.zeros_like(x + m + i)),
+                (nee, nm, A),
+                lambda q, x, m, a: (bracket[q, x, m, a], np.zeros_like(x + m + a)),
             ),
             (
                 label,
-                (nee, la, nm),
-                lambda q, x, i, m: (bracket[q, x, aarr[i], m], np.zeros_like(x + m + i)),
+                (nee, A, nm),
+                lambda q, x, a, m: (bracket[q, x, a, m], np.zeros_like(x + m + a)),
             ),
         ]
     return laws
@@ -598,25 +566,23 @@ def _factorization_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBu
     f_(r) only see classes mod A, take values in B, and are bilinear resp.
     degree-2 with bilinear polarization."""
     nm, ne = dom.nm, dom.sr.re.order
-    aarr = np.array(dom.aset, dtype=np.int64)
-    la = len(aarr)
-    bmask = cod.amask
+    A, bmask = dom.aset, cod.amask
     madd, nsub = dom.group.add, cod.group.sub
     d, scalar = D.d, D.scalar
     # polarization of each f_(r): pol[q,r,m,n] = f_(r)(m+n) − f_(r)(n) − f_(r)(m)
     pol = nsub(nsub(scalar[:, :, madd], scalar[:, :, None, :]), scalar[:, :, :, None])
     pol_add, _, pol_scal, pol_scal2, _, _ = _bilinear_laws("FAC3", (ne,), pol, dom, cod)
     return [
-        ("FAC1", (la,), lambda q, i: (bmask[T[q, aarr[i]]], np.ones_like(i))),
+        ("FAC1", (A,), lambda q, a: (bmask[T[q, a]], np.ones_like(a))),
         ("FAC2", (nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
-        ("FAC2", (nm, la, nm), lambda q, m, i, n: (d[q, madd[m, aarr[i]], n], d[q, m, n])),
-        ("FAC2", (nm, la, nm), lambda q, m, i, n: (d[q, n, madd[m, aarr[i]]], d[q, n, m])),
+        ("FAC2", (nm, A, nm), lambda q, m, a, n: (d[q, madd[m, a], n], d[q, m, n])),
+        ("FAC2", (nm, A, nm), lambda q, m, a, n: (d[q, n, madd[m, a]], d[q, n, m])),
         *_bilinear_laws("FAC2", (), d, dom, cod)[:4],  # sums and scalars, both slots
         ("FAC3", (ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
         (
             "FAC3",
-            (ne, nm, la),
-            lambda q, r, m, i: (scalar[q, r, madd[m, aarr[i]]], scalar[q, r, m]),
+            (ne, nm, A),
+            lambda q, r, m, a: (scalar[q, r, madd[m, a]], scalar[q, r, m]),
         ),
         *_homogeneity_laws("FAC3", dom, cod, D),
         pol_add,
@@ -644,10 +610,7 @@ _CP_ROUTES = {
 def _single(laws, q: int = 0):
     """A route's laws on the one map ``q`` of their stack (the stack of one
     map by default), reduced forms included."""
-    return [
-        (label, dims, partial(law, q), reduced and (reduced[0], partial(reduced[1], q)))
-        for label, dims, law, reduced in _law_parts(laws)
-    ]
+    return [(label, dims, partial(law, q), *reduced) for label, dims, law, *reduced in laws]
 
 
 def _run_routes(primary_laws, secondary):
@@ -683,44 +646,36 @@ def _decide(kind: str, f: MapTable, routes: dict) -> QuadCertificate:
                            routes=outcomes, passed=verdict.passed)
 
 
-def _pair_map(f, ma: CpModule | None, nb: CpModule | None, refusal: str) -> MapTable:
-    """f as a pair map: a MapTable between pair modules, or a table with
-    both pair modules given."""
-    if (ma is None) != (nb is None):
-        raise PreconditionUnmet("pass both pair modules or neither")
-    if ma is not None:
-        if not isinstance(ma, CpModule) or not isinstance(nb, CpModule):
-            raise PreconditionUnmet(refusal)
-        f = MapTable(ma, nb, f.table if isinstance(f, MapTable) else f)
-    if not isinstance(f.dom, CpModule) or not isinstance(f.cod, CpModule):
+def _pair_map(f, refusal: str) -> MapTable:
+    """f, refused unless it is a MapTable between pair modules."""
+    if not (isinstance(f, MapTable) and isinstance(f.dom, CpModule)
+            and isinstance(f.cod, CpModule)):
         raise PreconditionUnmet(refusal)
     return f
 
 
-def is_bhp_quadratic(f: MapTable, *, _recertify: bool = True) -> QuadCertificate:
+def is_bhp_quadratic(f: MapTable) -> QuadCertificate:
     """Decide quadraticity of a plain map.  Primary route: the eight
     relations; confirmed against the clause-level definition and against
     the reduced four-condition characterization.  For a passing map the
     scalar defects are re-certified quadratic as well."""
     cert = _decide("bhp", f, _BHP_ROUTES)
-    if cert.passed and _recertify:
+    if cert.passed:
         cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="bhp")
     return cert
 
 
-def is_cp_quadratic(f: MapTable, ma: CpModule | None = None, nb: CpModule | None = None,
-                    *, _recertify: bool = True) -> QuadCertificate:
+def is_cp_quadratic(f: MapTable) -> QuadCertificate:
     """Decide quadraticity of a pair map (M,A) → (N,B).  Primary route:
     the four defining clauses; confirmed against the reduced (no bracket
     conditions) characterization and the pointwise factorization one.
     A passing certificate carries the induced degree-1 and degree-2 maps,
     verified linear over the quotient ring."""
-    f = _pair_map(f, ma, nb, "pair deciders need CP modules on both sides")
+    f = _pair_map(f, "pair deciders need CP modules on both sides")
     cert = _decide("cp", f, _CP_ROUTES)
     if cert.passed:
         cert.graded = _graded_maps(f)
-        if _recertify:
-            cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="cp")
+        cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="cp")
     return cert
 
 
@@ -789,11 +744,9 @@ def _graded_maps(f: MapTable) -> dict:
 
 def certificate_valid(cert: QuadCertificate) -> bool:
     """Recompute the certificate from scratch and compare the outcome."""
+    routes = _BHP_ROUTES if cert.kind == "bhp" else _CP_ROUTES
     try:
-        if cert.kind == "bhp":
-            fresh = is_bhp_quadratic(cert.map, _recertify=False)
-        else:
-            fresh = is_cp_quadratic(cert.map, _recertify=False)
+        fresh = _decide(cert.kind, cert.map, routes)
     except (PreconditionUnmet, NonCommutativeRing):
         return False
     return fresh.passed == cert.passed and fresh.failed_laws() == cert.failed_laws()
@@ -1124,13 +1077,8 @@ def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
         what = _first_missing(neg, add, bracket, scal)
         raise ConsistencyError(f"pointwise {what} left the carrier of quadratic maps")
     group = FiniteGroup(add, neg)
-    bmask = nb.amask
-    aarr = np.array(ma.aset, dtype=np.int64)
-    aset = [
-        i
-        for i in range(k)
-        if bmask[tables[i]].all() and (len(aarr) == 0 or (tables[i][aarr] == 0).all())
-    ]
+    in_b = nb.amask[tables].all(axis=1)
+    aset = np.flatnonzero(in_b & (tables[:, list(ma.aset)] == 0).all(axis=1))
     hom = HomModule(ma.sr, group, scal, bracket, aset)
     hom.dom_pair = ma
     hom.cod_pair = nb
@@ -1215,11 +1163,11 @@ def promote_to_cp(f: MapTable) -> QuadCertificate:
     return out
 
 
-def factorization_check(f: MapTable, ma: CpModule | None = None, nb: CpModule | None = None) -> Verdict:
+def factorization_check(f: MapTable) -> Verdict:
     """The pointwise factorization properties of a quadratic pair map:
     d_f descends to a bilinear B-valued form on classes mod A, and f_(r)
     descends to a degree-2 form with bilinear polarization."""
-    f = _pair_map(f, ma, nb, "factorization check needs CP modules on both sides")
+    f = _pair_map(f, "factorization check needs CP modules on both sides")
     T, stacks = _one_map(f)
     gate = run_laws(_single(_cp_def_route_laws(f.dom, f.cod, T, stacks)))
     if not gate.passed:

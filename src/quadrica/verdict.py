@@ -9,11 +9,15 @@ materialise much more than one block of cells at once).
 witness extraction.
 
 A law is a tuple ``(label, dims, law)`` or ``(label, dims, law, reduced)``.
-``reduced`` is None, or ``(dims, law)``: the same law body with some of its
-additive arguments running over a generating set.  Whoever writes a reduced
-form proves that, once every law without a reduced form and every reduced
-form hold, every law holds; ``run_laws`` and ``passing_candidates`` apply
-that one rule, and their results are those of the full sweeps.
+``dims`` is a tuple of axes.  An axis is a size n, running over
+0 .. n-1, or an ascending tuple of indices (a subgroup A, [M,M]_R, a
+generating set), running over those values.  The law body sees the values,
+and a witness names them.  ``reduced`` is None, or other dims for the same
+body, with some of its additive arguments running over a generating set.
+Whoever writes a reduced form proves that, once every law without a
+reduced form and every reduced form hold, every law holds; ``run_laws``
+and ``passing_candidates`` apply that one rule, and their results are
+those of the full sweeps.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ WITNESS_CAP = 1024
 @dataclass(frozen=True)
 class Failure:
     """One violated law: the label, the lexicographically-first witness tuple
-    (indices in the law's own quantifier order), and the two values.
+    (the values of the law's arguments, in its own quantifier order: an
+    element of the index set on such an axis), and the two values.
     ``omitted`` counts the failing cells of the same sweep after this one
     that are not listed (see ``WITNESS_CAP``)."""
 
@@ -97,26 +102,43 @@ def open_grid(dims: Sequence[int]) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=256)
 def _grid(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """``open_grid(dims)``, cached and read-only: most sweeps are small, and
+    """One index array per axis of ``dims``, shaped to broadcast over
+    (candidates, *dims); cached and read-only: most sweeps are small, and
     their cost is mostly per sweep, not per cell."""
-    grid = open_grid(dims)
+    grid = open_grid((1,) + dims)[1:]
     for g in grid:
         g.flags.writeable = False
     return grid
 
 
-def _blocks(dims: tuple[int, ...], qs: np.ndarray, chunk_cells: int):
-    """Split the sweep of the candidates ``qs`` over the grid ``dims`` into
-    blocks of about ``chunk_cells`` cells, splitting the candidates first,
-    then the leading grid axis into ranges.  Yields each block's slice of
-    ``qs``, its candidates ``q`` and its grid, shaped to broadcast over
-    (candidates, *dims), and the block's shape."""
-    grid = _grid((1,) + dims)
+@lru_cache(maxsize=1024)
+def _split(dims: tuple) -> tuple[tuple, tuple | None]:
+    """A law's dims as integer sizes and, when some axis is an index set,
+    the grid of those sizes with each index set laid along its axis (None
+    when every axis is a size).  Cached and read-only: a census or a
+    certificate builds the same dims for every map between the same two
+    modules."""
+    if tuple not in map(type, dims):
+        return dims, None
+    sizes = tuple(len(d) if type(d) is tuple else d for d in dims)
+    grid = tuple(np.array(d, dtype=np.int64)[g] if type(d) is tuple else g
+                 for g, d in zip(_grid(sizes), dims))
+    for g in grid:
+        g.flags.writeable = False
+    return sizes, grid
+
+
+def _blocks(dims: tuple[int, ...], grid, qs: np.ndarray, chunk_cells: int):
+    """Split the sweep of the candidates ``qs`` over ``grid``, of the
+    sizes ``dims``, into blocks of about ``chunk_cells`` cells, splitting
+    the candidates first, then the leading grid axis into ranges.  Yields
+    each block's slice of ``qs``, its candidates ``q`` and its grid,
+    shaped to broadcast over (candidates, *dims), and the block's shape."""
     qshape = (-1,) + (1,) * len(dims)
     rest = prod(dims[1:])
     per_q = dims[0] * rest
     if qs.size * per_q <= chunk_cells:
-        yield slice(0, qs.size), qs.reshape(qshape), grid[1:], (qs.size,) + dims
+        yield slice(0, qs.size), qs.reshape(qshape), grid, (qs.size,) + dims
         return
     q_step = max(1, chunk_cells // per_q)
     lead_step = dims[0] if per_q <= chunk_cells else max(1, chunk_cells // rest)
@@ -124,26 +146,28 @@ def _blocks(dims: tuple[int, ...], qs: np.ndarray, chunk_cells: int):
         block = slice(a, min(a + q_step, qs.size))
         q = qs[block].reshape(qshape)
         for b in range(0, dims[0], lead_step):
-            i0 = grid[1][:, b : b + lead_step]
-            yield block, q, (i0, *grid[2:]), (q.size, i0.size) + dims[1:]
+            lead = grid[0][:, b : b + lead_step]
+            yield block, q, (lead, *grid[1:]), (q.size, lead.size) + dims[1:]
 
 
 # The two evaluators below take the law's values as an argument, so that a
 # block's arrays are freed before the next block is evaluated.
 
 
-def _witnesses(label: str, values, i0: np.ndarray, shape, limit: int):
+def _witnesses(label: str, values, grid, shape, limit: int):
     """At most ``limit`` failing cells of one block as Failures, in
-    lexicographic order, and the number of failing cells of the block."""
+    lexicographic order, each named by its values on ``grid``, and the
+    number of failing cells of the block."""
     lhs, rhs = (np.asarray(v) for v in values)
     neq = lhs != rhs
     if not neq.any():
         return [], 0
     lhs, rhs, neq = (np.broadcast_to(v, shape)[0] for v in (lhs, rhs, neq))
     bad = np.argwhere(neq)  # C order == lexicographic
+    coords = [g.ravel() for g in grid]
     out = []
     for here in map(tuple, bad[:limit].tolist()):
-        witness = (int(i0.ravel()[here[0]]),) + here[1:]
+        witness = tuple(int(c[i]) for c, i in zip(coords, here))
         out.append(Failure(label, witness, f"lhs={int(lhs[here])} rhs={int(rhs[here])}"))
     return out, len(bad)
 
@@ -169,11 +193,15 @@ def law_failures(
     dims: Sequence[int],
     law: Law,
     *,
+    grid: tuple | None = None,
     all_witnesses: bool = False,
 ) -> list[Failure]:
     """Evaluate ``law(*grid)`` over the full grid, return [] or the violations:
     the first one, or with ``all_witnesses`` the first ``WITNESS_CAP``, the
-    last of which counts the failing cells left out.
+    last of which counts the failing cells left out.  ``dims`` are the
+    integer sizes of the axes; ``grid``, when some axis runs over an index
+    set, is the grid with the index set's values on that axis (see
+    ``_split``).
 
     This is the sweep of a single candidate: the law does not see the
     candidate axis and the witnesses drop it.
@@ -187,16 +215,17 @@ def law_failures(
             return [Failure(label, (), f"lhs={int(lhs)} rhs={int(rhs)}")]
         return []
     limit = WITNESS_CAP if all_witnesses else 1
+    if grid is None:
+        grid = _grid(dims)
     if prod(dims) <= _SWEEP_CELLS:  # one block: no block bookkeeping
-        grid = _grid((1,) + dims)[1:]
         lhs, rhs = law(*grid)
         if not (lhs != rhs).any():
             return []
-        failures, failing = _witnesses(label, (lhs, rhs), grid[0], (1,) + dims, limit)
+        failures, failing = _witnesses(label, (lhs, rhs), grid, (1,) + dims, limit)
     else:
         failures, failing = [], 0
-        for _, _, grid, shape in _blocks(dims, _ONE, _SWEEP_CELLS):
-            found, count = _witnesses(label, law(*grid), grid[0], shape, limit - len(failures))
+        for _, _, block, shape in _blocks(dims, grid, _ONE, _SWEEP_CELLS):
+            found, count = _witnesses(label, law(*block), block, shape, limit - len(failures))
             failures += found
             failing += count
             if failures and not all_witnesses:
@@ -207,24 +236,28 @@ def law_failures(
 
 
 def _law_parts(laws) -> list[tuple]:
-    """Each law as ``(label, dims, law, reduced)``, with ``reduced`` None
-    where the tuple has no fourth slot."""
-    return [law if len(law) == 4 else (*law, None) for law in laws]
+    """Each law as ``(label, sizes, grid, law, reduced)``: its dims split by
+    ``_split``, and ``reduced`` None or its reduced dims split likewise."""
+    return [
+        (law[0], *_split(law[1]), law[2], _split(law[3]) if len(law) == 4 and law[3] else None)
+        for law in laws
+    ]
 
 
 def _survivors(sweeps, alive: np.ndarray) -> np.ndarray:
     """The candidates of ``alive`` for which every ``law(q, *grid)`` of
-    ``sweeps``, a sequence of ``(dims, law)``, holds everywhere.  A
+    ``sweeps``, a sequence of ``(sizes, grid, law)``, holds everywhere.  A
     candidate that fails a law is not swept by the laws after it."""
-    for dims, law in sweeps:
+    for dims, grid, law in sweeps:
         if alive.size == 0:
             break
-        dims = tuple(dims)
         if prod(dims) == 0:
             continue
+        if grid is None:
+            grid = _grid(dims)
         bad = np.zeros(alive.size, dtype=bool)
-        for block, q, grid, _ in _blocks(dims, alive, _BATCH_CELLS):
-            bad[block] |= _fails_per_candidate(law(q, *grid))
+        for block, q, cells, _ in _blocks(dims, grid, alive, _BATCH_CELLS):
+            bad[block] |= _fails_per_candidate(law(q, *cells))
         alive = alive[~bad]
     return alive
 
@@ -236,9 +269,10 @@ def passing_candidates(laws: Iterable[tuple], count: int) -> np.ndarray:
     to the reduced forms.  That is the decision rule of ``run_laws``, so
     the mask is that of the full sweeps."""
     laws = _law_parts(laws)
-    alive = _survivors([(dims, fn) for _, dims, fn, reduced in laws if reduced is None],
-                       np.arange(count))
-    alive = _survivors([reduced for *_, reduced in laws if reduced is not None], alive)
+    alive = _survivors([(dims, grid, fn) for _, dims, grid, fn, reduced in laws
+                        if reduced is None], np.arange(count))
+    alive = _survivors([(*reduced, fn) for *_, fn, reduced in laws if reduced is not None],
+                       alive)
     mask = np.zeros(count, dtype=bool)
     mask[alive] = True
     return mask
@@ -255,19 +289,19 @@ def run_laws(laws: Iterable[tuple], *, all_witnesses: bool = False) -> Verdict:
     order."""
     laws = _law_parts(laws)
     found = {
-        i: law_failures(label, dims, fn, all_witnesses=all_witnesses)
-        for i, (label, dims, fn, reduced) in enumerate(laws)
+        i: law_failures(label, dims, fn, grid=grid, all_witnesses=all_witnesses)
+        for i, (label, dims, grid, fn, reduced) in enumerate(laws)
         if reduced is None
     }
     reduced_hold = not any(found.values()) and all(
-        not law_failures(label, *reduced)
-        for label, _, _, reduced in laws
+        not law_failures(label, reduced[0], fn, grid=reduced[1])
+        for label, _, _, fn, reduced in laws
         if reduced is not None
     )
     failures: list[Failure] = []
-    for i, (label, dims, fn, _) in enumerate(laws):
+    for i, (label, dims, grid, fn, _) in enumerate(laws):
         if i in found:
             failures += found[i]
         elif not reduced_hold:
-            failures += law_failures(label, dims, fn, all_witnesses=all_witnesses)
+            failures += law_failures(label, dims, fn, grid=grid, all_witnesses=all_witnesses)
     return Verdict.from_failures(failures, [label for label, *_ in laws])

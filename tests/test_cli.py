@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from quadrica import (
     Config,
+    CpModule,
     MapTable,
     build_example,
     dumps,
@@ -65,6 +66,18 @@ def test_verify_structured_report(tmp_path, capsys):
     assert doc["passed"] is True
     assert "MC0" in doc["laws_checked"] and "MC7b" in doc["laws_checked"]
     assert doc["failures"] == []
+
+
+def test_verify_prints_witnesses_that_name_elements_of_a(tmp_path, capsys):
+    sr = build_example("sym", 2)
+    reg = regular_module(sr)
+    path = write_doc(tmp_path, "bad.pair", CpModule(sr, reg.group, reg.scal, reg.bracket, (0, 2)))
+    assert main(["verify", path]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert fails[:2] == [
+        "  FAIL MC0 at (2, 1): lhs=0 rhs=1",
+        "  FAIL MC7a at (2, 2, 1): lhs=1 rhs=0",
+    ]
 
 
 def test_quad_accepts_the_boolean_square(tmp_path, capsys):

@@ -60,6 +60,16 @@ def exhaustive(mod: BhpModule) -> Verdict:
     return verdict
 
 
+def holds(label: str, dims, law) -> bool:
+    """Whether ``law`` holds on ``dims``, whose axes may be index sets."""
+    return run_laws([(label, dims, law)]).passed
+
+
+def sizes(dims) -> tuple[int, ...]:
+    """The integer size of each axis of a law's dims."""
+    return tuple(len(d) if isinstance(d, tuple) else d for d in dims)
+
+
 def verify(mod: BhpModule) -> Verdict:
     return verify_cp_module(mod) if isinstance(mod, CpModule) else verify_bhp_module(mod)
 
@@ -204,10 +214,10 @@ def test_a_mutant_only_the_mc5_sweep_catches(pair):
     assert generators(mod.group) == (1, 2)
     for label, dims, law, reduced in _module_laws(mod):
         if reduced is None:
-            assert not law_failures(label, dims, law), label
+            assert holds(label, dims, law), label
         elif label != "MC5":
-            assert not law_failures(label, *reduced), label
-            assert not law_failures(label, dims, law), label
+            assert holds(label, reduced, law), label
+            assert holds(label, dims, law), label
     verdict = verify(mod)
     assert verdict.failures == (
         Failure("MC5", (1, 2, 1, 1), "lhs=2 rhs=0"),
@@ -216,39 +226,49 @@ def test_a_mutant_only_the_mc5_sweep_catches(pair):
     assert_agrees(mod)
 
 
-def mc6_only_module(*, pair: bool) -> BhpModule:
-    """A module over ``gamma 2`` on (Z/2)⁶ with basis e0..e5 (the bits of
-    an element).  The bracket at x = 1 is the symmetric product with
-    e1∗e4 = e2∗e3 = e5 and all other basis products 0; m·(0,1) = γ(m) with
-    γ(e1) = e3, γ(e2) = e4, γ = 0 on the other basis elements and
-    γ(m+n) = γ(m) + γ(n) + m∗n.  γ(m)∗m = 0 for every m, so MC1 holds, and
-    so does every law but MC6, which fails since γ(e1)∗e2 = e5: only at
-    the generators (e1, e2) = (2, 4) and (4, 2), not at a pair (g, g) nor
-    at one holding the first generator e0, which nothing involves."""
+def mc6_only_module(*, pair: bool, bit=(0, 1, 2, 3, 4, 5)) -> BhpModule:
+    """A module over ``gamma 2`` on (Z/2)⁶ with basis e0..e5, e_i the bit
+    ``bit[i]`` of an element.  The bracket at x = 1 is the symmetric
+    product with e1∗e4 = e2∗e3 = e5 and all other basis products 0;
+    m·(0,1) = γ(m) with γ(e1) = e3, γ(e2) = e4, γ = 0 on the other basis
+    elements and γ(m+n) = γ(m) + γ(n) + m∗n.  γ(m)∗m = 0 for every m, so
+    MC1 holds, and so does every law but MC6, which fails since
+    γ(e1)∗e2 = e5: only at the generators (e1, e2) and (e2, e1), not at a
+    pair (g, g) nor at one holding e0, which nothing involves."""
     sr = build_example("gamma", 2)
     m = np.arange(64)
     group = FiniteGroup(m[:, None] ^ m[None, :], m)
-    bits = (m[:, None] >> np.arange(6)) & 1
+    bits = (m[:, None] >> np.array(bit)) & 1
+    e = 1 << np.array(bit)
     form = np.zeros((6, 6), dtype=np.int64)
     form[1, 4] = form[4, 1] = form[2, 3] = form[3, 2] = 1
-    prod = (bits @ form @ bits.T % 2) << 5
-    gamma = (bits[:, 1] << 3) ^ (bits[:, 2] << 4) ^ ((bits @ np.triu(form) * bits).sum(1) % 2 << 5)
+    prod = (bits @ form @ bits.T % 2) * e[5]
+    gamma = bits[:, 1] * e[3] ^ bits[:, 2] * e[4] ^ (bits @ np.triu(form) * bits).sum(1) % 2 * e[5]
     scal = np.stack([0 * m, gamma, m, m ^ gamma], axis=1)  # R_e index 2r + s for (r, s)
     bracket = np.stack([0 * prod, prod], axis=2)
     if pair:
-        return CpModule(sr, group, scal, bracket, (0, 32))
+        return CpModule(sr, group, scal, bracket, (0, int(e[5])))
     return BhpModule(sr, group, scal, bracket)
 
 
 @pytest.mark.parametrize("pair", [False, True])
 def test_a_module_that_fails_only_mc6_at_distinct_generators(pair):
-    mod = mc6_only_module(pair=pair)
-    assert generators(mod.group) == (1, 2, 4, 8, 16, 32)
-    for label, dims, law, _ in _module_laws(mod):
-        assert bool(law_failures(label, dims, law)) == (label == "MC6"), label
-    verdict = verify(mod)
-    assert verdict.failures == (Failure("MC6", (2, 4, 1, 2, 1, 2), "lhs=32 rhs=0"),)
-    assert_agrees(mod)
+    for bit, witness in (
+        ((0, 1, 2, 3, 4, 5), (2, 4, 1, 2, 1, 2)),
+        # e1, e2 = 16, 32: no cell with m or n among the first six
+        # elements fails, so a reduced MC6 that ran either argument over
+        # the positions 0..5 of G instead of its elements would pass
+        ((0, 4, 5, 3, 1, 2), (16, 32, 1, 2, 1, 2)),
+    ):
+        set_config(exhaustive_witnesses=False)
+        mod = mc6_only_module(pair=pair, bit=bit)
+        assert generators(mod.group) == (1, 2, 4, 8, 16, 32)
+        for label, dims, law, _ in _module_laws(mod):
+            assert (not holds(label, dims, law)) == (label == "MC6"), label
+        verdict = verify(mod)
+        target = 1 << bit[5]
+        assert verdict.failures == (Failure("MC6", witness, f"lhs={target} rhs=0"),)
+        assert_agrees(mod)
 
 
 def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
@@ -266,7 +286,7 @@ def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def full_sweeps(mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
-    return [(label, tuple(dims)) for label, dims, _, _ in _module_laws(mod)]
+    return [(label, sizes(dims)) for label, dims, _, _ in _module_laws(mod)]
 
 
 def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
@@ -274,8 +294,11 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
     pair = free_cp_pair(build_example("sym", 2))
     hom = hom_module(pair, pair)
     laws = _module_laws(hom)
-    expected = [(label, tuple(dims)) for label, dims, _, r in laws if r is None]
-    expected += [(label, r[0]) for label, _, _, r in laws if r is not None]
+    nm, ne, nee = hom.nm, hom.sr.re.order, hom.sr.ree.order
+    ng = len(generators(hom.group))
+    expected = [(label, sizes(dims)) for label, dims, _, r in laws if r is None]
+    expected += [("MC5", (nm, ng, nm, nee)), ("MC5", (nm, nm, ng, nee)),
+                 ("MC6", (ng, ng, ne, ne, nee, ne))]
     seen = sweeps(monkeypatch, hom)
     assert sorted(seen) == sorted(expected)
     assert 2 * sum(prod(d) for _, d in seen) < sum(prod(d) for _, d in full_sweeps(hom))

@@ -6,6 +6,7 @@ import pytest
 from quadrica import (
     BhpModule,
     CpModule,
+    Failure,
     FiniteGroup,
     NearRing,
     admissible_intermediates,
@@ -115,6 +116,20 @@ def test_bad_distinguished_subgroup_fails_mc0():
     v = verify_cp_module(bad)
     assert not v.passed
     assert "MC0" in {f.law for f in v.failures}
+
+
+def test_witnesses_name_elements_of_the_distinguished_subgroup():
+    """On the regular module of ``sym 2`` with A = {0, 2}, 2·1 = 0 leaves A
+    and [2, 2]·1 = 1 is not 0: the witnesses name the element 2 of A, not
+    its position 1 in A."""
+    sr = build_example("sym", 2)
+    reg = regular_module(sr)
+    bad = CpModule(sr, reg.group, reg.scal, reg.bracket, (0, 2))
+    assert verify_cp_module(bad).failures == (
+        Failure("MC0", (2, 1), "lhs=0 rhs=1"),
+        Failure("MC7a", (2, 2, 1), "lhs=1 rhs=0"),
+        Failure("MC7b", (2, 2, 1), "lhs=0 rhs=1"),
+    )
 
 
 def test_tampered_bracket_fails_verification():

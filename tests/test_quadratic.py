@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from quadrica import (
     RELATION_TEXT,
+    CpModule,
+    Failure,
+    FiniteGroup,
     MapTable,
     batch_bhp_quadratic,
     batch_cp_quadratic,
@@ -28,6 +31,7 @@ from quadrica import (
     ree_module,
     regular_module,
     three_defects_check,
+    verify_cp_module,
 )
 from quadrica.errors import (
     CertificateInvalid,
@@ -236,7 +240,7 @@ def test_scalar_defects_of_census_maps_are_quadratic_map_by_map():
                         assert batch(dom, cod, rows, route=route).all()
                     for row in np.unique(rows, axis=0):
                         distinct += 1
-                        assert decide(MapTable(dom, cod, row), _recertify=False).passed
+                        assert decide(MapTable(dom, cod, row)).passed
     assert distinct == 314
 
 
@@ -336,11 +340,35 @@ def test_promote_refuses_non_quadratic_maps():
 
 def test_pair_decider_argument_guard():
     sr = build_example("sym", 2)
-    pair = free_cp_pair(sr)
     with pytest.raises(PreconditionUnmet):
-        is_cp_quadratic(np.zeros(4, dtype=np.int64), pair, None)
+        is_cp_quadratic(np.zeros(4, dtype=np.int64))
     with pytest.raises(PreconditionUnmet):
         is_cp_quadratic(MapTable(regular_module(sr), regular_module(sr), np.zeros(4, dtype=np.int64)))
+
+
+def klein_pair(aset) -> CpModule:
+    """(Z/2)² over ``rnil 2``: the unit acts as the identity, 0 as zero,
+    and the bracket is 0."""
+    sr = build_example("rnil", 2)
+    m = np.arange(4)
+    scal = np.zeros((4, sr.re.order), dtype=np.int64)
+    scal[:, sr.one] = m
+    bracket = np.zeros((4, 4, sr.ree.order), dtype=np.int64)
+    return CpModule(sr, FiniteGroup(m[:, None] ^ m[None, :], m), scal, bracket, aset)
+
+
+def test_pair_map_witnesses_name_elements_of_the_distinguished_subgroup():
+    """With A = {0, 2} in the domain, the f(A) clause of CP1 fails at
+    f(2) = 2 outside B = {0}, and CP4 at d_f(1, 2) = 1: both name the
+    element 2 of A, not its position 1 in A."""
+    dom = klein_pair((0, 2))
+    for cod, table, first in (
+        (klein_pair((0,)), [0, 0, 2, 3], Failure("CP1", (2,), "lhs=0 rhs=1")),
+        (klein_pair((0, 1)), [0, 2, 1, 2], Failure("CP4", (1, 2), "lhs=1 rhs=0")),
+    ):
+        assert verify_cp_module(cod).passed
+        cert = is_cp_quadratic(MapTable(dom, cod, np.array(table)))
+        assert cert.verdict.failures[0] == first
 
 
 def test_noncommutative_base_is_rejected():
@@ -384,4 +412,4 @@ def test_factorization_check_gates():
     with pytest.raises(PreconditionUnmet):
         factorization_check(square_map(sr, pair))
     with pytest.raises(PreconditionUnmet):
-        factorization_check(np.zeros(4, dtype=np.int64), pair, None)
+        factorization_check(np.zeros(4, dtype=np.int64))

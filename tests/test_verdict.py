@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 import quadrica.verdict as engine
-from quadrica.verdict import WITNESS_CAP, Failure, law_failures, run_laws
+from quadrica.verdict import WITNESS_CAP, Failure, law_failures, passing_candidates, run_laws
 
 CELLS = WITNESS_CAP + 100
 
@@ -40,3 +40,20 @@ def test_a_verdict_names_each_law_whose_witnesses_were_left_out():
     omitted = [(f.law, f.omitted) for f in verdict.failures if f.omitted]
     assert omitted == [("L", CELLS - 1 - WITNESS_CAP)]
     assert not any(f.omitted for f in run_laws(laws).failures)
+
+
+def test_an_index_set_axis_runs_over_its_elements(monkeypatch):
+    """A law's axis given as a tuple runs over the tuple's values: the law
+    body and the witnesses see the elements, in one block or in many."""
+    odd = tuple(range(1, 2 * CELLS, 2))
+    laws = [("L", (odd, 3), lambda a, b: (a * b, np.zeros_like(a + b)))]
+    cells = [(a, b) for a in odd for b in (1, 2)]
+    assert run_laws(laws).failures == (Failure("L", (1, 1), "lhs=1 rhs=0"),)
+    every = run_laws(laws, all_witnesses=True).failures
+    assert [f.witness for f in every] == cells[:WITNESS_CAP]
+    stack = [("L", (odd,), lambda q, a: (a == q, np.zeros_like(a + q)))]
+    assert passing_candidates(stack, 12).tolist() == [q % 2 == 0 for q in range(12)]
+    monkeypatch.setattr(engine, "_SWEEP_CELLS", 64)
+    monkeypatch.setattr(engine, "_BATCH_CELLS", 64)
+    assert run_laws(laws, all_witnesses=True).failures == every
+    assert passing_candidates(stack, 12).tolist() == [q % 2 == 0 for q in range(12)]
