@@ -54,7 +54,7 @@ from .quadratic import (
     is_bhp_quadratic,
     is_cp_quadratic,
 )
-from .serialize import dumps, loads
+from .serialize import dumps, loads, to_doc
 from .squarering import SquareRing, verify_square_ring
 from .verdict import Verdict
 
@@ -136,12 +136,14 @@ def _print_verdict_human(v: Verdict, out) -> None:
         print(f"  FAIL {f.law} at {f.witness}: {f.detail}{suffix}", file=out)
 
 
-def _emit(doc_text: str, report: dict, args, human_lines: list[str]) -> None:
-    """Emitting commands: the document goes to --out (or stdout), the report
-    goes to stdout (structured) or stderr (human) so piping stays clean."""
+def _emit(obj: Any, report: dict, args, human_lines: list[str]) -> None:
+    """Emitting commands: the document of ``obj`` goes to --out (or stdout,
+    inside the report when structured), the report goes to stdout
+    (structured) or stderr (human) so piping stays clean."""
+    doc = to_doc(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc_text)
+            fh.write(dumps(doc))
         report["written"] = args.out
         if args.format == "structured":
             print(json.dumps(report, sort_keys=True))
@@ -150,10 +152,10 @@ def _emit(doc_text: str, report: dict, args, human_lines: list[str]) -> None:
                 print(line)
     else:
         if args.format == "structured":
-            report["doc"] = json.loads(doc_text)
+            report["doc"] = doc
             print(json.dumps(report, sort_keys=True))
         else:
-            sys.stdout.write(doc_text)
+            sys.stdout.write(dumps(doc))
             for line in human_lines:
                 print(line, file=sys.stderr)
 
@@ -248,7 +250,7 @@ def cmd_hom(args) -> int:
         f"distinguished subgroup order: {len(h.aset)}",
         "pair-module verification: PASS",
     ]
-    _emit(dumps(h), report, args, lines)
+    _emit(h, report, args, lines)
     return 0
 
 
@@ -274,7 +276,7 @@ def cmd_compose(args) -> int:
         f"composite table: {[int(v) for v in out.map.table]}",
         f"composite is quadratic: {out.passed}",
     ]
-    _emit(dumps(out.map), report, args, lines)
+    _emit(out.map, report, args, lines)
     return 0
 
 
@@ -323,7 +325,7 @@ def cmd_example(args) -> int:
         "verified": bool(verdict.passed),
     }
     lines = [f"built {args.kind} over Z/{args.n} ({args.emit}); verification PASS"]
-    _emit(dumps(obj), report, args, lines)
+    _emit(obj, report, args, lines)
     return 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import check_cap, get_config
 from .errors import NotAGroup, NotNormal
-from .verdict import law_failures
+from .verdict import run_laws
 
 __all__ = [
     "FiniteGroup",
@@ -115,22 +115,9 @@ class FiniteGroup:
     # -- subgroups -------------------------------------------------------------
 
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
-        """Least subgroup containing seed, by fixed-point iteration."""
-        members = {0}
-        members.update(int(s) for s in seed)
-        frontier = list(members)
-        while frontier:
-            a = frontier.pop()
-            for b in list(members):
-                for c in (int(self.add[a, b]), int(self.add[b, a])):
-                    if c not in members:
-                        members.add(c)
-                        frontier.append(c)
-            n = int(self.neg[a])
-            if n not in members:
-                members.add(n)
-                frontier.append(n)
-        return tuple(sorted(members))
+        """Least subgroup containing seed: its closure under + with 0, since
+        in a finite group -a is a multiple of a."""
+        return tuple(np.flatnonzero(_closure(self.add, seed)).tolist())
 
     def is_subgroup(self, members: Iterable[int]) -> bool:
         s = tuple(sorted(int(m) for m in members))
@@ -182,18 +169,38 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _closure(add: np.ndarray, seed: Iterable[int], members: np.ndarray | None = None):
+    """The least set that contains 0, ``seed`` and ``members`` (None, or a
+    mask) and is closed under the table ``add``, as a mask: each round adds
+    every sum of two members, until no sum is new."""
+    mask = np.zeros(len(add), dtype=bool) if members is None else members.copy()
+    mask[0] = True
+    mask[np.fromiter(seed, dtype=np.int64)] = True
+    while True:
+        idx = mask.nonzero()[0]
+        sums = add[idx[:, None], idx]
+        if mask[sums].all():
+            return mask
+        mask[sums] = True
+
+
+def _generating_set(add: np.ndarray) -> tuple[int, ...]:
+    """The least element not yet in the closure of 0 and the elements picked
+    so far under ``add``, picked until that closure is the whole table."""
+    picked: list[int] = []
+    span = np.arange(len(add)) == 0  # {0} is closed: 0 is neutral
+    while not span.all():
+        picked.append(int(np.argmin(span)))
+        span = _closure(add, picked[-1:], span)
+    return tuple(picked)
+
+
 def generators(group: FiniteGroup) -> tuple[int, ...]:
     """A generating set of ``group``, picked greedily: the least element not
     yet in the subgroup generated by the elements picked so far.  Empty for
     the trivial group.  Cached on the group, whose tables are read-only."""
     if group._generators is None:
-        picked: list[int] = []
-        span = {0}
-        for a in range(group.order):
-            if a not in span:
-                picked.append(a)
-                span = set(group.subgroup_closure(picked))
-        group._generators = tuple(picked)
+        group._generators = _generating_set(group.add)
     return group._generators
 
 
@@ -211,6 +218,21 @@ def build_group(add_table) -> FiniteGroup:
 
     Raises NotAGroup with a witness when associativity, neutrality or
     inverses fail.
+
+    Associativity is decided by Light's test (A. H. Clifford and G. B.
+    Preston, *The Algebraic Theory of Semigroups*, vol. I, 1961, §1.2) on a
+    generating set S of the table as a magma, picked greedily: the least
+    element not yet in the closure of {0} ∪ S under + alone.  If
+    (x+a)+y = x+(a+y) for every x, y and every a ∈ S, the table is
+    associative.  Proof: let T be the set of such a.  0 ∈ T, since 0 is
+    neutral.  For a, b ∈ T and any x, y,
+    (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y),
+    using a ∈ T, then b ∈ T at x+a, then a ∈ T at b+y, then b ∈ T at a.
+    So T is closed under + and contains 0 and S, hence T is the whole
+    carrier.  The law runs with S on its middle axis as its reduced form,
+    so a table that fails is swept in full, and the witness is the
+    lexicographically first of the full sweep.  A group's closure under +
+    alone is a subgroup, so S is also ``generators`` of the result.
     """
     add = np.asarray(add_table, dtype=np.int64)
     if add.ndim != 2 or add.shape[0] != add.shape[1]:
@@ -229,18 +251,23 @@ def build_group(add_table) -> FiniteGroup:
         perm[[0, e]] = perm[[e, 0]]
         inv = perm  # an involution
         add = perm[add[np.ix_(inv, inv)]]
-    bad = law_failures(
-        "associativity", (n, n, n), lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]])
-    )
-    if bad:
-        raise NotAGroup(f"associativity fails at {bad[0].witness}: {bad[0].detail}")
+    S = _generating_set(add)
+    verdict = run_laws([(
+        "associativity", (n, n, n), lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]]),
+        (n, S, n),
+    )])
+    if not verdict.passed:
+        bad = verdict.failures[0]
+        raise NotAGroup(f"associativity fails at {bad.witness}: {bad.detail}")
     neg = np.full(n, -1, dtype=np.int64)
     for a in range(n):
         zeros = np.flatnonzero(add[a] == 0)
         if zeros.size != 1 or add[int(zeros[0]), a] != 0:
             raise NotAGroup(f"element {a} has no two-sided inverse")
         neg[a] = int(zeros[0])
-    return FiniteGroup(add, neg)
+    group = FiniteGroup(add, neg)
+    group._generators = S  # a group's closure under + alone is a subgroup
+    return group
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -892,6 +892,8 @@ def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -
     each route of ``batch_cp_quadratic`` as one stack; a route whose mask
     differs from the definition's raises ``ConsistencyError``.  Each
     accepted table gets its induced graded maps, verified linear."""
+    if ma.sr != nb.sr:
+        raise PreconditionUnmet("domain and codomain live over different square rings")
     ensure_module_verified(ma)
     ensure_module_verified(nb)
     _require_commutative(ma)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -230,6 +231,51 @@ def test_the_removed_profile_flag_exits_four(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: quadrica") and "unrecognized arguments: --profile" in err
+
+
+@pytest.mark.parametrize("command", ["enum", "hom"])
+def test_pairs_over_different_square_rings_exit_four(tmp_path, capsys, command):
+    paths = {}
+    for kind in ("classical", "sym"):
+        paths[kind] = str(tmp_path / f"{kind}2.pair")
+        assert main(["example", kind, "2", "--emit", "pair", "--out", paths[kind]]) == 0
+    capsys.readouterr()
+    for dom, cod in (("classical", "sym"), ("sym", "classical")):
+        assert main([command, paths[dom], paths[cod]]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage mismatch: domain and codomain live over different square rings\n"
+
+
+# sha256 of stdout, and its length, for emitting commands with no --out in
+# the structured format: the report with the document embedded
+EMITTED = {
+    "ring": (864, "453ec28350ab4069c7b0e858cf8d4eab34ef09b1b189cf93d39d56b95714b864"),
+    "pair": (25402, "1670036901d61aa370133489bd6cbc9fd8cb9f8f4d9425f105cc58b3327a7f69"),
+    "map": (3599, "647c0de0704fe9148bf740de282f3ce0a46ab726acf0d90cc28da1989b9e3f1c"),
+}
+
+
+def test_structured_reports_embed_the_document_unchanged(tmp_path, capsys):
+    """The embedded document is the one ``dumps`` writes, read back."""
+    square = square_map_doc(tmp_path, 2)
+    for what, argv, report in (
+        ("ring", ["example", "sym", "2"], {"command": "example", "kind": "sym", "n": 2,
+                                           "emit": "ring", "verified": True}),
+        ("pair", ["example", "tensor", "3", "--emit", "pair"],
+         {"command": "example", "kind": "tensor", "n": 3, "emit": "pair", "verified": True}),
+        ("map", ["compose", square, square], None),
+    ):
+        assert main(argv + ["--format", "structured"]) == 0
+        out = capsys.readouterr().out
+        assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == EMITTED[what]
+        doc = json.loads(out)["doc"]
+        if report is not None:
+            text = json.dumps(report | {"doc": doc}, sort_keys=True) + "\n"
+            assert out == text
+        assert main(argv + ["--out", str(tmp_path / what)]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / what).read_text()) == doc
 
 
 def test_console_entry_point():

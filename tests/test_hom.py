@@ -160,6 +160,15 @@ def test_hom_respects_the_group_cap():
         hom_module(sym2_pair(), sym2_pair())
 
 
+def test_pairs_over_different_square_rings_are_refused_before_the_search():
+    classical = free_cp_pair(build_example("classical", 2))
+    for dom, cod in ((classical, sym2_pair()), (sym2_pair(), classical)):
+        for build in (quadratic.enumerate_cp_quadratic, hom_module):
+            with pytest.raises(PreconditionUnmet, match="^domain and codomain live over "
+                                                        "different square rings$"):
+                build(dom, cod)
+
+
 def test_pullback_along_the_identity_is_the_identity():
     pair = sym2_pair()
     ident = is_cp_quadratic(MapTable(pair, pair, np.arange(4)))

@@ -171,6 +171,38 @@ def test_a_biadditive_form_caught_only_off_the_generators_in_n_and_off_the_diago
     assert_agrees(laws)
 
 
+def test_the_same_forms_caught_off_positions_of_a_relabelled_generating_set():
+    """The biadditive form above on M = (Z/2)⁴, read through m ↦ m >> 2:
+    φ(m,n) = (m >> 2) & (n >> 2), with G = (1, 2, 4, 8).  Every failing
+    bracket cell has m, m' ∈ {4, 8, 12} up to the low bits, so none has m
+    or m' among the positions 0..3 of G.  A second form,
+    ψ(m,n) = b₃(m)·b₄(m)·(n & 1) with bᵢ the i-th bit, is additive in n and
+    in m along 1 and 2, but not along 4 or 8.  A reduced form that ran m'
+    of ``_first_add``, or m or m' of ``_first_br``, over the positions of
+    G instead of its elements would pass both."""
+    dom = lambda2_module(4, lambda a, b: 0 * (a + b))
+    cod = lambda2_module(3, lambda a, b: ((a & 1) * (b >> 1 & 1) ^ (a >> 1 & 1) * (b & 1)) << 2)
+    assert verify_bhp_module(dom).passed and verify_bhp_module(cod).passed
+    assert generators(dom.group) == (1, 2, 4, 8)
+    m = np.arange(16)
+    phi = (m[:, None] >> 2) & (m[None, :] >> 2)
+    psi = (m[:, None] >> 2 & 1) * (m[:, None] >> 3 & 1) * (m[None, :] & 1)
+    for form, failing, witness in (
+        (phi, ("_first_br", "_second_br"), (4, 8, 1, 12)),
+        (psi, ("_first_add",), (4, 8, 1)),
+    ):
+        laws = _single(_bilinear_laws("phi", (), form[None], dom, cod))
+        names = ("_first_add", "_second_add", "_first_scal", "_second_scal",
+                 "_first_br", "_second_br")
+        for name, (label, dims, law, reduced) in zip(names, laws):
+            assert run_laws([(label, dims, law)]).passed == (name not in failing), name
+            if reduced is not None:
+                assert run_laws([(label, reduced, law)]).passed == (name not in failing), name
+        detail = "lhs=0 rhs=4" if form is phi else "lhs=1 rhs=0"
+        assert run_laws(laws).failures == (Failure("phi", witness, detail),) * len(failing)
+        assert_agrees(laws)
+
+
 def test_a_route_that_rejects_one_leaf_is_an_internal_error(monkeypatch):
     pair = free_cp_pair(build_example("sym", 2))
     leaf = enumerate_cp_quadratic(pair, pair)[-1].table
