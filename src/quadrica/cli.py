@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -410,8 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (about 2 ms a build).  Each parse
+    returns a fresh namespace, so no call inherits another call's flags."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides: dict[str, Any] = {}
     if args.cap_group is not None:
         overrides["cap_group"] = args.cap_group

@@ -160,6 +160,8 @@ class FiniteGroup:
         return FiniteGroup(qadd, qneg), proj
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return isinstance(other, FiniteGroup) and np.array_equal(self.add, other.add)
 
     def __hash__(self) -> int:

@@ -98,6 +98,8 @@ class BhpModule:
         )
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, BhpModule)
             and isinstance(self, CpModule) == isinstance(other, CpModule)
@@ -132,6 +134,8 @@ class CpModule(BhpModule):
         return BhpModule(self.sr, self.group, self.scal, self.bracket)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, CpModule)
             and self.tables_equal(other)

@@ -14,8 +14,19 @@ clause-level definition and a reduced route; for pair maps the definition,
 a reduced route and factorization), and the routes are required to agree —
 a built-in machine check of the theory.  Each route is written once, as a
 list of laws law(q, *grid) over a stack T[q] of candidate tables and its
-defect stacks: the batch deciders sweep the whole stack, a single-map
-decision is the stack of one map with q = 0.  The module also provides
+defect stacks: the batch deciders sweep the whole stack of one route.
+
+A single-map decision is the stack T = [f; f_(0); …; f_(ne−1)] of the map
+over its scalar defects, decided by every route at once.  The routes take
+their clause bodies from one per-decision source (``_Clauses``), so a
+clause that two routes share (membership in B, vanishing on A, the
+bilinearity of d_f, the homogeneity of the f_(r), …) is one object, and
+``verdict.Sweeps`` sweeps it once for both, each route stamping its own
+label on the result.  Only raw sweep results are shared: each route
+applies the reduced-form rule to its own laws.  The witness engine
+(``run_laws``) runs only when f fails, so a rejected map's verdicts are
+those of sweeping each route on its own.  The Hom enumerator certifies its
+leaves the same way.  The module also provides
 the three-defects identity, composition with closed-form defect formulas,
 the pointwise Hom CP-module, pullback/pushforward, promotion of a plain
 quadratic map to a CP one, and factorization property checks.
@@ -51,7 +62,7 @@ from .modules import (
     verify_cp_module,
 )
 from .squarering import is_commutative
-from .verdict import Verdict, law_failures, passing_candidates, run_laws
+from .verdict import Sweeps, Verdict, law_failures, passing_candidates, run_laws
 
 __all__ = [
     "MapTable",
@@ -184,31 +195,48 @@ def _require_commutative(mod: BhpModule) -> None:
         raise NonCommutativeRing("quadratic-map calculus requires a commutative square ring")
 
 
+def _scalar_stack(dom: BhpModule, cod: BhpModule, T: np.ndarray) -> np.ndarray:
+    """scalar[q,r,m] = f_(r)(m) for the candidate f = T[q]."""
+    return cod.group.sub(T[:, dom.scal.T], cod.scal[T].transpose(0, 2, 1))
+
+
 def _defect_stacks(dom: BhpModule, cod: BhpModule, T: np.ndarray) -> DefectBundle:
     """The three defect families of every candidate table ``T[q]``, by their
     definitions: ``d[q,m,m']``, ``scalar[q,r,m]``, ``bracket[q,x,m,m']``."""
     csub = cod.group.sub
     xs = np.arange(dom.sr.ree.order)
     d = csub(csub(T[:, dom.group.add], T[:, None, :]), T[:, :, None])
-    scalar = csub(T[:, dom.scal.T], cod.scal[T].transpose(0, 2, 1))
     bracket = csub(
         T[:, np.transpose(dom.bracket, (2, 0, 1))],
         cod.bracket[T[:, None, :, None], T[:, None, None, :], xs[None, :, None, None]],
     )
-    return DefectBundle(d=d, scalar=scalar, bracket=bracket)
+    return DefectBundle(d=d, scalar=_scalar_stack(dom, cod, T), bracket=bracket)
 
 
 def _first(stacks: DefectBundle) -> DefectBundle:
     return DefectBundle(d=stacks.d[0], scalar=stacks.scalar[0], bracket=stacks.bracket[0])
 
 
-def _one_map(f: MapTable) -> tuple[np.ndarray, DefectBundle]:
-    """The stack of the single map f and its defect stacks."""
+def _checked_map(f: MapTable) -> None:
+    """The preconditions of every decision about f."""
     ensure_module_verified(f.dom)
     ensure_module_verified(f.cod)
     _require_commutative(f.dom)
+
+
+def _one_map(f: MapTable) -> tuple[np.ndarray, DefectBundle]:
+    """The stack of the single map f and its defect stacks."""
+    _checked_map(f)
     T = f.table[None]
     return T, _defect_stacks(f.dom, f.cod, T)
+
+
+def _map_stack(f: MapTable) -> np.ndarray:
+    """The stack [f; f_(0); …; f_(ne−1)] of f over its scalar defects: the
+    candidates of one decision (see ``_decide``)."""
+    _checked_map(f)
+    T = f.table[None]
+    return np.concatenate([T, _scalar_stack(f.dom, f.cod, T)[0]])
 
 
 def defects(f: MapTable) -> DefectBundle:
@@ -217,32 +245,75 @@ def defects(f: MapTable) -> DefectBundle:
 
 
 # ---------------------------------------------------------------------------
-# law builders for the different decision routes
+# clause families and the routes built from them
 
 
-def _image_brackets(cod: BhpModule, T: np.ndarray) -> np.ndarray:
+class _Clauses:
+    """The clause bodies of one decision: laws law(q, *grid) over the stack
+    ``T`` of candidate tables and its defect stacks ``D``.
+
+    Each family of clauses (or shared table) is built once, on first use,
+    by ``get``; so every route that uses a family holds the same body
+    objects, and a shared ``verdict.Sweeps`` sweeps each clause once for
+    all of them.  A family's clauses carry no label: a route puts its own
+    on them (``laws``).  A batch decider builds only the families of the
+    route it is asked for."""
+
+    __slots__ = ("dom", "cod", "T", "D", "_made")
+
+    def __init__(self, dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+        self.dom, self.cod, self.T, self.D = dom, cod, T, D
+        self._made: dict = {}
+
+    def get(self, family, *args):
+        """``family(self, *args)``, built once per decision."""
+        key = (family, *args)
+        made = self._made.get(key)
+        if made is None:
+            made = self._made[key] = family(self, *args)
+        return made
+
+    def laws(self, label: str, family, *args) -> list[tuple]:
+        """The clauses of ``family`` as laws labelled ``label``."""
+        return [(label, *clause) for clause in self.get(family, *args)]
+
+
+def _image_brackets(c: _Clauses) -> np.ndarray:
     """B[q,m,n,x] = [f(m),f(n)]·x for the candidate f = T[q]."""
+    cod, T = c.cod, c.T
     return cod.bracket[T[:, :, None, None], T[:, None, :, None], np.arange(cod.sr.ree.order)]
 
 
-def _relation_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+def _zero(c: _Clauses):
+    T = c.T
+    return [((1,), lambda q, i: (T[q, i * 0], np.zeros_like(i)))]
+
+
+def _additive_brackets(c: _Clauses):
+    """m ↦ [f(m),f(n)]·x is additive: relation 1(a), the first clause of BHPc1."""
+    dom, cod = c.dom, c.cod
+    nm, nee = dom.nm, dom.sr.ree.order
+    madd, nadd = dom.group.add, cod.group.add
+    B = c.get(_image_brackets)
+    return [((nm, nm, nm, nee),
+             lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]))]
+
+
+def _relation_laws(c: _Clauses):
     """The eight-relation characterization of a quadratic map."""
+    dom, cod, T = c.dom, c.cod, c.T
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nsub, nneg, nscal = cod.group.add, cod.group.sub, cod.group.neg, cod.scal
     mul, h = dom.sr.re.mul, dom.sr.h
-    B = _image_brackets(cod, T)
+    B = c.get(_image_brackets)
 
     def grp_comm(a, b):
         return nadd[nadd[nadd[a, b], nneg[a]], nneg[b]]
 
     return [
-        ("zero", (1,), lambda q, i: (T[q, i * 0], np.zeros_like(i))),
-        (
-            "1(a)",
-            (nm, nm, nm, nee),
-            lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]),
-        ),
+        *c.laws("zero", _zero),
+        *c.laws("1(a)", _additive_brackets),
         (
             "2(b)",
             (nm, nm, ne, nee),
@@ -314,9 +385,12 @@ def _relation_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundl
     ]
 
 
-def _bilinear_laws(label: str, phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
+def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
     """phi(q, extra_dims..., m, m') must be linear in each of m, m'.  ``phi``
-    indexes as phi[(q, *extra, m, m')]; extra dimensions come first.
+    indexes as phi[(q, *extra, m, m')]; extra dimensions come first.  Six
+    clauses ``(dims, law, reduced)``, in this order: ``_first_add``,
+    ``_second_add``, ``_first_scal``, ``_second_scal``, ``_first_br``,
+    ``_second_br``.
 
     Four of the six laws carry a reduced form over G = ``generators(M)``
     (G = {0} when M = 0, so that G is never empty), by the lemma in the
@@ -346,14 +420,12 @@ def _bilinear_laws(label: str, phi_dims: tuple, phi, dom: BhpModule, cod: BhpMod
     G = generators(dom.group) or (0,)
     k = phi_dims  # leading extra dims: () for d, (nee,) for the bracket defects
     return [
-        (label, k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), k + (nm, G, nm)),
-        (label, k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), k + (nm, nm, G)),
-        (label, k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), None),
-        (label, k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), None),
-        (label, k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr),
-         k + (G, G, nee, nm)),
-        (label, k + (nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr),
-         k + (G, G, nee, nm)),
+        (k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), k + (nm, G, nm)),
+        (k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), k + (nm, nm, G)),
+        (k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), None),
+        (k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), None),
+        (k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr), k + (G, G, nee, nm)),
+        (k + (nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr), k + (G, G, nee, nm)),
     ]
 
 
@@ -396,16 +468,28 @@ def _second_br(args, phi, dbr, nbr):
     )
 
 
-def _homogeneity_laws(label: str, dom: BhpModule, cod: BhpModule, D: DefectBundle):
-    nm, ne = dom.nm, dom.sr.re.order
-    mul, sd = dom.sr.re.mul, D.scalar
-    return [
-        (
-            label,
-            (ne, nm, ne),
-            lambda q, r, m, s: (sd[q, r, dom.scal[m, s]], cod.scal[sd[q, r, m], mul[s, s]]),
-        )
-    ]
+def _polarization(c: _Clauses) -> np.ndarray:
+    """pol[q,r,m,n] = f_(r)(m+n) − f_(r)(n) − f_(r)(m)."""
+    madd, nsub, scalar = c.dom.group.add, c.cod.group.sub, c.D.scalar
+    return nsub(nsub(scalar[:, :, madd], scalar[:, :, None, :]), scalar[:, :, :, None])
+
+
+def _bilinear(c: _Clauses, defect: str):
+    """``_bilinear_clauses`` of d_f ("d"), of the f_[x] ("bracket") or of the
+    polarizations of the f_(r) ("pol")."""
+    dom = c.dom
+    if defect == "d":
+        return _bilinear_clauses((), c.D.d, dom, c.cod)
+    if defect == "bracket":
+        return _bilinear_clauses((dom.sr.ree.order,), c.D.bracket, dom, c.cod)
+    return _bilinear_clauses((dom.sr.re.order,), c.get(_polarization), dom, c.cod)
+
+
+def _homogeneity(c: _Clauses):
+    dom, cod, sd = c.dom, c.cod, c.D.scalar
+    nm, ne, mul = dom.nm, dom.sr.re.order, dom.sr.re.mul
+    return [((ne, nm, ne),
+             lambda q, r, m, s: (sd[q, r, dom.scal[m, s]], cod.scal[sd[q, r, m], mul[s, s]]))]
 
 
 def _central_rows(cod: BhpModule, T: np.ndarray) -> np.ndarray:
@@ -424,50 +508,42 @@ def _central_rows(cod: BhpModule, T: np.ndarray) -> np.ndarray:
     return central
 
 
-def _centrality_laws(label: str, dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+def _centrality(c: _Clauses):
     """Defect values must be central inside the generated image of f."""
-    central = _central_rows(cod, T)
+    central = _central_rows(c.cod, c.T)
+    dom = c.dom
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    d, scalar, bracket = D.d, D.scalar, D.bracket
+    d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
     return [
-        (label, (nm, nm), lambda q, m, n: (central[q, d[q, m, n]], np.ones_like(m + n))),
-        (label, (ne, nm), lambda q, r, m: (central[q, scalar[q, r, m]], np.ones_like(r + m))),
-        (
-            label,
-            (nee, nm, nm),
-            lambda q, x, m, n: (central[q, bracket[q, x, m, n]], np.ones_like(x + m)),
-        ),
+        ((nm, nm), lambda q, m, n: (central[q, d[q, m, n]], np.ones_like(m + n))),
+        ((ne, nm), lambda q, r, m: (central[q, scalar[q, r, m]], np.ones_like(r + m))),
+        ((nee, nm, nm), lambda q, x, m, n: (central[q, bracket[q, x, m, n]], np.ones_like(x + m))),
     ]
 
 
-def _central_bilinear_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+def _central_bilinear_laws(c: _Clauses):
     """The first two clauses of the definition: central defect images,
     bilinear d_f and f_[x]."""
-    laws = _centrality_laws("BHP1", dom, cod, T, D)
-    laws += _bilinear_laws("BHP2", (), D.d, dom, cod)
-    laws += _bilinear_laws("BHP2", (dom.sr.ree.order,), D.bracket, dom, cod)
-    return laws
+    return (c.laws("BHP1", _centrality) + c.laws("BHP2", _bilinear, "d")
+            + c.laws("BHP2", _bilinear, "bracket"))
 
 
-def _def_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+def _def_route_laws(c: _Clauses):
     """Clause-by-clause transcription of the definition of a quadratic map:
     central defect images, bilinear d_f and f_[x], homogeneous f_(r)."""
-    return _central_bilinear_laws(dom, cod, T, D) + _homogeneity_laws("BHP3", dom, cod, D)
+    return _central_bilinear_laws(c) + c.laws("BHP3", _homogeneity)
 
 
-def _cor_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBundle):
+def _cor_route_laws(c: _Clauses):
     """Reduced characterization: linearity of m ↦ [f(m),n]·x for n in im f,
     bilinearity of d_f, homogeneity, and f_(r) killing the derived part."""
+    dom, cod = c.dom, c.cod
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
-    nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
-    B = _image_brackets(cod, T)
-    laws = [
-        (
-            "BHPc1",
-            (nm, nm, nm, nee),
-            lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]),
-        ),
+    dscal, dbr = dom.scal, dom.bracket
+    nscal, nbr = cod.scal, cod.bracket
+    B, scalar = c.get(_image_brackets), c.D.scalar
+    return [
+        *c.laws("BHPc1", _additive_brackets),
         (
             "BHPc1",
             (nm, ne, nm, nee),
@@ -481,110 +557,73 @@ def _cor_route_laws(dom: BhpModule, cod: BhpModule, T: np.ndarray, D: DefectBund
                 nbr[B[q, m, n, x], B[q, m2, n, x], y],
             ),
         ),
+        *c.laws("BHPc2", _bilinear, "d"),
+        *c.laws("BHPc3", _homogeneity),
+        ("BHPc4", (ne, derived_module(dom)),
+         lambda q, r, m: (scalar[q, r, m], np.zeros_like(r + m))),
     ]
-    laws += _bilinear_laws("BHPc2", (), D.d, dom, cod)
-    laws += _homogeneity_laws("BHPc3", dom, cod, D)
-    scalar = D.scalar
-    laws.append(
-        (
-            "BHPc4",
-            (ne, derived_module(dom)),
-            lambda q, r, m: (scalar[q, r, m], np.zeros_like(r + m)),
-        )
-    )
-    return laws
 
 
-def _cp_membership_laws(dom: CpModule, cod: CpModule, T, D: DefectBundle, with_brackets: bool,
-                        label: str):
+def _membership(c: _Clauses):
+    """f(A) and the images of d_f, the f_(r) and the f_[x] lie in B, in this
+    order."""
+    dom, T, bmask = c.dom, c.T, c.cod.amask
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    bmask = cod.amask
-    d, scalar, bracket = D.d, D.scalar, D.bracket
-    laws = [
-        (label, (dom.aset,), lambda q, a: (bmask[T[q, a]], np.ones_like(a))),
-        (label, (nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
-        (label, (ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
+    d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
+    return [
+        ((dom.aset,), lambda q, a: (bmask[T[q, a]], np.ones_like(a))),
+        ((nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
+        ((ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
+        ((nee, nm, nm), lambda q, x, m, n: (bmask[bracket[q, x, m, n]], np.ones_like(x + m))),
     ]
-    if with_brackets:
-        laws.append(
-            (
-                label,
-                (nee, nm, nm),
-                lambda q, x, m, n: (bmask[bracket[q, x, m, n]], np.ones_like(x + m)),
-            )
-        )
-    return laws
 
 
-def _cp_vanishing_laws(dom: CpModule, D: DefectBundle, with_brackets: bool, label: str):
+def _vanishing(c: _Clauses):
+    """d_f(M,A) = d_f(A,M) = 0, f_(r)(A) = 0, then f_[x](M,A) = f_[x](A,M) = 0."""
+    dom = c.dom
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     A = dom.aset
-    d, scalar, bracket = D.d, D.scalar, D.bracket
-    laws = [
-        (label, (nm, A), lambda q, m, a: (d[q, m, a], np.zeros_like(m + a))),
-        (label, (A, nm), lambda q, a, m: (d[q, a, m], np.zeros_like(m + a))),
-        (label, (ne, A), lambda q, r, a: (scalar[q, r, a], np.zeros_like(r + a))),
+    d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
+    return [
+        ((nm, A), lambda q, m, a: (d[q, m, a], np.zeros_like(m + a))),
+        ((A, nm), lambda q, a, m: (d[q, a, m], np.zeros_like(m + a))),
+        ((ne, A), lambda q, r, a: (scalar[q, r, a], np.zeros_like(r + a))),
+        ((nee, nm, A), lambda q, x, m, a: (bracket[q, x, m, a], np.zeros_like(x + m + a))),
+        ((nee, A, nm), lambda q, x, a, m: (bracket[q, x, a, m], np.zeros_like(x + m + a))),
     ]
-    if with_brackets:
-        laws += [
-            (
-                label,
-                (nee, nm, A),
-                lambda q, x, m, a: (bracket[q, x, m, a], np.zeros_like(x + m + a)),
-            ),
-            (
-                label,
-                (nee, A, nm),
-                lambda q, x, a, m: (bracket[q, x, a, m], np.zeros_like(x + m + a)),
-            ),
-        ]
-    return laws
 
 
-def _cp_def_route_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBundle):
+def _cp_def_route_laws(c: _Clauses):
     """The four defining clauses of a quadratic pair map."""
-    laws = [("zero", (1,), lambda q, i: (T[q, i * 0], np.zeros_like(i)))]
-    laws += _cp_membership_laws(dom, cod, T, D, with_brackets=True, label="CP1")
-    laws += _bilinear_laws("CP2", (), D.d, dom, cod)
-    laws += _bilinear_laws("CP2", (dom.sr.ree.order,), D.bracket, dom, cod)
-    laws += _homogeneity_laws("CP3", dom, cod, D)
-    laws += _cp_vanishing_laws(dom, D, with_brackets=True, label="CP4")
-    return laws
+    return (c.laws("zero", _zero) + c.laws("CP1", _membership)
+            + c.laws("CP2", _bilinear, "d") + c.laws("CP2", _bilinear, "bracket")
+            + c.laws("CP3", _homogeneity) + c.laws("CP4", _vanishing))
 
 
-def _cp_cor_route_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBundle):
+def _cp_cor_route_laws(c: _Clauses):
     """Reduced pair characterization: no bracket-defect conditions at all."""
-    laws = _cp_membership_laws(dom, cod, T, D, with_brackets=False, label="CPc1")
-    laws += _bilinear_laws("CPc2", (), D.d, dom, cod)
-    laws += _homogeneity_laws("CPc3", dom, cod, D)
-    laws += _cp_vanishing_laws(dom, D, with_brackets=False, label="CPc4")
-    return laws
+    return (c.laws("CPc1", _membership)[:3] + c.laws("CPc2", _bilinear, "d")
+            + c.laws("CPc3", _homogeneity) + c.laws("CPc4", _vanishing)[:3])
 
 
-def _factorization_laws(dom: CpModule, cod: CpModule, T: np.ndarray, D: DefectBundle):
+def _factorization_laws(c: _Clauses):
     """Pointwise form of the tensor/divided-power factorization: d_f and
     f_(r) only see classes mod A, take values in B, and are bilinear resp.
     degree-2 with bilinear polarization."""
-    nm, ne = dom.nm, dom.sr.re.order
-    A, bmask = dom.aset, cod.amask
-    madd, nsub = dom.group.add, cod.group.sub
-    d, scalar = D.d, D.scalar
-    # polarization of each f_(r): pol[q,r,m,n] = f_(r)(m+n) − f_(r)(n) − f_(r)(m)
-    pol = nsub(nsub(scalar[:, :, madd], scalar[:, :, None, :]), scalar[:, :, :, None])
-    pol_add, _, pol_scal, pol_scal2, _, _ = _bilinear_laws("FAC3", (ne,), pol, dom, cod)
+    dom = c.dom
+    nm, ne, A, madd = dom.nm, dom.sr.re.order, dom.aset, dom.group.add
+    d, scalar = c.D.d, c.D.scalar
+    in_a, in_d, in_scalar, _ = c.get(_membership)
+    pol_add, _, pol_scal, pol_scal2, _, _ = c.laws("FAC3", _bilinear, "pol")
     return [
-        ("FAC1", (A,), lambda q, a: (bmask[T[q, a]], np.ones_like(a))),
-        ("FAC2", (nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
+        ("FAC1", *in_a),
+        ("FAC2", *in_d),
         ("FAC2", (nm, A, nm), lambda q, m, a, n: (d[q, madd[m, a], n], d[q, m, n])),
         ("FAC2", (nm, A, nm), lambda q, m, a, n: (d[q, n, madd[m, a]], d[q, n, m])),
-        *_bilinear_laws("FAC2", (), d, dom, cod)[:4],  # sums and scalars, both slots
-        ("FAC3", (ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
-        (
-            "FAC3",
-            (ne, nm, A),
-            lambda q, r, m, a: (scalar[q, r, madd[m, a]], scalar[q, r, m]),
-        ),
-        *_homogeneity_laws("FAC3", dom, cod, D),
+        *c.laws("FAC2", _bilinear, "d")[:4],  # sums and scalars, both slots
+        ("FAC3", *in_scalar),
+        ("FAC3", (ne, nm, A), lambda q, r, m, a: (scalar[q, r, madd[m, a]], scalar[q, r, m])),
+        *c.laws("FAC3", _homogeneity),
         pol_add,
         pol_scal,
         pol_scal2,
@@ -605,6 +644,7 @@ _CP_ROUTES = {
     "reduced": _cp_cor_route_laws,
     "factorization": _factorization_laws,
 }
+_ROUTES = {"bhp": _BHP_ROUTES, "cp": _CP_ROUTES}
 
 
 def _single(laws, q: int = 0):
@@ -613,37 +653,71 @@ def _single(laws, q: int = 0):
     return [(label, dims, partial(law, q), *reduced) for label, dims, law, *reduced in laws]
 
 
-def _run_routes(primary_laws, secondary):
-    """Every route exhaustively; a secondary route whose outcome differs
-    from the primary's is an internal error, in either direction."""
-    primary = run_laws(_single(primary_laws), all_witnesses=get_config().exhaustive_witnesses)
+def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
+    """Decide f = T[0] and its scalar defects T[1:] (``_map_stack``) from
+    one stack: one defect build, one clause source, one ``Sweeps``.
+
+    The first route of ``kind`` is the primary, the others confirm it; a
+    route whose outcome for f differs from the primary's is an internal
+    error, in either direction.  Every route is decided by masked sweeps
+    of the stack, each clause swept once across routes.  When f fails,
+    ``run_laws`` gives every route's verdict with its witnesses, reusing
+    what the sweeps found.  When f passes, every route must pass every
+    f_(r) too, and for pair maps the graded maps of f and of every f_(r)
+    are checked as one stack; a failure raises ConsistencyError naming
+    the first law it fails, primary route first."""
+    dom, cod = f.dom, f.cod
+    stacks = _defect_stacks(dom, cod, T)
+    c = _Clauses(dom, cod, T, stacks)
+    routes = [(name, build(c)) for name, build in _ROUTES[kind].items()]
+    (_, primary), *secondary = routes
+    sweeps = Sweeps(len(T))
+    passing = passing_candidates(primary, len(T), sweeps=sweeps, lead=True)
     outcomes = []
+    if not passing[0]:
+        verdict = run_laws(primary, all_witnesses=get_config().exhaustive_witnesses,
+                           sweeps=sweeps)
+        for name, laws in secondary:
+            outcome = run_laws(laws, sweeps=sweeps)
+            if outcome.passed:
+                raise ConsistencyError(
+                    f"routes disagree: primary fails {verdict.failures[0].law} "
+                    f"but {name} passes"
+                )
+            outcomes.append((name, outcome))
+        return QuadCertificate(kind=kind, map=f, defects=_first(stacks), verdict=verdict,
+                               routes=tuple(outcomes), passed=False)
     for name, laws in secondary:
-        verdict = run_laws(_single(laws))
-        outcomes.append((name, verdict))
-        if primary.passed and not verdict.passed:
-            first = verdict.failures[0]
+        mask = passing_candidates(laws, len(T), sweeps=sweeps, lead=True)
+        if not mask[0]:
+            first = run_laws(laws, sweeps=sweeps).failures[0]
             raise ConsistencyError(
                 f"routes disagree: primary passes but {name} fails "
                 f"{first.law} at {first.witness}"
             )
-        if not primary.passed and verdict.passed:
-            raise ConsistencyError(
-                f"routes disagree: primary fails {primary.failures[0].law} "
-                f"but {name} passes"
-            )
-    return primary, tuple(outcomes)
+        passing &= mask
+        outcomes.append((name, _passed(laws)))
+    # the candidates in order, each through the routes and then gr, so the
+    # first failure is the one that deciding them one by one would meet
+    stop = len(T) if passing.all() else int(np.argmin(passing))
+    graded = None
+    if kind == "cp":
+        fbar, f2 = _graded_maps(dom, cod, T[:stop])
+        graded = {"fbar": fbar[0], "f2": f2[0]}
+    if stop < len(T):
+        verdicts = (run_laws(laws, sweeps=sweeps, candidate=stop) for _, laws in routes)
+        law = next(v.failures[0].law for v in verdicts if not v.passed)
+        raise ConsistencyError(
+            f"scalar defect f_({stop - 1}) of a certified quadratic map fails {law}"
+        )
+    return QuadCertificate(kind=kind, map=f, defects=_first(stacks), verdict=_passed(primary),
+                           routes=tuple(outcomes), passed=True, graded=graded,
+                           scalar_defects_quadratic=True)
 
 
-def _decide(kind: str, f: MapTable, routes: dict) -> QuadCertificate:
-    """The first of ``routes`` is the primary route, the others confirm it."""
-    T, stacks = _one_map(f)
-    (_, primary), *secondary = [
-        (name, build(f.dom, f.cod, T, stacks)) for name, build in routes.items()
-    ]
-    verdict, outcomes = _run_routes(primary, secondary)
-    return QuadCertificate(kind=kind, map=f, defects=_first(stacks), verdict=verdict,
-                           routes=outcomes, passed=verdict.passed)
+def _passed(laws) -> Verdict:
+    """The verdict of a route whose laws all hold."""
+    return Verdict.from_failures((), [label for label, *_ in laws])
 
 
 def _pair_map(f, refusal: str) -> MapTable:
@@ -658,11 +732,8 @@ def is_bhp_quadratic(f: MapTable) -> QuadCertificate:
     """Decide quadraticity of a plain map.  Primary route: the eight
     relations; confirmed against the clause-level definition and against
     the reduced four-condition characterization.  For a passing map the
-    scalar defects are re-certified quadratic as well."""
-    cert = _decide("bhp", f, _BHP_ROUTES)
-    if cert.passed:
-        cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="bhp")
-    return cert
+    scalar defects are certified quadratic as well."""
+    return _decide("bhp", f, _map_stack(f))
 
 
 def is_cp_quadratic(f: MapTable) -> QuadCertificate:
@@ -670,83 +741,59 @@ def is_cp_quadratic(f: MapTable) -> QuadCertificate:
     the four defining clauses; confirmed against the reduced (no bracket
     conditions) characterization and the pointwise factorization one.
     A passing certificate carries the induced degree-1 and degree-2 maps,
-    verified linear over the quotient ring."""
+    verified linear over the quotient ring, and its scalar defects are
+    certified quadratic, with their induced maps, as well."""
     f = _pair_map(f, "pair deciders need CP modules on both sides")
-    cert = _decide("cp", f, _CP_ROUTES)
-    if cert.passed:
-        cert.graded = _graded_maps(f)
-        cert.scalar_defects_quadratic = _scalar_defects_quadratic(f, cert.defects, kind="cp")
-    return cert
+    return _decide("cp", f, _map_stack(f))
 
 
-def _scalar_defects_quadratic(f: MapTable, bundle: DefectBundle, kind: str) -> bool:
-    """The scalar defects of a quadratic map are themselves quadratic;
-    recertified for every passing certificate (depth one only).  The |R_e|
-    tables f_(r) go through every route as one stack; for pair maps each
-    f_(r) also gets its induced graded maps.  A rejected f_(r) raises
-    ConsistencyError naming the first law it fails, primary route first."""
-    dom, cod, T = f.dom, f.cod, bundle.scalar
-    routes = _BHP_ROUTES if kind == "bhp" else _CP_ROUTES
-    stacks = _defect_stacks(dom, cod, T)
-    route_laws = [build(dom, cod, T, stacks) for build in routes.values()]
-    passing = np.logical_and.reduce([passing_candidates(laws, len(T)) for laws in route_laws])
-    for r, table in enumerate(T):
-        if not passing[r]:
-            verdicts = (run_laws(_single(laws, r)) for laws in route_laws)
-            law = next(v.failures[0].law for v in verdicts if not v.passed)
-            raise ConsistencyError(
-                f"scalar defect f_({r}) of a certified quadratic map fails {law}"
-            )
-        if kind == "cp":
-            _graded_maps(MapTable(dom, cod, table))
-    return True
-
-
-def _graded_maps(f: MapTable) -> dict:
-    """The induced maps on M/A and on A, with their linearity verified."""
-    dom, cod, F = f.dom, f.cod, f.table
+def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The induced maps on M/A and on A of every candidate T[q], ``fbar[q]``
+    and ``f2[q]``, with their linearity verified as one stack.  The first
+    candidate that fails raises ConsistencyError, named as a check of that
+    one map would: fbar well defined, f2 into B, then linearity."""
     gdom, gcod = gr(dom), gr(cod)
     reps = np.array(
         [int(np.flatnonzero(gdom.proj1 == c)[0]) for c in range(gdom.deg1.order)],
         dtype=np.int64,
     )
-    fbar = gcod.proj1[F[reps]]
-    bad = law_failures(
-        "fbar-well-defined",
-        (dom.nm,),
-        lambda m: (gcod.proj1[F[m]], fbar[gdom.proj1[m]]),
-    )
-    if bad:
-        raise ConsistencyError(f"induced degree-1 map ill-defined at {bad[0].witness}")
+    fbar = gcod.proj1[T[:, reps]]
     index_b = np.full(cod.nm, -1, dtype=np.int64)
     index_b[gcod.embed2] = np.arange(len(gcod.embed2))
-    f2 = index_b[F[gdom.embed2]]
-    if f2.size and f2.min() < 0:
-        raise ConsistencyError("induced degree-2 map leaves B")
-    k1d, k1c, kbar = gdom.deg1.order, gcod.deg1.order, gdom.operad.op1.order
-    k2d = gdom.deg2.order
-    linear_laws = [
+    f2 = index_b[T[:, gdom.embed2]]  # -1 where T[q] leaves B on A
+    k1d, k2d, kbar = gdom.deg1.order, gdom.deg2.order, gdom.operad.op1.order
+    laws = [
+        ("fbar-well-defined", (dom.nm,),
+         lambda q, m: (gcod.proj1[T[q, m]], fbar[q, gdom.proj1[m]])),
         ("fbar-additive", (k1d, k1d),
-         lambda a, b: (fbar[gdom.deg1.group.add[a, b]], gcod.deg1.group.add[fbar[a], fbar[b]])),
+         lambda q, a, b: (fbar[q, gdom.deg1.group.add[a, b]],
+                          gcod.deg1.group.add[fbar[q, a], fbar[q, b]])),
         ("fbar-equivariant", (k1d, kbar),
-         lambda a, r: (fbar[gdom.deg1.scal[a, r]], gcod.deg1.scal[fbar[a], r])),
+         lambda q, a, r: (fbar[q, gdom.deg1.scal[a, r]], gcod.deg1.scal[fbar[q, a], r])),
         ("f2-additive", (k2d, k2d),
-         lambda a, b: (f2[gdom.deg2.group.add[a, b]], gcod.deg2.group.add[f2[a], f2[b]])),
+         lambda q, a, b: (f2[q, gdom.deg2.group.add[a, b]],
+                          gcod.deg2.group.add[f2[q, a], f2[q, b]])),
         ("f2-equivariant", (k2d, kbar),
-         lambda a, r: (f2[gdom.deg2.scal[a, r]], gcod.deg2.scal[f2[a], r])),
+         lambda q, a, r: (f2[q, gdom.deg2.scal[a, r]], gcod.deg2.scal[f2[q, a], r])),
     ]
-    verdict = run_laws(linear_laws)
-    if not verdict.passed:
-        first = verdict.failures[0]
+    ok = (f2 >= 0).all(axis=1) & passing_candidates(laws, len(T))
+    if not ok.all():
+        q = int(np.argmin(ok))
+        well_defined, *linear = _single(laws, q)
+        bad = law_failures(*well_defined)
+        if bad:
+            raise ConsistencyError(f"induced degree-1 map ill-defined at {bad[0].witness}")
+        if (f2[q] < 0).any():
+            raise ConsistencyError("induced degree-2 map leaves B")
+        first = run_laws(linear).failures[0]
         raise ConsistencyError(f"induced graded map violates {first.law} at {first.witness}")
-    return {"fbar": fbar, "f2": f2}
+    return fbar, f2
 
 
 def certificate_valid(cert: QuadCertificate) -> bool:
     """Recompute the certificate from scratch and compare the outcome."""
-    routes = _BHP_ROUTES if cert.kind == "bhp" else _CP_ROUTES
     try:
-        fresh = _decide(cert.kind, cert.map, routes)
+        fresh = _decide(cert.kind, cert.map, _map_stack(cert.map))
     except (PreconditionUnmet, NonCommutativeRing):
         return False
     return fresh.passed == cert.passed and fresh.failed_laws() == cert.failed_laws()
@@ -773,7 +820,7 @@ def three_defects_check(f: MapTable) -> Verdict:
     specialization d_{f_(2)}(m,m') = d_f(m,m') + d_f(m',m).  Requires the
     centrality and bilinearity clauses to hold first."""
     T, stacks = _one_map(f)
-    gate = run_laws(_single(_central_bilinear_laws(f.dom, f.cod, T, stacks)))
+    gate = run_laws(_single(_central_bilinear_laws(_Clauses(f.dom, f.cod, T, stacks))))
     if not gate.passed:
         first = gate.failures[0]
         raise PreconditionUnmet(
@@ -889,9 +936,11 @@ def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -
     partial table as soon as a membership or vanishing clause fails on the
     entries assigned so far.  It raises ``SearchSpaceTooLarge`` once it has
     visited more than ``limit`` partial tables.  The leaves then go through
-    each route of ``batch_cp_quadratic`` as one stack; a route whose mask
-    differs from the definition's raises ``ConsistencyError``.  Each
-    accepted table gets its induced graded maps, verified linear."""
+    every route as one stack, with one defect build and the clauses that
+    routes share swept once (``_Clauses``, ``verdict.Sweeps``); a route
+    whose mask differs from the definition's raises ``ConsistencyError``.
+    The induced graded maps of the accepted tables are verified linear as
+    one stack."""
     if ma.sr != nb.sr:
         raise PreconditionUnmet("domain and codomain live over different square rings")
     ensure_module_verified(ma)
@@ -946,7 +995,10 @@ def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -
 
     visit(0)
     tables = np.array(found, dtype=np.int64)  # the zero map passes every check
-    masks = {route: batch_cp_quadratic(ma, nb, tables, route=route) for route in _CP_ROUTES}
+    c = _Clauses(ma, nb, tables, _defect_stacks(ma, nb, tables))
+    sweeps = Sweeps(len(tables))
+    masks = {route: passing_candidates(build(c), len(tables), sweeps=sweeps)
+             for route, build in _CP_ROUTES.items()}
     keep = masks["definition"]
     for route, mask in masks.items():
         if not np.array_equal(mask, keep):
@@ -955,10 +1007,8 @@ def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -
             raise ConsistencyError(
                 f"routes disagree on leaf {leaf}: definition {verb} it, {route} does not"
             )
-    maps = [MapTable(ma, nb, table) for table in tables[keep]]
-    for f in maps:
-        _graded_maps(f)
-    return maps
+    _graded_maps(ma, nb, tables[keep])
+    return [MapTable(ma, nb, table) for table in tables[keep]]
 
 
 # -- batch deciders: the route laws above swept over a stack of candidate
@@ -978,7 +1028,7 @@ def _batch(dom: BhpModule, cod: BhpModule, tables, routes: dict, route: str) -> 
         raise PreconditionUnmet(f"tables must be (K, {dom.nm})")
     if T.size and (T.min() < 0 or T.max() >= cod.nm):
         raise PreconditionUnmet("table entries out of range")
-    laws = routes[route](dom, cod, T, _defect_stacks(dom, cod, T))
+    laws = routes[route](_Clauses(dom, cod, T, _defect_stacks(dom, cod, T)))
     return passing_candidates(laws, len(T))
 
 
@@ -1171,10 +1221,11 @@ def factorization_check(f: MapTable) -> Verdict:
     descends to a degree-2 form with bilinear polarization."""
     f = _pair_map(f, "factorization check needs CP modules on both sides")
     T, stacks = _one_map(f)
-    gate = run_laws(_single(_cp_def_route_laws(f.dom, f.cod, T, stacks)))
+    c, sweeps = _Clauses(f.dom, f.cod, T, stacks), Sweeps(1)
+    gate = run_laws(_cp_def_route_laws(c), sweeps=sweeps)
     if not gate.passed:
         first = gate.failures[0]
         raise PreconditionUnmet(
             f"factorization needs a quadratic pair map; {first.law} fails at {first.witness}"
         )
-    return run_laws(_single(_factorization_laws(f.dom, f.cod, T, stacks)))
+    return run_laws(_factorization_laws(c), sweeps=sweeps)

@@ -79,6 +79,8 @@ class NearRing:
                 raise NotARing(f"{label} fails at {bad[0].witness}: {bad[0].detail}")
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, NearRing)
             and self.one == other.one

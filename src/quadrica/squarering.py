@@ -105,6 +105,8 @@ class SquareRing:
         return tuple(int(v) for v in np.unique(self.p))
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, SquareRing)
             and self.re == other.re

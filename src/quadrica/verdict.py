@@ -6,7 +6,9 @@ leading candidate axis and the grid, in blocks (so worst-case grids never
 materialise much more than one block of cells at once).
 ``passing_candidates`` reads one boolean per candidate, for batch deciders;
 ``law_failures`` is the sweep of one candidate, with lexicographically-first
-witness extraction.
+witness extraction.  ``Sweeps`` shares the sweeps of one decision between
+routes: a clause (a law body over its dims) that several routes hold is
+swept once, for every candidate that needs it.
 
 A law is a tuple ``(label, dims, law)`` or ``(label, dims, law, reduced)``.
 ``dims`` is a tuple of axes.  An axis is a size n, running over
@@ -23,7 +25,7 @@ those of the full sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +39,7 @@ __all__ = [
     "law_failures",
     "run_laws",
     "passing_candidates",
+    "Sweeps",
 ]
 
 Law = Callable[..., tuple[np.ndarray, np.ndarray]]
@@ -163,13 +166,19 @@ def _witnesses(label: str, values, grid, shape, limit: int):
     if not neq.any():
         return [], 0
     lhs, rhs, neq = (np.broadcast_to(v, shape)[0] for v in (lhs, rhs, neq))
-    bad = np.argwhere(neq)  # C order == lexicographic
+    if limit == 1:  # the first failing cell, without listing the others
+        bad = [np.unravel_index(int(neq.argmax()), neq.shape)]
+        failing = int(np.count_nonzero(neq))
+    else:
+        bad = np.argwhere(neq)  # C order == lexicographic
+        failing = len(bad)
+        bad = map(tuple, bad[:limit].tolist())
     coords = [g.ravel() for g in grid]
     out = []
-    for here in map(tuple, bad[:limit].tolist()):
+    for here in bad:
         witness = tuple(int(c[i]) for c, i in zip(coords, here))
         out.append(Failure(label, witness, f"lhs={int(lhs[here])} rhs={int(rhs[here])}"))
-    return out, len(bad)
+    return out, failing
 
 
 def _fails_per_candidate(values) -> np.ndarray:
@@ -236,49 +245,128 @@ def law_failures(
 
 
 def _law_parts(laws) -> list[tuple]:
-    """Each law as ``(label, sizes, grid, law, reduced)``: its dims split by
-    ``_split``, and ``reduced`` None or its reduced dims split likewise."""
+    """Each law as ``(label, full, law, reduced)``: ``full`` is its dims as
+    given and as split by ``_split``, ``(dims, sizes, grid)``, and
+    ``reduced`` None or its reduced dims in the same form."""
     return [
-        (law[0], *_split(law[1]), law[2], _split(law[3]) if len(law) == 4 and law[3] else None)
+        (law[0], (law[1], *_split(law[1])), law[2],
+         (law[3], *_split(law[3])) if len(law) == 4 and law[3] else None)
         for law in laws
     ]
 
 
-def _survivors(sweeps, alive: np.ndarray) -> np.ndarray:
-    """The candidates of ``alive`` for which every ``law(q, *grid)`` of
-    ``sweeps``, a sequence of ``(sizes, grid, law)``, holds everywhere.  A
-    candidate that fails a law is not swept by the laws after it."""
-    for dims, grid, law in sweeps:
-        if alive.size == 0:
+def _fails(law: Law, sizes: tuple[int, ...], grid, qs: np.ndarray) -> np.ndarray:
+    """Per candidate of ``qs``: whether ``law(q, *grid)`` fails somewhere."""
+    bad = np.zeros(qs.size, dtype=bool)
+    if prod(sizes) == 0:
+        return bad
+    if grid is None:
+        grid = _grid(sizes)
+    for block, q, cells, _ in _blocks(sizes, grid, qs, _BATCH_CELLS):
+        bad[block] |= _fails_per_candidate(law(q, *cells))
+    return bad
+
+
+class Sweeps:
+    """The sweeps of one decision over a stack of ``count`` candidates,
+    shared by every route that asks for them.
+
+    A clause is a law body and the dims it is swept over.  Two routes that
+    hold the same body object over the same dims get one sweep; each puts
+    its own label on the result.  For each clause this keeps which
+    candidates have been swept and which of them fail, so a later route
+    sweeps only the candidates not decided yet.  For each clause, candidate
+    and witness policy it keeps the failures found: first-witness lists and
+    exhaustive lists apart.  Only raw sweep results are shared: each route
+    still applies the reduced-form rule to its own laws."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self._decided: dict = {}  # (law, dims) -> (swept, failing), one bool per candidate
+        self._found: dict = {}  # (law, dims, candidate, all_witnesses) -> failures
+
+    def _record(self, law, dims) -> tuple[np.ndarray, np.ndarray]:
+        record = self._decided.get((law, dims))
+        if record is None:
+            record = self._decided[law, dims] = (np.zeros(self.count, dtype=bool),
+                                                 np.zeros(self.count, dtype=bool))
+        return record
+
+    def fails(self, law: Law, dims, sizes, grid, qs: np.ndarray) -> np.ndarray:
+        """``_fails`` of the clause, sweeping only the candidates of ``qs``
+        not swept before."""
+        swept, failing = self._record(law, dims)
+        todo = qs[~swept[qs]]
+        if todo.size:
+            failing[todo] = _fails(law, sizes, grid, todo)
+            swept[todo] = True
+        return failing[qs]
+
+    def failures(self, label: str, law: Law, dims, sizes, grid, q: int,
+                 all_witnesses: bool) -> list[Failure]:
+        """``law_failures`` of candidate ``q`` under ``label``: none when a
+        sweep has found that the clause holds for q, otherwise one sweep
+        per witness policy."""
+        swept, failing = self._record(law, dims)
+        if swept[q] and not failing[q]:
+            return []
+        key = (law, dims, q, all_witnesses)
+        found = self._found.get(key)
+        if found is None:
+            found = self._found[key] = law_failures(label, sizes, partial(law, q), grid=grid,
+                                                    all_witnesses=all_witnesses)
+            swept[q], failing[q] = True, bool(found)
+        if found and found[0].law != label:
+            return [replace(f, law=label) for f in found]
+        return found
+
+    def holds(self, label: str, law: Law, dims, sizes, grid, q: int) -> bool:
+        """Whether the clause holds for candidate ``q``, swept at most once."""
+        swept, failing = self._record(law, dims)
+        if swept[q]:
+            return not failing[q]
+        return not self.failures(label, law, dims, sizes, grid, q, False)
+
+
+def _survivors(clauses, alive: np.ndarray, sweeps: Sweeps | None, lead: bool) -> np.ndarray:
+    """The candidates of ``alive`` for which every clause of ``clauses``, a
+    sequence of ``(dims, sizes, grid, law)``, holds everywhere, swept
+    through ``sweeps`` when given.  A candidate that fails a clause is not
+    swept by the clauses after it; with ``lead``, no clause is swept once
+    candidate 0 has failed."""
+    for dims, sizes, grid, law in clauses:
+        if alive.size == 0 or (lead and alive[0] != 0):
             break
-        if prod(dims) == 0:
-            continue
-        if grid is None:
-            grid = _grid(dims)
-        bad = np.zeros(alive.size, dtype=bool)
-        for block, q, cells, _ in _blocks(dims, grid, alive, _BATCH_CELLS):
-            bad[block] |= _fails_per_candidate(law(q, *cells))
-        alive = alive[~bad]
+        if sweeps is None:
+            alive = alive[~_fails(law, sizes, grid, alive)]
+        else:
+            alive = alive[~sweeps.fails(law, dims, sizes, grid, alive)]
     return alive
 
 
-def passing_candidates(laws: Iterable[tuple], count: int) -> np.ndarray:
+def passing_candidates(laws: Iterable[tuple], count: int, *, sweeps: Sweeps | None = None,
+                       lead: bool = False) -> np.ndarray:
     """One boolean per candidate ``0 .. count-1``: whether ``law(q, *grid)``
     holds everywhere on the grid for every law.  The laws without a reduced
     form run first, in full; only the candidates that pass them all go on
     to the reduced forms.  That is the decision rule of ``run_laws``, so
-    the mask is that of the full sweeps."""
+    the mask is that of the full sweeps.
+
+    With ``sweeps``, a clause it has already decided for a candidate is
+    not swept again.  With ``lead``, candidate 0 leads: the sweeps stop as
+    soon as it fails, and the mask then decides candidate 0 alone."""
     laws = _law_parts(laws)
-    alive = _survivors([(dims, grid, fn) for _, dims, grid, fn, reduced in laws
-                        if reduced is None], np.arange(count))
+    alive = _survivors([(*full, fn) for _, full, fn, reduced in laws if reduced is None],
+                       np.arange(count), sweeps, lead)
     alive = _survivors([(*reduced, fn) for *_, fn, reduced in laws if reduced is not None],
-                       alive)
+                       alive, sweeps, lead)
     mask = np.zeros(count, dtype=bool)
     mask[alive] = True
     return mask
 
 
-def run_laws(laws: Iterable[tuple], *, all_witnesses: bool = False) -> Verdict:
+def run_laws(laws: Iterable[tuple], *, all_witnesses: bool = False,
+             sweeps: Sweeps | None = None, candidate: int = 0) -> Verdict:
     """The verdict of sweeping every law in full, witnesses included.
 
     The laws without a reduced form are swept in full first.  If they all
@@ -286,22 +374,36 @@ def run_laws(laws: Iterable[tuple], *, all_witnesses: bool = False) -> Verdict:
     (by the proofs that come with the reduced forms).  Otherwise the laws
     with a reduced form are swept in full as well, so every failure and
     witness is the exhaustive one.  Failures and ``checked`` keep the law
-    order."""
+    order.
+
+    With ``sweeps``, the laws are those of its candidate stack,
+    ``law(q, *grid)``, the verdict is that of ``candidate``, and each
+    clause is swept through ``sweeps``: not at all when a sweep has found
+    that it holds for the candidate, and at most once per witness policy."""
     laws = _law_parts(laws)
+
+    def failures(label, fn, part, every: bool) -> list[Failure]:
+        if sweeps is None:
+            return law_failures(label, part[1], fn, grid=part[2], all_witnesses=every)
+        return sweeps.failures(label, fn, *part, candidate, every)
+
+    def holds(label, fn, part) -> bool:
+        if sweeps is None:
+            return not failures(label, fn, part, False)
+        return sweeps.holds(label, fn, *part, candidate)
+
     found = {
-        i: law_failures(label, dims, fn, grid=grid, all_witnesses=all_witnesses)
-        for i, (label, dims, grid, fn, reduced) in enumerate(laws)
+        i: failures(label, fn, full, all_witnesses)
+        for i, (label, full, fn, reduced) in enumerate(laws)
         if reduced is None
     }
     reduced_hold = not any(found.values()) and all(
-        not law_failures(label, reduced[0], fn, grid=reduced[1])
-        for label, _, _, fn, reduced in laws
-        if reduced is not None
+        holds(label, fn, reduced) for label, _, fn, reduced in laws if reduced is not None
     )
-    failures: list[Failure] = []
-    for i, (label, dims, grid, fn, _) in enumerate(laws):
+    out: list[Failure] = []
+    for i, (label, full, fn, _) in enumerate(laws):
         if i in found:
-            failures += found[i]
+            out += found[i]
         elif not reduced_hold:
-            failures += law_failures(label, dims, fn, grid=grid, all_witnesses=all_witnesses)
-    return Verdict.from_failures(failures, [label for label, *_ in laws])
+            out += failures(label, fn, full, all_witnesses)
+    return Verdict.from_failures(out, [label for label, *_ in laws])

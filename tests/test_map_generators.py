@@ -1,6 +1,6 @@
 """The generator route of the map deciders.
 
-``_bilinear_laws`` gives the additivity and bracket-compatibility laws of
+``_bilinear_clauses`` gives the additivity and bracket-compatibility laws of
 d_f and f_[x] reduced forms over generators of the domain.  ``run_laws``
 and ``passing_candidates`` decide on them once every other law holds, so
 every single-map verdict (passed, failures, witnesses, ``checked``) and
@@ -9,6 +9,7 @@ every batch mask must equal a plain sweep of the full laws.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from math import prod
 
@@ -26,14 +27,17 @@ from quadrica import (
     enumerate_cp_quadratic,
     free_cp_pair,
     generators,
+    is_bhp_quadratic,
     is_cp_quadratic,
+    regular_module,
     set_config,
     verify_bhp_module,
 )
 from quadrica.quadratic import (
     _BHP_ROUTES,
     _CP_ROUTES,
-    _bilinear_laws,
+    _bilinear_clauses,
+    _Clauses,
     _defect_stacks,
     _single,
 )
@@ -51,8 +55,13 @@ def full(laws) -> list:
 
 
 def route_laws(kind: str, dom, cod, tables) -> dict:
-    stacks = _defect_stacks(dom, cod, tables)
-    return {name: build(dom, cod, tables, stacks) for name, build in ROUTES[kind].items()}
+    clauses = _Clauses(dom, cod, tables, _defect_stacks(dom, cod, tables))
+    return {name: build(clauses) for name, build in ROUTES[kind].items()}
+
+
+def bilinear_laws(phi, dom, cod) -> list:
+    """The six bilinearity laws of the single form ``phi``, labelled "phi"."""
+    return _single([("phi", *law) for law in _bilinear_clauses((), phi[None], dom, cod)])
 
 
 def assert_agrees(laws) -> None:
@@ -103,6 +112,65 @@ def test_single_map_verdicts_equal_the_full_sweeps_on_census_samples():
             for q in rng.permutation(np.flatnonzero(side))[:1]:
                 for route in laws.values():
                     assert_agrees(_single(route, int(q)))
+
+
+def test_certificates_equal_the_per_route_verdicts_on_every_census_block():
+    """One accepted and one rejected table of every block, drawn with a
+    fixed seed: the certificate, decided as one stack with the clauses
+    shared across routes, has the fields that sweeping each route on its
+    own with ``run_laws`` gives, with the first witness and with every
+    witness: ``passed``, the failures (law, witness, detail, omitted),
+    ``checked`` and ``routes``."""
+    rng = np.random.default_rng(11)
+    certified = {True: 0, False: 0}
+    for kind, dom, cod, tables in census_blocks():
+        decide = is_cp_quadratic if kind == "cp" else is_bhp_quadratic
+        mask = passing_candidates(next(iter(route_laws(kind, dom, cod, tables).values())),
+                                  len(tables))
+        for side in (mask, ~mask):
+            for q in rng.permutation(np.flatnonzero(side))[:1]:
+                (_, primary), *secondary = route_laws(kind, dom, cod, tables[q][None]).items()
+                for all_witnesses in (False, True):
+                    set_config(exhaustive_witnesses=all_witnesses)
+                    cert = decide(MapTable(dom, cod, tables[q]))
+                    verdict = run_laws(_single(primary), all_witnesses=all_witnesses)
+                    assert cert.passed == verdict.passed == bool(mask[q])
+                    assert cert.verdict.failures == verdict.failures
+                    assert cert.verdict.checked == verdict.checked
+                    assert cert.routes == tuple((name, run_laws(_single(laws)))
+                                                for name, laws in secondary)
+                certified[cert.passed] += 1
+    assert certified == {True: 230, False: 202}  # blocks with an accepted, a rejected map
+
+
+@pytest.mark.parametrize("kind, route", [("bhp", "definition"), ("bhp", "reduced"),
+                                         ("cp", "reduced"), ("cp", "factorization")])
+def test_a_secondary_route_that_disagrees_on_one_map_is_an_internal_error(monkeypatch, kind,
+                                                                          route):
+    """A secondary route that rejects a map the primary accepts, or accepts
+    a map the primary rejects, raises ConsistencyError naming both sides."""
+    sr = build_example("tensor", 2)
+    module = free_cp_pair(sr) if kind == "cp" else regular_module(sr)
+    decide = is_cp_quadratic if kind == "cp" else is_bhp_quadratic
+    square = MapTable(module, module, sr.re.mul[np.arange(module.nm), np.arange(module.nm)])
+    bad = next(MapTable(module, module, t) for t in all_tables(module.nm, module.nm)
+               if not decide(MapTable(module, module, t)).passed)
+    assert decide(square).passed
+    first = decide(bad).verdict.failures[0].law
+    routes = quadratic._ROUTES[kind]
+    build = routes[route]
+
+    def rejecting(clauses):
+        return build(clauses) + [("reject", (1,), lambda q, i: (np.ones_like(i), np.zeros_like(i)))]
+
+    monkeypatch.setitem(routes, route, rejecting)
+    message = f"routes disagree: primary passes but {route} fails reject at (0,)"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        decide(square)
+    monkeypatch.setitem(routes, route, lambda clauses: [])
+    message = f"routes disagree: primary fails {first} but {route} passes"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        decide(bad)
 
 
 @pytest.mark.parametrize("kind", HOM_KINDS)
@@ -163,7 +231,7 @@ def test_a_biadditive_form_caught_only_off_the_generators_in_n_and_off_the_diago
     assert verify_bhp_module(dom).passed and verify_bhp_module(cod).passed
     assert generators(dom.group) == (1, 2)
     m = np.arange(4)
-    laws = _single(_bilinear_laws("phi", (), (m[:, None] & m[None, :])[None], dom, cod))
+    laws = bilinear_laws(m[:, None] & m[None, :], dom, cod)
     for label, dims, law, reduced in laws:
         if reduced is not None:
             assert (not run_laws([(label, reduced, law)]).passed) == (len(dims) == 4)
@@ -191,7 +259,7 @@ def test_the_same_forms_caught_off_positions_of_a_relabelled_generating_set():
         (phi, ("_first_br", "_second_br"), (4, 8, 1, 12)),
         (psi, ("_first_add",), (4, 8, 1)),
     ):
-        laws = _single(_bilinear_laws("phi", (), form[None], dom, cod))
+        laws = bilinear_laws(form, dom, cod)
         names = ("_first_add", "_second_add", "_first_scal", "_second_scal",
                  "_first_br", "_second_br")
         for name, (label, dims, law, reduced) in zip(names, laws):
@@ -208,10 +276,10 @@ def test_a_route_that_rejects_one_leaf_is_an_internal_error(monkeypatch):
     leaf = enumerate_cp_quadratic(pair, pair)[-1].table
     build = _CP_ROUTES["reduced"]
 
-    def rejecting(dom, cod, tables, stacks):
-        hit = np.all(tables == leaf, axis=1).astype(np.int64)
+    def rejecting(clauses):
+        hit = np.all(clauses.T == leaf, axis=1).astype(np.int64)
         law = ("reject", (1,), lambda q, i: (hit[q] + 0 * i, np.zeros_like(i)))
-        return build(dom, cod, tables, stacks) + [law]
+        return build(clauses) + [law]
 
     monkeypatch.setitem(quadratic._CP_ROUTES, "reduced", rejecting)
     with pytest.raises(ConsistencyError, match="routes disagree on leaf .*: definition accepts"):

@@ -41,7 +41,7 @@ from quadrica.errors import (
     PreconditionUnmet,
     SearchSpaceTooLarge,
 )
-from quadrica.quadratic import DefectBundle, _defect_stacks, _scalar_defects_quadratic
+from quadrica.quadratic import _decide, _defect_stacks
 
 from _census import module_census, pair_census
 from conftest import triangular_square_ring
@@ -254,12 +254,11 @@ def test_a_forged_scalar_defect_is_refused_by_name(kind):
     tables = all_tables(module.nm, module.nm)
     bad = tables[~batch(module, module, tables)][0]
     law = decide(MapTable(module, module, bad)).verdict.failures[0].law
-    real = defects(f)
-    scalar = real.scalar.copy()
+    scalar = defects(f).scalar.copy()
     scalar[1] = bad
-    forged = DefectBundle(d=real.d, scalar=scalar, bracket=real.bracket)
+    forged = np.concatenate([f.table[None], scalar])  # f over forged scalar defects
     with pytest.raises(ConsistencyError, match=rf"f_\(1\) .* fails {re.escape(law)}$"):
-        _scalar_defects_quadratic(f, forged, kind)
+        _decide(kind, f, forged)
     assert decide(f).scalar_defects_quadratic is True
 
 
