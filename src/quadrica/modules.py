@@ -151,8 +151,9 @@ class CpModule(BhpModule):
 
 
 # Each law is (label, dims, law, reduced).  ``reduced`` is None, or the
-# law's dims with some of its additive module arguments running over G, the
-# carrier's generators; ``run_laws`` says when it stands for the law.
+# law's dims with some of its additive arguments running over a generating
+# set (of the carrier, of R_e or of R_ee); ``run_laws`` says when it stands
+# for the law.
 
 
 def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
@@ -164,6 +165,8 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
     eadd = sr.ree.add
     one, h, p, t, act = sr.one, sr.h, sr.p, sr.t, sr.act
     G = generators(mod.group)
+    G_R = generators(sr.re.group) or (0,)
+    G_ee = generators(sr.ree) or (0,)
     laws = [
         ("MC1", (nm,), lambda m: (scal[m, one], m), None),
         (
@@ -176,7 +179,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
             "MC1",
             (nm, ne, ne),
             lambda m, r, s: (scal[m, add[r, s]], madd[scal[m, r], scal[m, s]]),
-            None,
+            (nm, ne, G_R),
         ),
         (
             "MC2",
@@ -214,7 +217,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 bracket[m, n, eadd[x, y]],
                 madd[bracket[m, n, x], bracket[m, n, y]],
             ),
-            None,
+            (nm, nm, nee, G_ee),
         ),
         (
             "MC6",
@@ -272,22 +275,30 @@ def _module_laws(mod: BhpModule):
 
 def verify_bhp_module(mod: BhpModule) -> Verdict:
     """The MC1–MC7 verdict of ``mod``, cached on the module.  It equals the
-    exhaustive sweep of every law, witnesses included; the first two
-    clauses of MC5, MC6 and MC7 are decided on generator tuples of the
-    carrier M when every other law holds (see ``verdict.run_laws``).  Let G be
-    ``generators(M)``; M is a group, so G generates it.
+    exhaustive sweep of every law, witnesses included; the additivity
+    clause of MC1, the three clauses of MC5, MC6 and MC7 are decided on
+    generator tuples when every other law holds (see
+    ``verdict.run_laws``).  Let G be ``generators(M)``, G_R
+    ``generators(R_e)`` and G_ee ``generators(R_ee)``, the last two {0}
+    when their group is 0, so that a sweep over them is never empty; each
+    generates its group.
 
-    Lemma.  A map φ: M → M with φ(m + g) = φ(m) + φ(g) for all m ∈ M and
-    g ∈ G is a homomorphism.  Let S be the set of g for which this holds.
-    If S is not empty, m = 0 gives φ(0) = 0; then for g, g' ∈ S,
-    φ(m + g + g') = φ(m) + φ(g) + φ(g') = φ(m) + φ(g + g'), so S is closed
-    under +.  In a finite group that makes S a subgroup, so S ⊇ ⟨G⟩ = M.
-    (If M = 0 there is nothing to prove.)  Two homomorphisms that agree on
+    Lemma.  A map φ: X → M from a finite group X, with
+    φ(u + g) = φ(u) + φ(g) for all u ∈ X and g in a generating set G of X,
+    is a homomorphism.  Let S be the set of g for which this holds.
+    If S is not empty, u = 0 gives φ(0) = 0; then for g, g' ∈ S,
+    φ(u + g + g') = φ(u) + φ(g) + φ(g') = φ(u) + φ(g + g'), so S is closed
+    under +.  In a finite group that makes S a subgroup, so S ⊇ ⟨G⟩ = X.
+    (If X = 0 there is nothing to prove.)  Two homomorphisms that agree on
     G are equal; so two maps that are additive in each of some arguments
     are equal once they agree whenever those arguments lie in G.
 
+    * MC1, clause 3, m·(r+s) = m·r + m·s: the lemma for r ↦ m·r on R_e,
+      so s runs over G_R.  Clauses 1–2 are swept in full.
     * MC5, clauses 1–2: the lemma for m ↦ [m,n]·x and n ↦ [m,n]·x, so
-      the added element runs over G.  Clause 3 is swept in full.
+      the added element runs over G.  Clause 3, [m,n]·(x+y) =
+      [m,n]·x + [m,n]·y: the lemma for x ↦ [m,n]·x on R_ee, so y runs
+      over G_ee.  None of the three needs another law.
     * MC7, given MC5: [[m,m']·x, n]·y is additive in m, m' and n, being
       built from the maps that MC5 makes additive, and so is 0; generator
       triples (m, m', n) decide it.  (In a pair module MC7 follows from

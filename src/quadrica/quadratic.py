@@ -392,11 +392,13 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
     ``_second_add``, ``_first_scal``, ``_second_scal``, ``_first_br``,
     ``_second_br``.
 
-    Four of the six laws carry a reduced form over G = ``generators(M)``
-    (G = {0} when M = 0, so that G is never empty), by the lemma in the
-    docstring of ``modules.verify_bhp_module``: a map ψ with
-    ψ(m + g) = ψ(m) + ψ(g) for every m ∈ M and g ∈ G is a homomorphism, and
-    two homomorphisms that agree on G are equal.
+    Every law carries a reduced form over G = ``generators(M)`` and
+    G_R = ``generators(R_e)`` (each {0} when its group is 0, so that it is
+    never empty), by the lemma in the docstring of
+    ``modules.verify_bhp_module``: a map ψ from a finite group with
+    ψ(u + g) = ψ(u) + ψ(g) for every u and every g of a generating set is a
+    homomorphism, and two homomorphisms that agree on a generating set are
+    equal.  M and N are verified modules, so their module axioms hold.
 
     * ``_first_add`` with m' ∈ G and ``_second_add`` with the added element
       in G: the lemma for m ↦ φ(m, n) and for n ↦ φ(m, n), with no other
@@ -411,19 +413,64 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
       hence for every m'.  ``_second_br`` is the same argument for
       φ(n, ·), with ``_second_add``.  n is swept in full:
       [φ(m,n), φ(m',n)]·x is not additive in n.
+    * ``_first_scal``, φ(m·r, n) = φ(m,n)·r, on m ∈ G and r ∈ G_R with n
+      swept in full, once ``_first_add`` holds.  In r, for fixed m and n:
+      m·(r+s) = m·r + m·s by MC1 of M, so r ↦ φ(m·r, n) is additive by
+      ``_first_add``, and r ↦ φ(m,n)·r is additive by MC1 of N; the two
+      agree on G_R, hence for every r.  In m, for fixed r and n, let S be
+      the set of m for which the law holds; it contains G.  MC2 of M and
+      ``_first_add`` give
+      φ((m+m')·r, n) = φ(m·r, n) + φ(m'·r, n) + φ([m,m']·H(r), n), and MC2
+      of N gives φ(m+m',n)·r = φ(m,n)·r + φ(m',n)·r + [φ(m,n), φ(m',n)]·H(r).
+      The last terms agree on every route (below), so S is closed under +,
+      hence a subgroup, hence all of M.  ``_second_scal``,
+      φ(n, m·r) = φ(n,m)·r, is the same argument in the second slot, with
+      ``_second_add`` and ``_second_br``.  n is swept in full: φ(m,n)·r is
+      not additive in n, since MC2 of N adds [φ(m,n), φ(m,n')]·H(r).
 
-    Each reduced form sweeps a subset of its law's cells.  The scalar laws
-    keep their full sweeps."""
+    ``verdict.run_laws`` trusts a route's reduced forms only when every
+    other law of the route holds, so a proof may use those laws.  Per
+    route, the last terms of MC2 agree as follows.
+
+    * All six clauses, of d_f and of every f_[x] on the plain and pair
+      definition routes (BHP2, CP2, and the gate of
+      ``three_defects_check``), of d_f on the plain and pair reduced routes
+      (BHPc2, CPc2): ``_first_br`` at x = H(r) says
+      φ([m,m']·H(r), n) = [φ(m,n), φ(m',n)]·H(r), and ``_second_br`` the
+      same in the second slot.
+    * The factorization route (``_factorization_laws``) holds no bracket
+      law: FAC2 takes the first four clauses of d_f, and FAC3 takes
+      ``_first_add``, ``_first_scal`` and ``_second_scal`` of the
+      polarizations pol of the f_(r).  Both terms vanish there.  The M-side
+      term [m,m']·H(r) lies in A by MC7b of M, and the route's laws make
+      d_f and every f_(r), hence pol, blind to adding an element of A on
+      the right: φ(u + a, n) = φ(u, n) and φ(n, u + a) = φ(n, u).  (For pol
+      in its first slot, u + a + n = u + n + a + c with c = −a − n + a + n,
+      a group commutator; a group commutator is a bracket, [m,n]·H(2)
+      (``modules.elementary_properties``), so c lies in A by MC7b.)  The
+      N-side term is a bracket of values of φ, which are sums of elements
+      of B by the route's membership laws; the bracket is additive (MC5 of
+      N) and kills B (MC7a of N), so it is 0.  ``_second_scal`` of pol also
+      needs pol additive in its second slot, which FAC3 does not sweep: pol
+      is symmetric, so ``_first_add`` gives it.  Indeed n + m = m + n + c
+      with c a group commutator, in A, so f_(r)(n + m) = f_(r)(m + n); and
+      B is abelian, since a group commutator of two elements of B is a
+      bracket of an element of B, 0 by MC7a.
+
+    No reduced form's proof uses a scalar law, and the bracket laws' proofs
+    use only additivity, so the argument is not circular.  Each reduced
+    form sweeps a subset of its law's cells."""
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
     G = generators(dom.group) or (0,)
-    k = phi_dims  # leading extra dims: () for d, (nee,) for the bracket defects
+    G_R = generators(dom.sr.re.group) or (0,)
+    k = phi_dims  # leading extra dims: () for d, (nee,) for f_[x], (ne,) for pol
     return [
         (k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), k + (nm, G, nm)),
         (k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), k + (nm, nm, G)),
-        (k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), None),
-        (k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), None),
+        (k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), k + (G, G_R, nm)),
+        (k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), k + (G, G_R, nm)),
         (k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr), k + (G, G, nee, nm)),
         (k + (nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr), k + (G, G, nee, nm)),
     ]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from quadrica import Config, SquareRing, build_example, build_near_ring, cyclic, set_config
 
@@ -16,6 +19,21 @@ RING_SPECS = (
     [(kind, n, None) for kind in ("classical", "rnil", "lambda", "tensor", "sym") for n in (2, 3, 4)]
     + [("gamma", 2, 0), ("gamma", 2, 1), ("gamma", 3, 0), ("gamma", 4, 0), ("gamma", 4, 2)]
 )
+
+
+def pytest_configure(config):
+    """Hypothesis writes its cache of literals parsed from the local source
+    (``constants/``) under its home directory, ``.hypothesis`` in the
+    working directory by default, even with no example database, and its
+    pytest plugin does so while collecting, before any fixture runs.  Give
+    it a temporary home for the run, out of the checkout."""
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-home-")
+    set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.hypothesis_home.cleanup()
 
 
 @pytest.fixture(autouse=True)

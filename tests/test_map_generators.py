@@ -1,10 +1,15 @@
 """The generator route of the map deciders.
 
-``_bilinear_clauses`` gives the additivity and bracket-compatibility laws of
-d_f and f_[x] reduced forms over generators of the domain.  ``run_laws``
+``_bilinear_clauses`` gives every bilinearity law of d_f, of the f_[x] and
+of the polarizations of the f_(r) a reduced form: the additive argument of
+an additivity law, the pair (m, m') of a bracket law and the pair (m, r) of
+a scalar law run over generators of the domain and of R_e.  ``run_laws``
 and ``passing_candidates`` decide on them once every other law holds, so
 every single-map verdict (passed, failures, witnesses, ``checked``) and
-every batch mask must equal a plain sweep of the full laws.
+every batch mask must equal a plain sweep of the full laws.  The pinned
+forms below fail only off the generators, or only at elements that are
+not the first positions of a generating set, so a reduction that ran an
+argument over too few elements, or over positions, would pass them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ from quadrica import (
     Failure,
     FiniteGroup,
     MapTable,
+    NearRing,
+    SquareRing,
     build_example,
+    cyclic,
+    direct_product,
     enumerate_cp_quadratic,
     free_cp_pair,
     generators,
@@ -194,13 +203,16 @@ def test_free_pair_maps_keep_the_exhaustive_certificate(kind):
 
 
 def test_the_reduced_forms_sweep_fewer_cells_on_a_generated_carrier():
-    """On the Z/3 ``tensor`` free pair (9 elements, 2 generators) the bracket
-    laws of the definition route sweep generator pairs (m, m')."""
+    """On the Z/3 ``tensor`` free pair (9 elements, 2 generators, over R_e
+    of 9 elements with 2 generators) every bilinearity law of the
+    definition route sweeps fewer cells: the additive argument, the pair
+    (m, r) of a scalar law or the pair (m, m') of a bracket law runs over
+    generators."""
     pair = free_cp_pair(build_example("tensor", 3))
     tables = np.zeros((1, pair.nm), dtype=np.int64)
     laws = route_laws("cp", pair, pair, tables)["definition"]
     reduced = [(law[1], law[3]) for law in laws if len(law) == 4 and law[3] is not None]
-    assert len(reduced) == 8  # four per bilinear defect: d_f and the f_[x]
+    assert len(reduced) == 12  # six per bilinear defect: d_f and the f_[x]
     for dims, rdims in reduced:
         assert prod(len(d) if isinstance(d, tuple) else d for d in rdims) < prod(dims)
 
@@ -269,6 +281,109 @@ def test_the_same_forms_caught_off_positions_of_a_relabelled_generating_set():
         detail = "lhs=0 rhs=4" if form is phi else "lhs=1 rhs=0"
         assert run_laws(laws).failures == (Failure("phi", witness, detail),) * len(failing)
         assert_agrees(laws)
+
+
+def relabelled_tensor3() -> SquareRing:
+    """``tensor 3`` with R_e renumbered by e + 3u ↦ u + 3e, where e·ε + u·1
+    is the element of index e + 3u.  As built, G_R = (1, 3) is (ε, 1), so
+    its positions 0, 1 are 0 and ε; relabelled, G_R = (1, 3) is (1, ε), and
+    its positions are 0 and the unit, at which every scalar law holds."""
+    sr = build_example("tensor", 3)
+    i = np.arange(sr.re.order)
+    new = i // 3 + 3 * (i % 3)
+    old = np.argsort(new)
+    re_ = sr.re
+    group = FiniteGroup(new[re_.add[old][:, old]], new[re_.group.neg[old]])
+    ring = NearRing(group, new[re_.mul[old][:, old]], int(new[re_.one]), right_distributive=False)
+    return SquareRing(ring, sr.ree, sr.act[old][:, old][:, :, :, old], sr.h[old], new[sr.p], sr.t)
+
+
+TENSOR3 = {"as built": lambda: build_example("tensor", 3), "relabelled": relabelled_tensor3}
+
+
+def multiples(group: FiniteGroup) -> np.ndarray:
+    """[k, m] = k·m for k = 0, 1, 2."""
+    m = np.arange(group.order)
+    return np.stack([0 * m, m, group.add[m, m]])
+
+
+def unit_part(sr) -> np.ndarray:
+    """u(r) for every r = e·ε + u·1 of R_e over Z/3: the class of r modulo
+    P(R_ee) = {0, ε, 2ε}, read as a multiple of the unit."""
+    units = multiples(sr.re.group)[:, sr.one]
+    image = set(sr.im_p())
+    return np.array([next(k for k, c in enumerate(units) if int(sr.re.group.sub(r, c)) in image)
+                     for r in range(sr.re.order)])
+
+
+@pytest.mark.parametrize("ring", TENSOR3)
+def test_a_form_that_only_the_reduced_scalar_laws_catch(ring):
+    """φ(m,n) = u(m)·n on the Z/3 ``tensor`` free pair (R_e acting on
+    itself), u the unit part.  φ is biadditive.  φ(m·r, n) = u(m)u(r)·n and
+    φ(m,n)·r differ exactly when u(m), u(n) and the ε-part of r are all
+    nonzero, and φ(n, m·r), φ(n,m)·r differ at u(n) = 2 in the same way.
+    Without the bracket laws (the four clauses the factorization route
+    takes for d_f), only the reduced scalar laws catch φ.  Their failing
+    cells need m = 1 and r = ε.  As built, m = 1 is G[1] = 3, not the
+    position 1 = ε; relabelled, r = ε is G_R[1] = 3, not the position
+    1 = 1.  A reduced form that ran m or r over positions would pass."""
+    sr = TENSOR3[ring]()
+    pair = free_cp_pair(sr)
+    unit, eps = sr.one, int(sr.im_p()[1])
+    assert generators(pair.group) == generators(sr.re.group) == (1, 3)
+    assert sorted((unit, eps)) == [1, 3]
+    laws = bilinear_laws(multiples(pair.group)[unit_part(sr)], pair, pair)[:4]
+    for label, dims, law, reduced in laws[:2]:
+        assert run_laws([(label, dims, law)]).passed and run_laws([(label, reduced, law)]).passed
+    for label, dims, law, reduced in laws[2:]:
+        assert not run_laws([(label, dims, law)]).passed
+        caught = run_laws([(label, reduced, law)], all_witnesses=True).failures
+        assert caught and {f.witness[:2] for f in caught} == {(unit, eps)}
+    two, two_eps = int(sr.re.add[unit, unit]), int(sr.re.add[eps, eps])
+    assert run_laws(laws).failures == (
+        Failure("phi", (unit, eps, unit), f"lhs=0 rhs={eps}"),
+        Failure("phi", (unit, eps, two), f"lhs={two_eps} rhs={eps}"),
+    )
+    assert_agrees(laws)
+
+
+def eps_trivial_module(sr) -> BhpModule:
+    """(Z/3)² with the zero bracket over a Z/3 ``tensor`` ring, r acting as
+    multiplication by its unit part u(r): ε acts as 0, as MC3 demands of a
+    zero bracket."""
+    group = direct_product(cyclic(3), cyclic(3))
+    scal = multiples(group)[unit_part(sr)].T
+    return BhpModule(sr, group, scal, np.zeros((9, 9, sr.ree.order), dtype=np.int64))
+
+
+@pytest.mark.parametrize("ring", TENSOR3)
+@pytest.mark.parametrize("m0, off", [(4, "m"), (2, "r")])
+def test_scalar_laws_that_fail_only_off_the_generators_keep_the_full_witnesses(ring, m0, off):
+    """φ is 1 at (m0, m0) and 0 elsewhere, on the module of
+    ``eps_trivial_module``, where G = (1, 3).  Both scalar laws fail, only
+    where u(r) = 2, never at r ∈ G_R (ε and 1); at m0 = 4 = e1 + e2 also
+    only at m ∈ {4, 8}, never at m ∈ G, while at m0 = 2 = 2·e1 they fail
+    at the generator m = 1 (1·r = 2 for u(r) = 2).  Their reduced forms
+    hold.  φ is not additive, and the reduced additivity laws catch it; the
+    verdict is then that of the full sweeps, every failing scalar cell
+    included."""
+    sr = TENSOR3[ring]()
+    mod = eps_trivial_module(sr)
+    assert verify_bhp_module(mod).passed
+    G, G_R = generators(mod.group), generators(sr.re.group)
+    assert G == G_R == (1, 3)
+    phi = np.zeros((mod.nm, mod.nm), dtype=np.int64)
+    phi[m0, m0] = 1
+    laws = bilinear_laws(phi, mod, mod)
+    u = unit_part(sr)
+    for i, (label, dims, law, reduced) in enumerate(laws):
+        failing = run_laws([(label, dims, law)], all_witnesses=True).failures
+        assert run_laws([(label, reduced, law)]).passed == (i >= 2), i
+        if i in (2, 3):  # the scalar laws, witnesses (m, r, n)
+            cells = {f.witness[:2] for f in failing}
+            assert {u[r] for _, r in cells} == {2} and not {r for _, r in cells} & set(G_R)
+            assert ({m for m, _ in cells} & set(G) == set()) == (off == "m")
+    assert_agrees(laws)
 
 
 def test_a_route_that_rejects_one_leaf_is_an_internal_error(monkeypatch):

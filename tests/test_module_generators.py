@@ -1,8 +1,9 @@
 """The generator route of the module verifiers.
 
-``verify_bhp_module`` and ``verify_cp_module`` decide the first two clauses
-of MC5, MC6 and MC7 on generator tuples of the carrier once every other law
-holds, and sweep them in full otherwise.  Their verdicts must equal a plain
+``verify_bhp_module`` and ``verify_cp_module`` decide the additivity clause
+of MC1 on generators of R_e, the x-clause of MC5 on generators of R_ee, and
+the first two clauses of MC5, MC6 and MC7 on generator tuples of the
+carrier, once every other law holds, and sweep them in full otherwise.  Their verdicts must equal a plain
 exhaustive ``run_laws`` over every law: passed, each failure with its
 witness and detail, and ``checked``.
 """
@@ -226,6 +227,49 @@ def test_a_mutant_only_the_mc5_sweep_catches(pair):
     assert_agrees(mod)
 
 
+def mc5_x_only_module(*, pair: bool) -> BhpModule:
+    """(Z/3)³ over ``tensor 3`` with basis e1, e2, e3 (the element of index
+    a + 3b + 9c is a·e1 + b·e2 + c·e3).  r acts as multiplication by its
+    unit part u(r), the coordinate of 1 in r = e·ε + u·1 (index e + 3u);
+    [m,n]·x = ω(x)·det(m,n)·e3, with det(m,n) = m1·n2 − m2·n1 on the e1, e2
+    coordinates.  On R_ee = (Z/3)², x of index a + 3b, ω is 0 on the lines
+    of (1,0), (0,1) and (1,1), and ω(1,2) = 1, ω(2,1) = 2.  (r,s)·x·t is
+    u(r)u(s)u(t)·x on this ring, ω(T x) = −ω(x), ω(c·x) = c·ω(x) and ω
+    vanishes on the image of H, so every law holds but the x-clause of
+    MC5: ω is not additive, (1,0) + (1,1) = (2,1)."""
+    sr = build_example("tensor", 3)
+    m = np.arange(27)
+    c = np.stack([m % 3, m // 3 % 3, m // 9], axis=1)
+    place = np.array([1, 3, 9])
+    group = FiniteGroup((c[:, None] + c[None, :]) % 3 @ place, -c % 3 @ place)
+    unit_part = np.arange(sr.re.order) // 3
+    scal = c[:, None, :] * unit_part[None, :, None] % 3 @ place
+    det = (c[:, None, 0] * c[None, :, 1] - c[:, None, 1] * c[None, :, 0]) % 3
+    omega = np.zeros(sr.ree.order, dtype=np.int64)
+    omega[1 + 3 * 2], omega[2 + 3 * 1] = 1, 2
+    bracket = det[:, :, None] * omega % 3 * 9
+    if pair:
+        return CpModule(sr, group, scal, bracket, (0, 9, 18))
+    return BhpModule(sr, group, scal, bracket)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_a_module_that_fails_only_the_mc5_x_clause_off_the_generators(pair):
+    """Only the x-clause of MC5 fails, and its reduced form (y ∈ G_ee =
+    (1, 3)) catches it.  The first failing cell has the non-generator
+    y = 4 = (1,1): [e1,e2]·(2,1) = 2·e3, against ω(1,0) + ω(1,1) = 0.  The
+    verdict is the exhaustive one under both witness policies."""
+    mod = mc5_x_only_module(pair=pair)
+    assert generators(mod.sr.ree) == (1, 3) and generators(mod.group) == (1, 3, 9)
+    for label, dims, law, reduced in _module_laws(mod):
+        x_clause = (label, dims) == ("MC5", (27, 27, 9, 9))
+        assert holds(label, dims, law) != x_clause, label
+        if reduced is not None:
+            assert holds(label, reduced, law) != x_clause, label
+    assert verify(mod).failures == (Failure("MC5", (1, 3, 1, 4), "lhs=18 rhs=0"),)
+    assert_agrees(mod)
+
+
 def mc6_only_module(*, pair: bool, bit=(0, 1, 2, 3, 4, 5)) -> BhpModule:
     """A module over ``gamma 2`` on (Z/2)⁶ with basis e0..e5, e_i the bit
     ``bit[i]`` of an element.  The bracket at x = 1 is the symmetric
@@ -296,15 +340,28 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
     laws = _module_laws(hom)
     nm, ne, nee = hom.nm, hom.sr.re.order, hom.sr.ree.order
     ng = len(generators(hom.group))
+    ng_r, ng_ee = len(generators(hom.sr.re.group)), len(generators(hom.sr.ree))
     expected = [(label, sizes(dims)) for label, dims, _, r in laws if r is None]
-    expected += [("MC5", (nm, ng, nm, nee)), ("MC5", (nm, nm, ng, nee)),
+    expected += [("MC1", (nm, ne, ng_r)), ("MC5", (nm, ng, nm, nee)),
+                 ("MC5", (nm, nm, ng, nee)), ("MC5", (nm, nm, nee, ng_ee)),
                  ("MC6", (ng, ng, ne, ne, nee, ne))]
     seen = sweeps(monkeypatch, hom)
     assert sorted(seen) == sorted(expected)
     assert 2 * sum(prod(d) for _, d in seen) < sum(prod(d) for _, d in full_sweeps(hom))
-    # MC1 fails: every law once, in full, and no reduced form
-    candidate = next(m for m in census_structures() if exhaustive(m).failed_laws()[:1] == ("MC1",))
+    # MC1 fails in its second clause, which has no reduced form: every law
+    # once, in full, and no reduced form
+    mc1 = [m for m in census_structures() if exhaustive(m).failed_laws()[:1] == ("MC1",)]
+    candidate = next(m for m in mc1 if not holds(*_module_laws(m)[1][:3]))
     assert sorted(sweeps(monkeypatch, candidate)) == sorted(full_sweeps(candidate))
-    # the first reduced form fails: it, then every law once in full
+    # MC1 fails only in its additivity clause: the first reduced form fails,
+    # so it, then every law once in full
+    candidate = next(m for m in mc1 if holds(*_module_laws(m)[1][:3]))
+    nm, ne = candidate.nm, candidate.sr.re.order
+    ng_r = len(generators(candidate.sr.re.group))
+    assert sorted(sweeps(monkeypatch, candidate)) == sorted(full_sweeps(candidate)
+                                                            + [("MC1", (nm, ne, ng_r))])
+    # a later reduced form fails: the reduced forms up to it, then every law
+    # once in full
     mutant = mc5_only_mutant(pair=False)
-    assert sorted(sweeps(monkeypatch, mutant)) == sorted(full_sweeps(mutant) + [("MC5", (4, 2, 4, 2))])
+    assert sorted(sweeps(monkeypatch, mutant)) == sorted(full_sweeps(mutant)
+                                                         + [("MC1", (4, 2, 1)), ("MC5", (4, 2, 4, 2))])
