@@ -4,7 +4,8 @@ graded-algebra functors over the truncated operad.
 
 A module is a (possibly non-commutative) finite group M with a scalar action
 m·r and a bracket [m,n]·x indexed by R_ee.  A CP-module is a pair (M,A): the
-bracket kills A (MC7a) and lands in A (MC7b), and A is scalar-stable (MC0).
+bracket kills A (MC7a) and lands in A (MC7b), and A is a scalar-stable
+subgroup (MC0).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 MODULE_AXIOM_TEXT = {
-    "MC0": "A is stable under the action of R_e",
+    "MC0": "A is a subgroup (0 in A, A + A in A) stable under the action of R_e",
     "MC1": "m·1 = m;  (m·r)·s = m·(rs);  m·(r+s) = m·r + m·s",
     "MC2": "(m+n)·r = m·r + n·r + [m,n]·H(r)",
     "MC3": "m·P(x) = [m,m]·x",
@@ -248,8 +249,9 @@ def _cp_laws(mod: CpModule):
     sr = mod.sr
     nm, ne, nee = mod.nm, sr.re.order, sr.ree.order
     A, amask = mod.aset, mod.amask
-    scal, bracket = mod.scal, mod.bracket
+    add, scal, bracket = mod.group.add, mod.scal, mod.bracket
     return [
+        ("MC0", (A, A), lambda a, b: (amask[add[a, b]], np.ones_like(a + b)), None),
         ("MC0", (A, ne), lambda a, r: (amask[scal[a, r]], np.ones_like(a + r)), None),
         (
             "MC7a",
@@ -324,7 +326,8 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
 def verify_cp_module(mod: CpModule) -> Verdict:
     """MC0 + MC1–MC6 + MC7a/MC7b (MC7 is implied and not re-checked), with
     the same exhaustive verdict and generator reductions as
-    ``verify_bhp_module``."""
+    ``verify_bhp_module``.  MC0 makes A a subgroup: it holds 0 and
+    A + A ⊆ A, and −a, a multiple of a in a finite group, lies in A too."""
     verdict = run_laws(_module_laws(mod), all_witnesses=get_config().exhaustive_witnesses)
     if 0 not in mod.aset:
         verdict = verdict.merge(

@@ -190,11 +190,6 @@ RELATION_TEXT = {
 # defects
 
 
-def _require_commutative(mod: BhpModule) -> None:
-    if not is_commutative(mod.sr):
-        raise NonCommutativeRing("quadratic-map calculus requires a commutative square ring")
-
-
 def _scalar_stack(dom: BhpModule, cod: BhpModule, T: np.ndarray) -> np.ndarray:
     """scalar[q,r,m] = f_(r)(m) for the candidate f = T[q]."""
     return cod.group.sub(T[:, dom.scal.T], cod.scal[T].transpose(0, 2, 1))
@@ -217,16 +212,20 @@ def _first(stacks: DefectBundle) -> DefectBundle:
     return DefectBundle(d=stacks.d[0], scalar=stacks.scalar[0], bracket=stacks.bracket[0])
 
 
-def _checked_map(f: MapTable) -> None:
-    """The preconditions of every decision about f."""
-    ensure_module_verified(f.dom)
-    ensure_module_verified(f.cod)
-    _require_commutative(f.dom)
+def _checked_pair(dom: BhpModule, cod: BhpModule) -> None:
+    """The preconditions of every decision about maps dom → cod: one square
+    ring, commutative, under two verified modules."""
+    if dom.sr != cod.sr:
+        raise PreconditionUnmet("domain and codomain live over different square rings")
+    ensure_module_verified(dom)
+    ensure_module_verified(cod)
+    if not is_commutative(dom.sr):
+        raise NonCommutativeRing("quadratic-map calculus requires a commutative square ring")
 
 
 def _one_map(f: MapTable) -> tuple[np.ndarray, DefectBundle]:
     """The stack of the single map f and its defect stacks."""
-    _checked_map(f)
+    _checked_pair(f.dom, f.cod)
     T = f.table[None]
     return T, _defect_stacks(f.dom, f.cod, T)
 
@@ -234,7 +233,7 @@ def _one_map(f: MapTable) -> tuple[np.ndarray, DefectBundle]:
 def _map_stack(f: MapTable) -> np.ndarray:
     """The stack [f; f_(0); …; f_(ne−1)] of f over its scalar defects: the
     candidates of one decision (see ``_decide``)."""
-    _checked_map(f)
+    _checked_pair(f.dom, f.cod)
     T = f.table[None]
     return np.concatenate([T, _scalar_stack(f.dom, f.cod, T)[0]])
 
@@ -954,94 +953,67 @@ def compose_quadratic(g: QuadCertificate, f: QuadCertificate) -> QuadCertificate
 # enumeration and the Hom module
 
 
-def _cp_constraint_schedule(ma: CpModule, nb: CpModule):
-    """Constraints checkable as soon as their highest-indexed argument is
-    assigned, used for depth-first pruning.  Everything here is a necessary
-    condition (membership in B, vanishing on A) of the defining clauses."""
-    nm, ne, nee = ma.nm, ma.sr.re.order, ma.sr.ree.order
-    pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(nm)]
-    scals: list[list[tuple[int, int, int]]] = [[] for _ in range(nm)]
-    bracks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nm)]
-    for i in range(nm):
-        for j in range(nm):
-            s = int(ma.group.add[i, j])
-            pairs[max(i, j, s)].append((i, j, s))
-        for r in range(ne):
-            j = int(ma.scal[i, r])
-            scals[max(i, j)].append((i, r, j))
-        for j in range(nm):
-            for x in range(nee):
-                b = int(ma.bracket[i, j, x])
-                bracks[max(i, j, b)].append((i, j, x, b))
-    return pairs, scals, bracks
+def _search_cells(ma: CpModule, nb: CpModule) -> list[tuple]:
+    """The membership-in-B and vanishing-on-A clauses of d_f, the f_(r) and
+    the f_[x], one family each, as cells (out, left, right, p): the defect
+    f(out) − E[f(left), f(right), p] lies in B, and is 0 when left or right
+    lies in A.  Per family: the cells' highest index, then the law body."""
+    add, scal, br, amask = ma.group.add, ma.scal, ma.bracket, ma.amask
+    m, m2 = np.indices(add.shape).reshape(2, -1)
+    ms, r = np.indices(scal.shape).reshape(2, -1)
+    mb, mb2, x = np.indices(br.shape).reshape(3, -1)
+    nscal = np.broadcast_to(nb.scal[:, None, :], (nb.nm, *nb.scal.shape))
+    allowed = np.stack([nb.amask, np.arange(nb.nm) == 0])
+    return [(np.maximum.reduce([out, left, right]),
+             partial(_cell_law, nb.group.sub, allowed, E, out, left, right, p,
+                     amask[left] | amask[right]))
+            for out, left, right, p, E in ((add[m, m2], m, m2, 0 * m, nb.group.add[:, :, None]),
+                                           (scal[ms, r], ms, ms, r, nscal),
+                                           (br[mb, mb2, x], mb, mb2, x, nb.bracket))]
+
+
+def _cell_law(sub, allowed, E, out, left, right, p, touch, T, q, c):
+    """The clause of the cells c on the partial tables T[q]."""
+    defect = sub(T[q, out[c]], E[T[q, left[c]], T[q, right[c]], p[c]])
+    return allowed[touch[c], defect], 1
 
 
 def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> list[MapTable]:
     """All quadratic pair maps (M,A) → (N,B), in lexicographic table order.
 
-    The search is depth-first over tables with f(0) = 0, rejecting a
-    partial table as soon as a membership or vanishing clause fails on the
-    entries assigned so far.  It raises ``SearchSpaceTooLarge`` once it has
-    visited more than ``limit`` partial tables.  The leaves then go through
-    every route as one stack, with one defect build and the clauses that
-    routes share swept once (``_Clauses``, ``verdict.Sweeps``); a route
-    whose mask differs from the definition's raises ``ConsistencyError``.
-    The induced graded maps of the accepted tables are verified linear as
-    one stack."""
-    if ma.sr != nb.sr:
-        raise PreconditionUnmet("domain and codomain live over different square rings")
-    ensure_module_verified(ma)
-    ensure_module_verified(nb)
-    _require_commutative(ma)
-    nm, ncod = ma.nm, nb.nm
-    pairs, scals, bracks = _cp_constraint_schedule(ma, nb)
-    # the search reads single entries: Python lists index faster than arrays
-    amask, bmask = ma.amask.tolist(), nb.amask.tolist()
-    sub = nb.group.add[:, nb.group.neg].tolist()  # sub[a][b] = a − b
-    nscal, nbr = nb.scal.tolist(), nb.bracket.tolist()
-    F = [0] * nm
-    found: list[list[int]] = []
-    nodes = 0
+    The search runs level by level over partial tables with f(0) = 0.
+    Level k is one stack of every partial table f(0), …, f(k) that passes
+    each membership and vanishing clause (``_search_cells``) whose highest
+    argument is at most k.  Level k+1 repeats each row of level k once per
+    value of N, in value order, sets f(k+1), and keeps the rows that pass
+    the clauses whose highest argument is k+1, each family swept as one
+    law over the index set of its cells (``passing_candidates`` blocks the
+    sweep and drops failing rows family by family).  Children follow
+    their parents, in value order, so every level, the leaves included,
+    is in lexicographic order with no sort.  The partial tables built are
+    the nodes of a depth-first search that prunes on the same clauses:
+    the root, then |N| children of every partial table kept.  So
+    ``limit`` bounds that count, and ``SearchSpaceTooLarge`` is raised
+    before a level that would take it past ``limit`` is built.
 
-    def ok_at(k: int) -> bool:
-        for i, j, s in pairs[k]:
-            dv = sub[sub[F[s]][F[j]]][F[i]]
-            if not bmask[dv]:
-                return False
-            if (amask[i] or amask[j]) and dv != 0:
-                return False
-        for i, r, j in scals[k]:
-            sv = sub[F[j]][nscal[F[i]][r]]
-            if not bmask[sv]:
-                return False
-            if amask[i] and sv != 0:
-                return False
-        for i, j, x, b in bracks[k]:
-            bv = sub[F[b]][nbr[F[i]][F[j]][x]]
-            if not bmask[bv]:
-                return False
-            if (amask[i] or amask[j]) and bv != 0:
-                return False
-        return True
-
-    def visit(k: int) -> None:
-        """The node F[0..k]: checked, then extended if it passes."""
-        nonlocal nodes
-        nodes += 1
+    The leaves then go through every route as one stack, with one defect
+    build and the clauses that routes share swept once (``_Clauses``,
+    ``verdict.Sweeps``); a route whose mask differs from the definition's
+    raises ``ConsistencyError``.  The induced graded maps of the accepted
+    tables are verified linear as one stack."""
+    _checked_pair(ma, nb)
+    cells = _search_cells(ma, nb)
+    tables, nodes = np.zeros((1, 0), dtype=np.int64), 0
+    for k in range(ma.nm):
+        values = np.arange(nb.nm if k else 1)  # f(0) = 0
+        nodes += len(tables) * len(values)
         if nodes > limit:
             raise SearchSpaceTooLarge(limit)
-        if not ok_at(k):
-            return
-        if k + 1 == nm:
-            found.append(F.copy())
-            return
-        for v in range(ncod):
-            F[k + 1] = v
-            visit(k + 1)
-        F[k + 1] = 0
-
-    visit(0)
-    tables = np.array(found, dtype=np.int64)  # the zero map passes every check
+        tables = np.column_stack([np.repeat(tables, len(values), axis=0),
+                                  np.tile(values, len(tables))])
+        laws = [("search", (tuple(np.flatnonzero(hi == k).tolist()),), partial(law, tables))
+                for hi, law in cells]
+        tables = tables[passing_candidates(laws, len(tables))]
     c = _Clauses(ma, nb, tables, _defect_stacks(ma, nb, tables))
     sweeps = Sweeps(len(tables))
     masks = {route: passing_candidates(build(c), len(tables), sweeps=sweeps)
@@ -1067,9 +1039,7 @@ def enumerate_cp_quadratic(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -
 def _batch(dom: BhpModule, cod: BhpModule, tables, routes: dict, route: str) -> np.ndarray:
     if route not in routes:
         raise PreconditionUnmet(f"unknown route {route!r}")
-    ensure_module_verified(dom)
-    ensure_module_verified(cod)
-    _require_commutative(dom)
+    _checked_pair(dom, cod)
     T = np.ascontiguousarray(tables, dtype=np.int64)
     if T.ndim != 2 or T.shape[1] != dom.nm:
         raise PreconditionUnmet(f"tables must be (K, {dom.nm})")

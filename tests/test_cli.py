@@ -17,13 +17,17 @@ from hypothesis import strategies as st
 from quadrica import (
     Config,
     CpModule,
+    Failure,
     MapTable,
     build_example,
+    cyclic,
+    direct_product,
     dumps,
     free_cp_pair,
     get_config,
     regular_module,
     to_doc,
+    verify_cp_module,
 )
 from quadrica.cli import main
 from quadrica.serialize import KINDS
@@ -79,6 +83,23 @@ def test_verify_prints_witnesses_that_name_elements_of_a(tmp_path, capsys):
         "  FAIL MC0 at (2, 1): lhs=0 rhs=1",
         "  FAIL MC7a at (2, 2, 1): lhs=1 rhs=0",
     ]
+
+
+def test_a_distinguished_part_that_is_no_subgroup_fails_verification(tmp_path, capsys):
+    """Over ``lambda 2``, the zero-bracket module (Z/2)² with m·1 = m and
+    A = {0, 1, 2} satisfies every other law of a pair module, but 1 + 2 = 3
+    leaves A.  MC0 names that sum, and every command that loads the pair
+    refuses it with exit 1."""
+    sr = build_example("lambda", 2)
+    scal = np.zeros((4, sr.re.order), dtype=np.int64)
+    scal[:, int(sr.re.one)] = np.arange(4)
+    pair = CpModule(sr, direct_product(cyclic(2), cyclic(2)), scal,
+                    np.zeros((4, 4, sr.ree.order), dtype=np.int64), (0, 1, 2))
+    assert verify_cp_module(pair).failures == (Failure("MC0", (1, 2), "lhs=0 rhs=1"),)
+    path = write_doc(tmp_path, "nonsubgroup.pair", pair)
+    for argv in (["verify", path], ["gr", path], ["enum", path, path], ["hom", path, path]):
+        assert main(argv) == 1, argv
+        assert "MC0 at (1, 2)" in "".join(capsys.readouterr())
 
 
 def test_quad_accepts_the_boolean_square(tmp_path, capsys):
@@ -422,7 +443,8 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzz_seeds, data):
     for _ in range(data.draw(st.integers(1, 3))):
         doc = _mutate(data, doc, seeds)
     path.write_text(json.dumps(doc))
-    for command in ("verify", "quad"):
+    for argv in (["verify", path], ["quad", path], ["gr", path],
+                 ["enum", path, path, "--limit", "10000"]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(path)])
-        assert code in range(5), (command, code)
+            code = main([str(a) for a in argv])
+        assert code in range(5), (argv[0], code)

@@ -21,7 +21,13 @@ from quadrica import (
     set_config,
     verify_cp_module,
 )
-from quadrica.errors import CapExceeded, CertificateInvalid, ConsistencyError, PreconditionUnmet
+from quadrica.errors import (
+    CapExceeded,
+    CertificateInvalid,
+    ConsistencyError,
+    PreconditionUnmet,
+    SearchSpaceTooLarge,
+)
 from quadrica.quadratic import _row_ranks
 
 
@@ -160,10 +166,34 @@ def test_hom_respects_the_group_cap():
         hom_module(sym2_pair(), sym2_pair())
 
 
+@pytest.mark.parametrize("kind", ["sym", "gamma", "tensor"])
+def test_the_z3_free_pair_search_visits_2251_partial_tables(kind):
+    """The search for the 81 quadratic self-maps of a Z/3 free pair visits
+    exactly 2,251 partial tables: a limit of 2,251 lets it finish, one less
+    stops it."""
+    pair = free_cp_pair(build_example(kind, 3))
+    assert len(quadratic.enumerate_cp_quadratic(pair, pair, limit=2_251)) == 81
+    with pytest.raises(SearchSpaceTooLarge, match="^search visited more than 2250 nodes$"):
+        quadratic.enumerate_cp_quadratic(pair, pair, limit=2_250)
+
+
+@pytest.mark.parametrize("kind,nodes,maps", [
+    ("sym", 70_033, 128), ("gamma", 118_417, 64), ("tensor", 70_033, 128),
+])
+def test_the_z4_free_pair_search_visits_a_pinned_node_count(kind, nodes, maps):
+    pair = free_cp_pair(build_example(kind, 4))
+    assert len(quadratic.enumerate_cp_quadratic(pair, pair, limit=nodes)) == maps
+    with pytest.raises(SearchSpaceTooLarge, match=f"^search visited more than {nodes - 1} nodes$"):
+        quadratic.enumerate_cp_quadratic(pair, pair, limit=nodes - 1)
+
+
 def test_pairs_over_different_square_rings_are_refused_before_the_search():
     classical = free_cp_pair(build_example("classical", 2))
     for dom, cod in ((classical, sym2_pair()), (sym2_pair(), classical)):
-        for build in (quadratic.enumerate_cp_quadratic, hom_module):
+        tables = np.zeros((1, dom.nm), dtype=np.int64)
+        for build in (quadratic.enumerate_cp_quadratic, hom_module,
+                      lambda d, c: quadratic.batch_cp_quadratic(d, c, tables),
+                      lambda d, c: quadratic.batch_bhp_quadratic(d.base, c.base, tables)):
             with pytest.raises(PreconditionUnmet, match="^domain and codomain live over "
                                                         "different square rings$"):
                 build(dom, cod)

@@ -382,13 +382,20 @@ def test_noncommutative_base_is_rejected():
 
 
 def test_enumerate_matches_the_batch_census():
-    pair = free_cp_pair(build_example("sym", 2))
-    found = enumerate_cp_quadratic(pair, pair)
-    assert len(found) == 8
-    tables = all_tables(4, 4)
-    mask = batch_cp_quadratic(pair, pair, tables, route="definition")
-    expected = [tuple(map(int, t)) for t, ok in zip(tables, mask) if ok]
-    assert [tuple(map(int, f.table)) for f in found] == sorted(expected)
+    """On every ordered pair of the 19 n = 2 census pair modules (8 over
+    ``rnil 2``, 11 over ``sym 2``), the enumerator's tables are, in order,
+    the rows of ``all_tables`` that ``batch_cp_quadratic`` accepts."""
+    blocks = maps = 0
+    for kind in ("rnil", "sym"):
+        pairs = [p for m in module_census(build_example(kind, 2)) for p in pair_census(m)]
+        for dom in pairs:
+            for cod in pairs:
+                found = np.array([f.table for f in enumerate_cp_quadratic(dom, cod)])
+                tables = all_tables(dom.nm, cod.nm)
+                assert np.array_equal(found, tables[batch_cp_quadratic(dom, cod, tables)])
+                blocks += 1
+                maps += len(found)
+    assert (blocks, maps) == (185, 1_276)
 
 
 def test_enumerate_respects_the_limit():
