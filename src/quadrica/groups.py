@@ -13,7 +13,7 @@ from typing import Callable, FrozenSet, Iterable, Sequence
 import numpy as np
 
 from .config import check_cap, get_config
-from .errors import NotAGroup, NotNormal
+from .errors import NotAGroup, NotNormal, PreconditionUnmet
 from .verdict import run_laws
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "direct_product",
     "dihedral",
     "closed_sets_between",
+    "representatives",
 ]
 
 
@@ -124,39 +125,35 @@ class FiniteGroup:
         return s == self.subgroup_closure(s)
 
     def is_normal(self, members: Iterable[int]) -> bool:
-        s = set(int(m) for m in members)
-        return all(
-            int(self.add[self.add[g, m], self.neg[g]]) in s
-            for g in range(self.order)
-            for m in s
-        )
+        return self._conjugation_witness(members) is None
+
+    def _conjugation_witness(self, s: Iterable[int]) -> tuple[int, int] | None:
+        """The first (g, m), g over the carrier and then m over ``s``, whose
+        conjugate g + m − g leaves ``s``; None if ``s`` is normal."""
+        m = _elements(self.order, s)
+        mask = np.zeros(self.order, dtype=bool)
+        mask[m] = True
+        g = np.arange(self.order)[:, None]
+        escapes = ~mask[self.add[self.add[g, m], self.neg[g]]]
+        if not escapes.any():
+            return None
+        i, j = np.argwhere(escapes)[0]
+        return int(i), int(m[j])
 
     def quotient(self, members: Iterable[int]) -> tuple["FiniteGroup", np.ndarray]:
-        """Quotient by a normal subgroup; returns (Q, projection table)."""
+        """Quotient by a normal subgroup; returns (Q, projection table).  Each
+        element is labelled by the least element of its coset, and classes
+        are numbered in the order of those least elements (see
+        ``representatives``)."""
         s = tuple(sorted(int(m) for m in members))
         if s != self.subgroup_closure(s):
             raise NotNormal(f"{s} is not a subgroup")
-        if not self.is_normal(s):
-            bad = next(
-                (g, m)
-                for g in range(self.order)
-                for m in s
-                if int(self.add[self.add[g, m], self.neg[g]]) not in set(s)
-            )
+        bad = self._conjugation_witness(s)
+        if bad is not None:
             raise NotNormal(f"subgroup not normal, conjugation witness {bad}")
-        proj = np.full(self.order, -1, dtype=np.int64)
-        reps: list[int] = []
-        for a in range(self.order):
-            if proj[a] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(a)
-            for m in s:
-                proj[int(self.add[a, m])] = idx
-        k = len(reps)
-        rep_arr = np.array(reps, dtype=np.int64)
-        qadd = proj[self.add[np.ix_(rep_arr, rep_arr)]]
-        qneg = proj[self.neg[rep_arr]]
+        reps, proj = np.unique(self.add[:, s].min(axis=1), return_inverse=True)
+        qadd = proj[self.add[np.ix_(reps, reps)]]
+        qneg = proj[self.neg[reps]]
         return FiniteGroup(qadd, qneg), proj
 
     def __eq__(self, other) -> bool:
@@ -171,19 +168,48 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _closure(add: np.ndarray, seed: Iterable[int], members: np.ndarray | None = None):
+def _closure(add: np.ndarray, seed: Iterable[int], members: np.ndarray | None = None, *,
+             scal: np.ndarray | None = None, bracket: np.ndarray | None = None) -> np.ndarray:
     """The least set that contains 0, ``seed`` and ``members`` (None, or a
     mask) and is closed under the table ``add``, as a mask: each round adds
-    every sum of two members, until no sum is new."""
+    every sum of two members, until no sum is new.  With ``scal`` (|M|×|R_e|)
+    the set is also closed under the scalar action, and with ``bracket``
+    (|M|×|M|×|R_ee|) under brackets of two members: a round then adds their
+    images too, until no image is new.  This is the one closure of the package: subgroups, ideals,
+    scalar-stable subgroups and submodules are all computed here.
+
+    Raises PreconditionUnmet when ``seed`` names an element outside the
+    carrier (see ``_elements``)."""
+    seed = _elements(len(add), seed)
     mask = np.zeros(len(add), dtype=bool) if members is None else members.copy()
     mask[0] = True
-    mask[np.fromiter(seed, dtype=np.int64)] = True
+    mask[seed] = True
     while True:
         idx = mask.nonzero()[0]
-        sums = add[idx[:, None], idx]
-        if mask[sums].all():
+        mask[add[idx[:, None], idx]] = True
+        if scal is not None:
+            mask[scal[idx]] = True
+        if bracket is not None:
+            mask[bracket[idx[:, None], idx]] = True
+        if np.count_nonzero(mask) == len(idx):
             return mask
-        mask[sums] = True
+
+
+def _elements(order: int, members: Iterable[int]) -> np.ndarray:
+    """``members`` as an int64 array, refused with PreconditionUnmet if one
+    lies outside the carrier 0..order−1 (numpy would wrap −1 to order−1)."""
+    out = np.fromiter(members, dtype=np.int64)
+    outside = out[(out < 0) | (out >= order)]
+    if outside.size:
+        raise PreconditionUnmet(f"element {int(outside[0])} is outside the carrier 0..{order - 1}")
+    return out
+
+
+def representatives(proj: np.ndarray) -> np.ndarray:
+    """The least element of each class of the projection ``proj``, in class
+    order.  For ``FiniteGroup.quotient`` these are in increasing order,
+    since it numbers classes by their least element."""
+    return np.unique(proj, return_index=True)[1]
 
 
 def _generating_set(add: np.ndarray) -> tuple[int, ...]:

@@ -16,7 +16,14 @@ import numpy as np
 
 from .config import check_cap, get_config
 from .errors import ConsistencyError, NotNormal, PreconditionUnmet
-from .groups import FiniteGroup, _frozen_table, closed_sets_between, generators
+from .groups import (
+    FiniteGroup,
+    _closure,
+    _frozen_table,
+    closed_sets_between,
+    generators,
+    representatives,
+)
 from .squarering import OperadTrunc2, SquareRing, cokernel_p, ensure_verified, operad_of
 from .verdict import Failure, Verdict, law_failures, run_laws
 
@@ -405,45 +412,23 @@ def elementary_properties(mod: BhpModule) -> Verdict:
 # submodules, centers, quotients
 
 
-def _submodule_closure(mod: BhpModule, seed) -> frozenset[int]:
-    members = {0} | {int(s) for s in seed}
-    frontier = list(members)
-    g = mod.group
-    while frontier:
-        a = frontier.pop()
-        new = set()
-        new.update(int(v) for v in mod.scal[a])
-        new.add(int(g.neg[a]))
-        for b in members:
-            new.add(int(g.add[a, b]))
-            new.add(int(g.add[b, a]))
-            new.update(int(v) for v in mod.bracket[a, b])
-            new.update(int(v) for v in mod.bracket[b, a])
-        fresh = new - members
-        members |= fresh
-        frontier.extend(fresh)
-    return frozenset(members)
-
-
 def generated_submodule(mod: BhpModule, seed) -> tuple[int, ...]:
-    """Least sub-BHP-module containing seed (fixed point under add, neg,
-    scal and bracket).  Cross-checked against the additive normal form:
-    sums of generator multiples e·r and generator brackets [e,e']·x."""
+    """Least sub-BHP-module containing seed: its closure under +, scal and
+    bracket (``groups._closure``).  Cross-checked against the additive normal
+    form: sums of generator multiples e·r and generator brackets [e,e']·x."""
     ensure_module_verified(mod)
-    closure = _submodule_closure(mod, seed)
-    seeds = sorted({int(s) for s in seed})
-    atoms: set[int] = set()
-    for e in seeds:
-        atoms.update(int(v) for v in mod.scal[e])
-        for e2 in seeds:
-            atoms.update(int(v) for v in mod.bracket[e, e2])
-    normal_form = set(mod.group.subgroup_closure(atoms))
-    if normal_form != set(closure):
+    seeds = np.unique(np.fromiter(seed, dtype=np.int64))
+    closure = np.flatnonzero(
+        _closure(mod.group.add, seeds, scal=mod.scal, bracket=mod.bracket)
+    ).tolist()
+    atoms = np.concatenate([mod.scal[seeds].ravel(), mod.bracket[np.ix_(seeds, seeds)].ravel()])
+    normal_form = list(mod.group.subgroup_closure(atoms))
+    if normal_form != closure:
         raise ConsistencyError(
             "generated submodule disagrees with its additive normal form: "
-            f"closure {sorted(closure)} vs {sorted(normal_form)}"
+            f"closure {closure} vs {normal_form}"
         )
-    return tuple(sorted(closure))
+    return tuple(closure)
 
 
 def r_center(mod: BhpModule) -> tuple[int, ...]:
@@ -480,33 +465,27 @@ def _assert_chain(mod: BhpModule, derived=None, z=None) -> None:
         )
 
 
-def _check_normal_submodule(mod: BhpModule, members) -> tuple[int, ...]:
-    s = tuple(sorted({int(m) for m in members}))
-    sset = set(s)
-    if tuple(mod.group.subgroup_closure(s)) != s:
-        raise NotNormal(f"{s} is not a subgroup")
-    if not mod.group.is_normal(s):
-        raise NotNormal(f"{s} is not normal in the carrier group")
-    for a in s:
-        for r in range(mod.sr.re.order):
-            if int(mod.scal[a, r]) not in sset:
-                raise NotNormal(f"not scalar-stable: {a}·{r} = {int(mod.scal[a, r])}")
-    for n in s:
-        for m in range(mod.nm):
-            for x in range(mod.sr.ree.order):
-                if int(mod.bracket[m, n, x]) not in sset or int(mod.bracket[n, m, x]) not in sset:
-                    raise NotNormal(f"bracket escapes: [{m},{n}]·{x}")
-    return s
-
-
 def quotient_bhp(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
     """Quotient by a normal sub-BHP-module; induced tables re-checked for
-    well-definedness and the result re-verified."""
+    well-definedness and the result re-verified.  ``FiniteGroup.quotient``
+    refuses a set that is not a normal subgroup; a subgroup whose scalar
+    multiples or brackets with the carrier leave it is refused here, naming
+    the first such a·r, then the first [m,n]·x over n in it, m and x."""
     ensure_module_verified(mod)
-    s = _check_normal_submodule(mod, members)
+    s = tuple(sorted({int(m) for m in members}))
     group_q, proj = mod.group.quotient(s)
-    k = group_q.order
-    reps = np.array([int(np.flatnonzero(proj == i)[0]) for i in range(k)], dtype=np.int64)
+    sub = np.array(s, dtype=np.int64)
+    inside = np.zeros(mod.nm, dtype=bool)
+    inside[sub] = True
+    escapes = np.argwhere(~inside[mod.scal[sub]])
+    if escapes.size:
+        a, r = int(sub[escapes[0, 0]]), int(escapes[0, 1])
+        raise NotNormal(f"not scalar-stable: {a}·{r} = {int(mod.scal[a, r])}")
+    escapes = np.argwhere(~inside[mod.bracket[:, sub].transpose(1, 0, 2)] | ~inside[mod.bracket[sub]])
+    if escapes.size:
+        j, m, x = escapes[0]
+        raise NotNormal(f"bracket escapes: [{m},{sub[j]}]·{x}")
+    reps = representatives(proj)
     scal_q = proj[mod.scal[reps]]
     bracket_q = proj[mod.bracket[np.ix_(reps, reps, np.arange(mod.sr.ree.order))]]
     for label, dims, law in (
@@ -534,8 +513,8 @@ def quotient_bhp(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
 
 
 def quotient_cp(mod: CpModule, members) -> tuple[CpModule, np.ndarray]:
-    """Quotient of (M,A) by a normal submodule N, with B = N ∩ A; the
-    quotient pair is (M/N, image of A)."""
+    """Quotient of (M,A) by a normal submodule N: the pair (M/N, B) with B
+    the image of A in M/N."""
     base_q, proj = quotient_bhp(mod, members)
     aset_q = sorted({int(proj[a]) for a in mod.aset})
     out = CpModule(mod.sr, base_q.group, base_q.scal, base_q.bracket, aset_q)
@@ -551,7 +530,7 @@ def submodule_module(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
     """A submodule as a module in its own right; returns (module, embedding)."""
     ensure_module_verified(mod)
     s = tuple(sorted({int(m) for m in members}))
-    if frozenset(s) != _submodule_closure(mod, s):
+    if s != generated_submodule(mod, s):
         raise PreconditionUnmet(f"{s} is not a submodule")
     embed = np.array(s, dtype=np.int64)
     index = np.full(mod.nm, -1, dtype=np.int64)
@@ -577,15 +556,7 @@ def admissible_intermediates(mod: BhpModule, *, max_order: int = 16) -> list[tup
     upper = r_center(mod)
 
     def closure(seed: frozenset[int]) -> frozenset[int]:
-        members = set(mod.group.subgroup_closure(seed))
-        while True:
-            grown = set(members)
-            for a in members:
-                grown.update(int(v) for v in mod.scal[a])
-            grown = set(mod.group.subgroup_closure(grown))
-            if grown == members:
-                return frozenset(members)
-            members = grown
+        return frozenset(np.flatnonzero(_closure(mod.group.add, seed, scal=mod.scal)).tolist())
 
     out = closed_sets_between(closure, lower, upper)
     for aset in out:
@@ -621,6 +592,7 @@ class GradedAlgebra2:
     deg2: BarModule
     pairing: np.ndarray  # (k1, k1, |R_ee|) -> deg2 index
     proj1: np.ndarray  # M -> deg1 index
+    reps1: np.ndarray  # deg1 index -> least element of its coset
     embed2: np.ndarray  # deg2 index -> M element
 
 
@@ -659,9 +631,8 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
 
     group1, proj1 = pair.group.quotient(pair.aset)
     k1 = group1.order
-    reps1 = np.array([int(np.flatnonzero(proj1 == i)[0]) for i in range(k1)], dtype=np.int64)
-    kbar = bar.order
-    breps = np.array([int(np.flatnonzero(bar.proj == i)[0]) for i in range(kbar)], dtype=np.int64)
+    reps1 = representatives(proj1)
+    kbar, breps = bar.order, bar.reps
 
     scal1 = proj1[pair.scal[np.ix_(reps1, breps)]]
     bad = law_failures(
@@ -729,10 +700,11 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
     if not verdict.passed:
         first = verdict.failures[0]
         raise ConsistencyError(f"graded structure violates {first.law} at {first.witness}")
-    for table in (scal1, scal2, pairing, proj1, embed2):
+    for table in (scal1, scal2, pairing, proj1, reps1, embed2):
         table.flags.writeable = False  # shared by every caller of the cache
     return GradedAlgebra2(
-        operad=operad, deg1=deg1, deg2=deg2, pairing=pairing, proj1=proj1, embed2=embed2
+        operad=operad, deg1=deg1, deg2=deg2, pairing=pairing, proj1=proj1, reps1=reps1,
+        embed2=embed2,
     )
 
 
@@ -808,8 +780,7 @@ def rbar_regular_module(sr: SquareRing) -> BhpModule:
     """R̄ = R_e/im P as a zero-bracket module (scal through the projection)."""
     bar = cokernel_p(sr)
     k = bar.order
-    reps = np.array([int(np.flatnonzero(bar.proj == i)[0]) for i in range(k)], dtype=np.int64)
-    scal = bar.proj[sr.re.mul[np.ix_(reps, np.arange(sr.re.order))]]
+    scal = bar.proj[sr.re.mul[bar.reps]]
     bracket = np.zeros((k, k, sr.ree.order), dtype=np.int64)
     mod = BhpModule(sr, bar.ring.group, scal, bracket)
     _require_pass(verify_bhp_module(mod), "R̄ module")

@@ -799,11 +799,7 @@ def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarra
     candidate that fails raises ConsistencyError, named as a check of that
     one map would: fbar well defined, f2 into B, then linearity."""
     gdom, gcod = gr(dom), gr(cod)
-    reps = np.array(
-        [int(np.flatnonzero(gdom.proj1 == c)[0]) for c in range(gdom.deg1.order)],
-        dtype=np.int64,
-    )
-    fbar = gcod.proj1[T[:, reps]]
+    fbar = gcod.proj1[T[:, gdom.reps1]]
     index_b = np.full(cod.nm, -1, dtype=np.int64)
     index_b[gcod.embed2] = np.arange(len(gcod.embed2))
     f2 = index_b[T[:, gdom.embed2]]  # -1 where T[q] leaves B on A
@@ -866,7 +862,8 @@ def three_defects_check(f: MapTable) -> Verdict:
     specialization d_{f_(2)}(m,m') = d_f(m,m') + d_f(m',m).  Requires the
     centrality and bilinearity clauses to hold first."""
     T, stacks = _one_map(f)
-    gate = run_laws(_single(_central_bilinear_laws(_Clauses(f.dom, f.cod, T, stacks))))
+    c = _Clauses(f.dom, f.cod, T, stacks)
+    gate = run_laws(_single(_central_bilinear_laws(c)))
     if not gate.passed:
         first = gate.failures[0]
         raise PreconditionUnmet(
@@ -876,28 +873,25 @@ def three_defects_check(f: MapTable) -> Verdict:
     bundle = _first(stacks)
     dom, cod = f.dom, f.cod
     nm, ne = dom.nm, dom.sr.re.order
-    madd = dom.group.add
-    nadd, nsub, nscal = cod.group.add, cod.group.sub, cod.scal
-    d, scalar, bracket = bundle.d, bundle.scalar, bundle.bracket
+    nadd, nscal = cod.group.add, cod.scal
+    d, bracket = bundle.d, bundle.bracket
+    d_fr = c.get(_polarization)[0]  # d_{f_(r)}(m,m') at [r, m, m']
     h, mul, rsub = dom.sr.h, dom.sr.re.mul, dom.sr.re.group.sub
     two = dom.sr.two
-
-    def d_fr(r, m, m2):
-        return nsub(nsub(scalar[r, madd[m, m2]], scalar[r, m2]), scalar[r, m])
 
     laws = [
         (
             "three-defects",
             (ne, nm, nm),
             lambda r, m, m2: (
-                d_fr(r, m, m2),
+                d_fr[r, m, m2],
                 nadd[bracket[h[r], m, m2], nscal[d[m, m2], rsub(mul[r, r], r)]],
             ),
         ),
         (
             "three-defects-r2",
             (nm, nm),
-            lambda m, m2: (d_fr(two + np.zeros_like(m), m, m2), nadd[d[m, m2], d[m2, m]]),
+            lambda m, m2: (d_fr[two, m, m2], nadd[d[m, m2], d[m2, m]]),
         ),
     ]
     return run_laws(laws)

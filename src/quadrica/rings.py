@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import check_cap, get_config
 from .errors import NotARing
-from .groups import FiniteGroup, _frozen_table, build_group, cyclic
+from .groups import FiniteGroup, _closure, _frozen_table, build_group, cyclic
 from .verdict import law_failures
 
 __all__ = ["NearRing", "CommutativeRing", "build_near_ring", "zmod"]
@@ -107,10 +107,9 @@ class CommutativeRing(NearRing):
             raise NotARing(f"multiplication not commutative at ({a}, {b})")
 
     def ideal_closure(self, gens) -> tuple[int, ...]:
-        """Least ideal containing gens (two-sided = one-sided here)."""
-        seed = {int(g) for g in gens}
-        multiples = {int(self.mul[g, r]) for g in seed for r in range(self.order)}
-        return self.group.subgroup_closure(seed | multiples)
+        """Least ideal containing gens (two-sided = one-sided here): the
+        closure of gens under + and under products with every element."""
+        return tuple(np.flatnonzero(_closure(self.group.add, gens, scal=self.mul)).tolist())
 
     def annihilator(self, members) -> tuple[int, ...]:
         """{r : r*m = 0 for all m in members}."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import get_config
 from .errors import ConsistencyError, NotARing, PreconditionUnmet
-from .groups import FiniteGroup, _frozen_table
+from .groups import FiniteGroup, _frozen_table, representatives
 from .rings import NearRing
 from .verdict import Verdict, law_failures, run_laws
 
@@ -247,10 +247,12 @@ def ensure_verified(sr: SquareRing) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RingBar:
-    """The quotient ring on R_e / im P with its projection table."""
+    """The quotient ring on R_e / im P with its projection table and the
+    least element of each coset, in class order."""
 
     ring: NearRing
     proj: np.ndarray
+    reps: np.ndarray
     commutative: bool
 
     @property
@@ -262,8 +264,7 @@ def cokernel_p(sr: SquareRing) -> RingBar:
     """R_e / im P as an honest ring (im P is central, hence normal)."""
     ensure_verified(sr)
     group_q, proj = sr.re.group.quotient(sr.im_p())
-    k = group_q.order
-    reps = np.array([int(np.flatnonzero(proj == i)[0]) for i in range(k)], dtype=np.int64)
+    reps = representatives(proj)
     mul_q = proj[sr.re.mul[np.ix_(reps, reps)]]
     bad = law_failures(
         "quotient-mul-well-defined",
@@ -274,7 +275,7 @@ def cokernel_p(sr: SquareRing) -> RingBar:
         raise NotARing(f"coset multiplication ill-defined at {bad[0].witness}")
     ring = NearRing(group_q, mul_q, int(proj[sr.one]), right_distributive=True)
     commutative = bool(np.array_equal(mul_q, mul_q.T))
-    return RingBar(ring=ring, proj=proj, commutative=commutative)
+    return RingBar(ring=ring, proj=proj, reps=reps, commutative=commutative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +306,7 @@ def operad_of(sr: SquareRing) -> OperadTrunc2:
 
 def _build_operad(sr: SquareRing) -> OperadTrunc2:
     bar = cokernel_p(sr)
-    proj = bar.proj
-    k = bar.order
-    reps = np.array([int(np.flatnonzero(proj == i)[0]) for i in range(k)], dtype=np.int64)
+    proj, reps = bar.proj, bar.reps
     ract = sr.act[np.ix_(reps, reps, np.arange(sr.ree.order), reps)]
     ract.flags.writeable = False  # shared by every caller of the cache
     bad = law_failures(

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quadrica import build_group, cyclic, dihedral, direct_product
-from quadrica.errors import NotAGroup, NotNormal
-from quadrica.groups import closed_sets_between
+from quadrica import build_example, build_group, cyclic, dihedral, direct_product, free_cp_pair
+from quadrica.errors import NotAGroup, NotNormal, PreconditionUnmet
+from quadrica.groups import closed_sets_between, representatives
 
 
 def test_cyclic_basics():
@@ -128,3 +128,65 @@ def test_class_two_commutator_identities(a, b, c):
     assert com(a, b) in center
     assert com(g.add[a, b], c) == g.add[com(a, c), com(b, c)]
     assert com(a, g.add[b, c]) == g.add[com(a, b), com(a, c)]
+
+
+def least_of_each_class(proj) -> list[int]:
+    return [int(np.flatnonzero(proj == c).min()) for c in range(int(proj.max()) + 1)]
+
+
+def test_quotient_numbers_classes_by_their_least_element():
+    q, proj = dihedral(4).quotient((0, 4))
+    assert proj.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert least_of_each_class(proj) == [0, 1, 2, 3] == representatives(proj).tolist()
+    assert q.add.tolist() == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    pair = free_cp_pair(build_example("tensor", 3))
+    assert pair.aset == (0, 1, 2)
+    q, proj = pair.group.quotient(pair.aset)
+    assert proj.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert least_of_each_class(proj) == [0, 3, 6] == representatives(proj).tolist()
+
+
+def test_quotient_names_the_first_conjugation_witness():
+    with pytest.raises(NotNormal) as err:
+        dihedral(4).quotient((0, 1))
+    assert str(err.value) == "subgroup not normal, conjugation witness (2, 1)"
+    with pytest.raises(NotNormal) as err:
+        dihedral(4).quotient((0, 2))
+    assert str(err.value) == "(0, 2) is not a subgroup"
+
+
+def test_normality_refuses_elements_outside_the_carrier():
+    with pytest.raises(PreconditionUnmet, match=r"element -4 is outside the carrier 0\.\.7"):
+        dihedral(4).is_normal([0, -4])
+    with pytest.raises(PreconditionUnmet, match=r"element 9 is outside the carrier 0\.\.7"):
+        dihedral(4).quotient([0, 9])
+
+
+def normal_subgroups(g) -> list[tuple[int, ...]]:
+    closure = lambda s: frozenset(g.subgroup_closure(s))
+    return [s for s in closed_sets_between(closure, [0], range(g.order)) if g.is_normal(s)]
+
+
+@st.composite
+def group_and_normal_subgroup(draw):
+    if draw(st.booleans()):
+        g = direct_product(cyclic(draw(st.integers(1, 6))), cyclic(draw(st.integers(1, 6))))
+    else:
+        g = dihedral(draw(st.integers(1, 6)))
+    return g, draw(st.sampled_from(normal_subgroups(g)))
+
+
+@given(group_and_normal_subgroup())
+def test_quotient_projects_homomorphically_onto_classes_numbered_by_least_element(case):
+    g, members = case
+    q, proj = g.quotient(members)
+    assert q.order * len(members) == g.order
+    assert sorted(set(proj.tolist())) == list(range(q.order))
+    a, b = np.meshgrid(np.arange(g.order), np.arange(g.order), indexing="ij")
+    assert np.array_equal(proj[g.add[a, b]], q.add[proj[a], proj[b]])
+    assert np.array_equal(proj[g.neg], q.neg[proj])
+    least = least_of_each_class(proj)
+    assert least == sorted(least)  # classes are numbered by their least element
+    assert representatives(proj).tolist() == least
+    for c, rep in enumerate(least):
+        assert set(np.flatnonzero(proj == c).tolist()) == {int(g.add[rep, m]) for m in members}

@@ -1,0 +1,184 @@
+"""Generated submodules, admissible intermediates and the refusals of the
+module quotients, each against a plain-Python oracle written here.
+
+The modules are the n = 2 census modules over ``rnil`` and ``sym`` and the
+regular and R_ee modules over ``tensor 3``, ``gamma 3``, ``sym 4`` and
+``rnil 4``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import cache
+
+import pytest
+
+from quadrica import (
+    admissible_intermediates,
+    build_example,
+    free_cp_pair,
+    generated_submodule,
+    gr,
+    quotient_bhp,
+    ree_module,
+    regular_module,
+)
+from quadrica.errors import NotNormal, PreconditionUnmet
+from quadrica.groups import representatives
+
+from _census import module_census
+
+
+@cache
+def modules() -> dict:
+    out = {}
+    for kind in ("rnil", "sym"):
+        for i, mod in enumerate(module_census(build_example(kind, 2))):
+            out[f"{kind}2-census{i}"] = mod
+    for kind, n in (("tensor", 3), ("gamma", 3), ("sym", 4), ("rnil", 4)):
+        sr = build_example(kind, n)
+        out[f"{kind}{n}-regular"] = regular_module(sr)
+        out[f"{kind}{n}-ree"] = ree_module(sr)
+    return out
+
+
+NAMES = [f"{kind}2-census{i}" for kind, count in (("rnil", 3), ("sym", 6)) for i in range(count)] + [
+    f"{kind}{n}-{which}"
+    for kind, n in (("tensor", 3), ("gamma", 3), ("sym", 4), ("rnil", 4))
+    for which in ("regular", "ree")
+]
+
+
+def test_module_list_is_complete():
+    assert sorted(modules()) == sorted(NAMES)
+
+
+def closure_oracle(mod, seed) -> tuple[int, ...]:
+    """The least set holding 0 and seed, closed under +, scal and bracket."""
+    members = {0, *(int(s) for s in seed)}
+    while True:
+        grown = set(members)
+        for a in members:
+            grown.update(int(v) for v in mod.scal[a])
+            for b in members:
+                grown.add(int(mod.group.add[a, b]))
+                grown.update(int(v) for v in mod.bracket[a, b])
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+def closed(mod, members, *, brackets: bool) -> bool:
+    s = set(members)
+    return (
+        all(int(mod.group.add[a, b]) in s for a in s for b in s)
+        and all(int(v) in s for a in s for v in mod.scal[a])
+        and (not brackets or all(int(v) in s for a in s for b in s for v in mod.bracket[a, b]))
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_generated_submodule_equals_the_closure_oracle(name):
+    mod = modules()[name]
+    for k in (0, 1, 2):
+        for seed in itertools.combinations(range(mod.nm), k):
+            assert generated_submodule(mod, set(seed)) == closure_oracle(mod, seed), seed
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_admissible_intermediates_equal_brute_force(name):
+    """Every scalar-stable subgroup between [M,M]_R and Z_R(M), found by
+    trying every set between them."""
+    mod = modules()[name]
+    lower = set(closure_oracle(mod, {int(v) for v in mod.bracket.ravel()}))
+    upper = [m for m in range(mod.nm) if not mod.bracket[m].any()]
+    free = [u for u in upper if u not in lower]
+    expected = [
+        tuple(sorted(lower | set(extra)))
+        for k in range(len(free) + 1)
+        for extra in itertools.combinations(free, k)
+        if closed(mod, lower | set(extra), brackets=False)
+    ]
+    expected.sort(key=lambda s: (len(s), s))
+    assert admissible_intermediates(mod) == expected
+
+
+def refusal_oracle(mod, members) -> str | None:
+    """The loops that decide whether ``members`` is a normal submodule, in
+    their order: subgroup, normal, scalar-stable, bracket-stable."""
+    s = tuple(sorted({int(m) for m in members}))
+    add, neg = mod.group.add, mod.group.neg
+    if any(int(add[a, b]) not in s for a in s for b in s):
+        return f"{s} is not a subgroup"
+    for g in range(mod.nm):
+        for m in s:
+            if int(add[add[g, m], neg[g]]) not in s:
+                return f"subgroup not normal, conjugation witness {(g, m)}"
+    for a in s:
+        for r in range(mod.sr.re.order):
+            if int(mod.scal[a, r]) not in s:
+                return f"not scalar-stable: {a}·{r} = {int(mod.scal[a, r])}"
+    for n in s:
+        for m in range(mod.nm):
+            for x in range(mod.sr.ree.order):
+                if int(mod.bracket[m, n, x]) not in s or int(mod.bracket[n, m, x]) not in s:
+                    return f"bracket escapes: [{m},{n}]·{x}"
+    return None
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_quotient_refusals_equal_the_loop_oracle(name):
+    """Every set of at most two elements and every subgroup they generate:
+    quotient_bhp refuses with the oracle's message, or succeeds."""
+    mod = modules()[name]
+    cases = set()
+    for k in (1, 2):
+        for seed in itertools.combinations(range(mod.nm), k):
+            cases.add((0, *seed) if 0 not in seed else seed)
+            cases.add(mod.group.subgroup_closure(seed))
+    for members in sorted(cases):
+        expected = refusal_oracle(mod, members)
+        if expected is None:
+            quo, proj = quotient_bhp(mod, members)
+            assert quo.nm * len(set(members)) == mod.nm
+        else:
+            with pytest.raises(NotNormal) as err:
+                quotient_bhp(mod, members)
+            assert str(err.value) == expected, members
+
+
+@pytest.mark.parametrize(
+    "kind,n,members,message",
+    [
+        ("tensor", 3, (0, 1), "(0, 1) is not a subgroup"),
+        ("tensor", 3, (0, 3, 6), "not scalar-stable: 3·1 = 1"),
+        ("gamma", 3, (0, 3, 6), "not scalar-stable: 3·1 = 1"),
+        ("sym", 4, (0, 4, 8, 12), "not scalar-stable: 4·1 = 1"),
+        ("sym", 4, (0, 8), "bracket escapes: [4,8]·1"),
+    ],
+)
+def test_quotient_bhp_refusal_messages(kind, n, members, message):
+    with pytest.raises(NotNormal) as err:
+        quotient_bhp(regular_module(build_example(kind, n)), members)
+    assert str(err.value) == message
+
+
+def test_closures_refuse_elements_outside_the_carrier():
+    reg = regular_module(build_example("sym", 2))
+    assert reg.nm == 4
+    with pytest.raises(PreconditionUnmet, match=r"element -1 is outside the carrier 0\.\.3"):
+        reg.group.subgroup_closure([-1])
+    with pytest.raises(PreconditionUnmet, match=r"element -1 is outside the carrier 0\.\.3"):
+        generated_submodule(reg, {-1})
+    with pytest.raises(PreconditionUnmet, match=r"element 4 is outside the carrier 0\.\.3"):
+        generated_submodule(reg, {4})
+
+
+def test_coset_representatives_are_carried_by_the_quotient_objects():
+    pair = free_cp_pair(build_example("tensor", 3))
+    graded = gr(pair)
+    assert graded.reps1.tolist() == [0, 3, 6]
+    assert graded.reps1.tolist() == representatives(graded.proj1).tolist()
+    bar = graded.operad.op1
+    assert bar.reps.tolist() == representatives(bar.proj).tolist()
+    assert bar.proj[bar.reps].tolist() == list(range(bar.order))
