@@ -280,13 +280,10 @@ def build_group(add_table) -> FiniteGroup:
         inv = perm  # an involution
         add = perm[add[np.ix_(inv, inv)]]
     S = _generating_set(add)
-    verdict = run_laws([(
+    run_laws([(
         "associativity", (n, n, n), lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]]),
         (n, S, n),
-    )])
-    if not verdict.passed:
-        bad = verdict.failures[0]
-        raise NotAGroup(f"associativity fails at {bad.witness}: {bad.detail}")
+    )]).require(NotAGroup, "group table")
     neg = np.full(n, -1, dtype=np.int64)
     for a in range(n):
         zeros = np.flatnonzero(add[a] == 0)

@@ -25,7 +25,7 @@ from .groups import (
     representatives,
 )
 from .squarering import OperadTrunc2, SquareRing, cokernel_p, ensure_verified, operad_of
-from .verdict import Failure, Verdict, law_failures, run_laws
+from .verdict import Verdict, law_failures, run_laws
 
 __all__ = [
     "BhpModule",
@@ -258,6 +258,7 @@ def _cp_laws(mod: CpModule):
     A, amask = mod.aset, mod.amask
     add, scal, bracket = mod.group.add, mod.scal, mod.bracket
     return [
+        ("MC0", (1,), lambda z: (amask[z], np.ones_like(z)), None),  # 0 ∈ A
         ("MC0", (A, A), lambda a, b: (amask[add[a, b]], np.ones_like(a + b)), None),
         ("MC0", (A, ne), lambda a, r: (amask[scal[a, r]], np.ones_like(a + r)), None),
         (
@@ -283,10 +284,13 @@ def _module_laws(mod: BhpModule):
 
 
 def verify_bhp_module(mod: BhpModule) -> Verdict:
-    """The MC1–MC7 verdict of ``mod``, cached on the module.  It equals the
-    exhaustive sweep of every law, witnesses included; the additivity
-    clause of MC1, the three clauses of MC5, MC6 and MC7 are decided on
-    generator tuples when every other law holds (see
+    """The verdict of ``mod``, cached on the module: MC1–MC7, or for a
+    pair module MC0 + MC1–MC6 + MC7a/MC7b (MC7 is implied and not
+    re-checked).  MC0 makes A a subgroup: it holds 0 and A + A ⊆ A, and
+    −a, a multiple of a in a finite group, lies in A too.  The verdict
+    equals the exhaustive sweep of every law, witnesses included; the
+    additivity clause of MC1, the three clauses of MC5, MC6 and MC7 are
+    decided on generator tuples when every other law holds (see
     ``verdict.run_laws``).  Let G be ``generators(M)``, G_R
     ``generators(R_e)`` and G_ee ``generators(R_ee)``, the last two {0}
     when their group is 0, so that a sweep over them is never empty; each
@@ -330,32 +334,14 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
     return verdict
 
 
-def verify_cp_module(mod: CpModule) -> Verdict:
-    """MC0 + MC1–MC6 + MC7a/MC7b (MC7 is implied and not re-checked), with
-    the same exhaustive verdict and generator reductions as
-    ``verify_bhp_module``.  MC0 makes A a subgroup: it holds 0 and
-    A + A ⊆ A, and −a, a multiple of a in a finite group, lies in A too."""
-    verdict = run_laws(_module_laws(mod), all_witnesses=get_config().exhaustive_witnesses)
-    if 0 not in mod.aset:
-        verdict = verdict.merge(
-            Verdict(False, (Failure("MC0", (0,), "A must contain 0"),), ("MC0",))
-        )
-    mod._verdict = verdict
-    return verdict
+# One body for both kinds: ``_module_laws`` picks the laws by the type.
+verify_cp_module = verify_bhp_module
 
 
 def ensure_module_verified(mod: BhpModule) -> None:
     if mod._verdict is None:
-        if isinstance(mod, CpModule):
-            verify_cp_module(mod)
-        else:
-            verify_bhp_module(mod)
-    assert mod._verdict is not None
-    if not mod._verdict.passed:
-        first = mod._verdict.failures[0]
-        raise PreconditionUnmet(
-            f"module fails {first.law} at {first.witness} ({first.detail})"
-        )
+        verify_bhp_module(mod)
+    mod._verdict.require(PreconditionUnmet, "module")
 
 
 def elementary_properties(mod: BhpModule) -> Verdict:
@@ -434,35 +420,28 @@ def generated_submodule(mod: BhpModule, seed) -> tuple[int, ...]:
 def r_center(mod: BhpModule) -> tuple[int, ...]:
     """Z_R(M) = elements m with [m,n]·x = 0 for every n and x."""
     ensure_module_verified(mod)
-    central = (mod.bracket == 0).all(axis=(1, 2))
-    out = tuple(int(i) for i in np.flatnonzero(central))
-    _assert_chain(mod, z=out)
+    out = tuple(np.flatnonzero((mod.bracket == 0).all(axis=(1, 2))).tolist())
+    g = mod.group
+    _assert_chain(("[M,M]", g.commutator_subgroup()), ("Z_R", out), ("Z", g.center()))
     return out
 
 
 def derived_module(mod: BhpModule) -> tuple[int, ...]:
     """[M,M]_R: the submodule generated by all bracket values."""
     ensure_module_verified(mod)
-    values = {int(v) for v in np.unique(mod.bracket)}
-    out = generated_submodule(mod, values)
-    _assert_chain(mod, derived=out)
+    out = generated_submodule(mod, np.unique(mod.bracket).tolist())
+    _assert_chain(("[M,M]", mod.group.commutator_subgroup()), ("[M,M]_R", out),
+                  ("Z_R", r_center(mod)))
     return out
 
 
-def _assert_chain(mod: BhpModule, derived=None, z=None) -> None:
-    # [M,M] <= [M,M]_R <= Z_R(M) <= Z(M); cheap, so always asserted
-    g = mod.group
-    comm = set(g.commutator_subgroup())
-    der = set(derived if derived is not None else
-              generated_submodule(mod, {int(v) for v in np.unique(mod.bracket)}))
-    central = (mod.bracket == 0).all(axis=(1, 2))
-    zr = set(int(i) for i in np.flatnonzero(central)) if z is None else set(z)
-    zg = set(g.center())
-    if not (comm <= der <= zr <= zg):
-        raise ConsistencyError(
-            f"inclusion chain broken: [M,M]={sorted(comm)}, [M,M]_R={sorted(der)}, "
-            f"Z_R={sorted(zr)}, Z={sorted(zg)}"
-        )
+def _assert_chain(*chain: tuple[str, tuple[int, ...]]) -> None:
+    """Each named set of ``chain`` lies in the next.  The whole chain
+    [M,M] <= [M,M]_R <= Z_R(M) <= Z(M) is asserted, link by link, by
+    ``derived_module`` and ``r_center``; cheap, so always asserted."""
+    if not all(set(a) <= set(b) for (_, a), (_, b) in zip(chain, chain[1:])):
+        raise ConsistencyError("inclusion chain broken: "
+                               + ", ".join(f"{name}={sorted(s)}" for name, s in chain))
 
 
 def quotient_bhp(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
@@ -488,27 +467,14 @@ def quotient_bhp(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
     reps = representatives(proj)
     scal_q = proj[mod.scal[reps]]
     bracket_q = proj[mod.bracket[np.ix_(reps, reps, np.arange(mod.sr.ree.order))]]
-    for label, dims, law in (
-        (
-            "scal-well-defined",
-            (mod.nm, mod.sr.re.order),
-            lambda a, r: (proj[mod.scal[a, r]], scal_q[proj[a], r]),
-        ),
-        (
-            "bracket-well-defined",
-            (mod.nm, mod.nm, mod.sr.ree.order),
-            lambda a, b, x: (proj[mod.bracket[a, b, x]], bracket_q[proj[a], proj[b], x]),
-        ),
-    ):
-        bad = law_failures(label, dims, law)
-        if bad:
-            raise NotNormal(f"{label} fails at {bad[0].witness}: {bad[0].detail}")
+    run_laws([
+        ("scal-well-defined", (mod.nm, mod.sr.re.order),
+         lambda a, r: (proj[mod.scal[a, r]], scal_q[proj[a], r])),
+        ("bracket-well-defined", (mod.nm, mod.nm, mod.sr.ree.order),
+         lambda a, b, x: (proj[mod.bracket[a, b, x]], bracket_q[proj[a], proj[b], x])),
+    ]).require(NotNormal, f"quotient by {s}")
     out = BhpModule(mod.sr, group_q, scal_q, bracket_q)
-    verdict = verify_bhp_module(out)
-    if not verdict.passed:
-        raise ConsistencyError(
-            f"quotient by a normal submodule fails {verdict.failures[0].law}"
-        )
+    verify_bhp_module(out).require(ConsistencyError, "quotient by a normal submodule")
     return out, proj
 
 
@@ -518,11 +484,7 @@ def quotient_cp(mod: CpModule, members) -> tuple[CpModule, np.ndarray]:
     base_q, proj = quotient_bhp(mod, members)
     aset_q = sorted({int(proj[a]) for a in mod.aset})
     out = CpModule(mod.sr, base_q.group, base_q.scal, base_q.bracket, aset_q)
-    verdict = verify_cp_module(out)
-    if not verdict.passed:
-        raise ConsistencyError(
-            f"CP quotient fails {verdict.failures[0].law} at {verdict.failures[0].witness}"
-        )
+    verify_cp_module(out).require(ConsistencyError, "CP quotient")
     return out, proj
 
 
@@ -541,9 +503,7 @@ def submodule_module(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
     scal_s = index[mod.scal[embed]]
     bracket_s = index[mod.bracket[np.ix_(embed, embed, np.arange(mod.sr.ree.order))]]
     out = BhpModule(mod.sr, group_s, scal_s, bracket_s)
-    verdict = verify_bhp_module(out)
-    if not verdict.passed:
-        raise ConsistencyError("submodule fails module axioms after reindexing")
+    verify_bhp_module(out).require(ConsistencyError, f"submodule {s}, reindexed,")
     return out, embed
 
 
@@ -561,8 +521,7 @@ def admissible_intermediates(mod: BhpModule, *, max_order: int = 16) -> list[tup
     out = closed_sets_between(closure, lower, upper)
     for aset in out:
         pair = CpModule(mod.sr, mod.group, mod.scal, mod.bracket, aset)
-        if not verify_cp_module(pair).passed:
-            raise ConsistencyError(f"intermediate {aset} fails CP axioms")
+        verify_cp_module(pair).require(ConsistencyError, f"intermediate pair (M, {aset})")
     return out
 
 
@@ -635,14 +594,6 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
     kbar, breps = bar.order, bar.reps
 
     scal1 = proj1[pair.scal[np.ix_(reps1, breps)]]
-    bad = law_failures(
-        "deg1-well-defined",
-        (pair.nm, sr.re.order),
-        lambda m, r: (proj1[pair.scal[m, r]], scal1[proj1[m], bar.proj[r]]),
-    )
-    if bad:
-        raise ConsistencyError(f"deg1 action ill-defined at {bad[0].witness}")
-
     embed2 = np.array(pair.aset, dtype=np.int64)
     index2 = np.full(pair.nm, -1, dtype=np.int64)
     index2[embed2] = np.arange(len(pair.aset))
@@ -650,28 +601,19 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
         index2[pair.group.add[np.ix_(embed2, embed2)]], index2[pair.group.neg[embed2]]
     )
     scal2 = index2[pair.scal[np.ix_(embed2, breps)]]
-    bad = law_failures(
-        "deg2-well-defined",
-        (len(pair.aset), sr.re.order),
-        lambda i, r: (index2[pair.scal[embed2[i], r]], scal2[i, bar.proj[r]]),
-    )
-    if bad:
-        raise ConsistencyError(f"deg2 action ill-defined at {bad[0].witness}")
-
     pairing = index2[pair.bracket[np.ix_(reps1, reps1, np.arange(nee))]]
-    bad = law_failures(
-        "pairing-well-defined",
-        (pair.nm, pair.nm, nee),
-        lambda m, n, x: (index2[pair.bracket[m, n, x]], pairing[proj1[m], proj1[n], x]),
-    )
-    if bad:
-        raise ConsistencyError(f"pairing ill-defined at {bad[0].witness}")
-
     deg1 = BarModule(group1, scal1)
     deg2 = BarModule(group2, scal2)
-    laws = _bar_module_laws(deg1, bar) + _bar_module_laws(deg2, bar)
     add2 = group2.add
-    laws += [
+    laws = [
+        ("deg1-well-defined", (pair.nm, sr.re.order),
+         lambda m, r: (proj1[pair.scal[m, r]], scal1[proj1[m], bar.proj[r]])),
+        ("deg2-well-defined", (pair.aset, sr.re.order),
+         lambda a, r: (index2[pair.scal[a, r]], scal2[index2[a], bar.proj[r]])),
+        ("pairing-well-defined", (pair.nm, pair.nm, nee),
+         lambda m, n, x: (index2[pair.bracket[m, n, x]], pairing[proj1[m], proj1[n], x])),
+        *_bar_module_laws(deg1, bar),
+        *_bar_module_laws(deg2, bar),
         (
             "pairing-additive-1",
             (k1, k1, k1, nee),
@@ -696,10 +638,7 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
             ),
         ),
     ]
-    verdict = run_laws(laws)
-    if not verdict.passed:
-        first = verdict.failures[0]
-        raise ConsistencyError(f"graded structure violates {first.law} at {first.witness}")
+    run_laws(laws).require(ConsistencyError, "graded object")
     for table in (scal1, scal2, pairing, proj1, reps1, embed2):
         table.flags.writeable = False  # shared by every caller of the cache
     return GradedAlgebra2(
@@ -711,16 +650,14 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
 def gr_gamma(mod: BhpModule) -> GradedAlgebra2:
     """Graded object of (M, [M,M]_R) — the derived-series flavour."""
     pair = CpModule(mod.sr, mod.group, mod.scal, mod.bracket, derived_module(mod))
-    if not verify_cp_module(pair).passed:  # theorem: always a CP pair
-        raise ConsistencyError("(M, [M,M]_R) is not a CP pair")
+    verify_cp_module(pair).require(ConsistencyError, "(M, [M,M]_R)")  # theorem: a CP pair
     return gr(pair)
 
 
 def gr_z(mod: BhpModule) -> GradedAlgebra2:
     """Graded object of (M, Z_R(M)) — the center flavour."""
     pair = CpModule(mod.sr, mod.group, mod.scal, mod.bracket, r_center(mod))
-    if not verify_cp_module(pair).passed:
-        raise ConsistencyError("(M, Z_R(M)) is not a CP pair")
+    verify_cp_module(pair).require(ConsistencyError, "(M, Z_R(M))")  # theorem: a CP pair
     return gr(pair)
 
 
@@ -761,7 +698,7 @@ def regular_module(sr: SquareRing) -> BhpModule:
     ne = sr.re.order
     bracket = sr.p[sr.act[:, :, :, sr.one]]
     mod = BhpModule(sr, sr.re.group, sr.re.mul, bracket.reshape(ne, ne, sr.ree.order))
-    _require_pass(verify_bhp_module(mod), "regular module")
+    verify_bhp_module(mod).require(ConsistencyError, "regular module")
     return mod
 
 
@@ -772,7 +709,7 @@ def ree_module(sr: SquareRing) -> BhpModule:
     scal = sr.act[sr.one, sr.one]  # (nee, ne)
     bracket = np.zeros((nee, nee, nee), dtype=np.int64)
     mod = BhpModule(sr, sr.ree, scal, bracket)
-    _require_pass(verify_bhp_module(mod), "R_ee module")
+    verify_bhp_module(mod).require(ConsistencyError, "R_ee module")
     return mod
 
 
@@ -783,7 +720,7 @@ def rbar_regular_module(sr: SquareRing) -> BhpModule:
     scal = bar.proj[sr.re.mul[bar.reps]]
     bracket = np.zeros((k, k, sr.ree.order), dtype=np.int64)
     mod = BhpModule(sr, bar.ring.group, scal, bracket)
-    _require_pass(verify_bhp_module(mod), "R̄ module")
+    verify_bhp_module(mod).require(ConsistencyError, "R̄ module")
     return mod
 
 
@@ -797,7 +734,7 @@ def zero_module(sr: SquareRing) -> CpModule:
         np.zeros((1, 1, sr.ree.order), dtype=np.int64),
         (0,),
     )
-    _require_pass(verify_cp_module(mod), "zero module")
+    verify_cp_module(mod).require(ConsistencyError, "zero module")
     return mod
 
 
@@ -805,11 +742,6 @@ def free_cp_pair(sr: SquareRing) -> CpModule:
     """(R_e, P(R_ee)): the free CP pair on one generator."""
     base = regular_module(sr)
     pair = CpModule(sr, base.group, base.scal, base.bracket, sr.im_p())
-    _require_pass(verify_cp_module(pair), "free CP pair")
+    verify_cp_module(pair).require(ConsistencyError, "free CP pair")
     return pair
 
-
-def _require_pass(verdict: Verdict, what: str) -> None:
-    if not verdict.passed:
-        first = verdict.failures[0]
-        raise ConsistencyError(f"{what} fails {first.law} at {first.witness} ({first.detail})")

@@ -62,7 +62,7 @@ from .modules import (
     verify_cp_module,
 )
 from .squarering import is_commutative
-from .verdict import Sweeps, Verdict, law_failures, passing_candidates, run_laws
+from .verdict import Sweeps, Verdict, passing_candidates, run_laws
 
 __all__ = [
     "MapTable",
@@ -797,7 +797,9 @@ def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarra
     """The induced maps on M/A and on A of every candidate T[q], ``fbar[q]``
     and ``f2[q]``, with their linearity verified as one stack.  The first
     candidate that fails raises ConsistencyError, named as a check of that
-    one map would: fbar well defined, f2 into B, then linearity."""
+    one map would: fbar well defined, f2 into B, then linearity.  That is
+    the law order, so a -1 of f2, which the linearity laws read as an index
+    from the end, is named by f2-into-B first."""
     gdom, gcod = gr(dom), gr(cod)
     fbar = gcod.proj1[T[:, gdom.reps1]]
     index_b = np.full(cod.nm, -1, dtype=np.int64)
@@ -807,6 +809,7 @@ def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarra
     laws = [
         ("fbar-well-defined", (dom.nm,),
          lambda q, m: (gcod.proj1[T[q, m]], fbar[q, gdom.proj1[m]])),
+        ("f2-into-B", (k2d,), lambda q, a: (f2[q, a] >= 0, np.ones_like(a))),
         ("fbar-additive", (k1d, k1d),
          lambda q, a, b: (fbar[q, gdom.deg1.group.add[a, b]],
                           gcod.deg1.group.add[fbar[q, a], fbar[q, b]])),
@@ -818,17 +821,9 @@ def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarra
         ("f2-equivariant", (k2d, kbar),
          lambda q, a, r: (f2[q, gdom.deg2.scal[a, r]], gcod.deg2.scal[f2[q, a], r])),
     ]
-    ok = (f2 >= 0).all(axis=1) & passing_candidates(laws, len(T))
+    ok = passing_candidates(laws, len(T))
     if not ok.all():
-        q = int(np.argmin(ok))
-        well_defined, *linear = _single(laws, q)
-        bad = law_failures(*well_defined)
-        if bad:
-            raise ConsistencyError(f"induced degree-1 map ill-defined at {bad[0].witness}")
-        if (f2[q] < 0).any():
-            raise ConsistencyError("induced degree-2 map leaves B")
-        first = run_laws(linear).failures[0]
-        raise ConsistencyError(f"induced graded map violates {first.law} at {first.witness}")
+        run_laws(_single(laws, int(np.argmin(ok)))).require(ConsistencyError, "induced graded map")
     return fbar, f2
 
 
@@ -843,13 +838,11 @@ def certificate_valid(cert: QuadCertificate) -> bool:
 
 def cp_implies_bhp(cert: QuadCertificate) -> QuadCertificate:
     """A quadratic pair map is quadratic as a plain map; verified anew."""
-    if cert.kind != "cp" or not cert.passed:
-        raise PreconditionUnmet("needs a passing pair certificate")
+    if cert.kind != "cp":
+        raise PreconditionUnmet("needs a pair certificate")
+    cert.verdict.require(PreconditionUnmet, "pair certificate")
     out = is_bhp_quadratic(MapTable(cert.map.dom, cert.map.cod, cert.map.table))
-    if not out.passed:
-        raise ConsistencyError(
-            f"pair-quadratic map fails the plain decision at {out.verdict.failures[0].law}"
-        )
+    out.verdict.require(ConsistencyError, "pair-quadratic map, decided as a plain map,")
     return out
 
 
@@ -863,13 +856,8 @@ def three_defects_check(f: MapTable) -> Verdict:
     centrality and bilinearity clauses to hold first."""
     T, stacks = _one_map(f)
     c = _Clauses(f.dom, f.cod, T, stacks)
-    gate = run_laws(_single(_central_bilinear_laws(c)))
-    if not gate.passed:
-        first = gate.failures[0]
-        raise PreconditionUnmet(
-            f"three-defects identity needs central/bilinear defects; "
-            f"{first.law} fails at {first.witness}"
-        )
+    run_laws(_single(_central_bilinear_laws(c))).require(
+        PreconditionUnmet, "map for the three-defects identity")
     bundle = _first(stacks)
     dom, cod = f.dom, f.cod
     nm, ne = dom.nm, dom.sr.re.order
@@ -912,8 +900,7 @@ def compose_quadratic(g: QuadCertificate, f: QuadCertificate) -> QuadCertificate
     for cert in (f, g):
         if cert.kind != "cp":
             raise PreconditionUnmet("composition works on pair certificates")
-        if not cert.passed:
-            raise CertificateInvalid(f"input certificate fails {cert.failed_laws()}")
+        cert.verdict.require(CertificateInvalid, "input certificate")
         if not certificate_valid(cert):
             raise CertificateInvalid("certificate does not re-verify from scratch")
     if f.map.cod != g.map.dom:
@@ -921,10 +908,7 @@ def compose_quadratic(g: QuadCertificate, f: QuadCertificate) -> QuadCertificate
     F, G = f.map.table, g.map.table
     comp = MapTable(f.map.dom, g.map.cod, G[F])
     out = is_cp_quadratic(comp)
-    if not out.passed:
-        raise ConsistencyError(
-            f"composite of quadratic pair maps fails {out.verdict.failures[0].law}"
-        )
+    out.verdict.require(ConsistencyError, "composite of quadratic pair maps")
     ladd = g.map.cod.group.add
     df, dg, dc = f.defects, g.defects, out.defects
     checks = [
@@ -1146,12 +1130,7 @@ def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     hom.dom_pair = ma
     hom.cod_pair = nb
     hom.maps = tuple(MapTable(ma, nb, t) for t in tables)
-    verdict = verify_cp_module(hom)
-    if not verdict.passed:
-        first = verdict.failures[0]
-        raise ConsistencyError(
-            f"hom module fails {first.law} at {first.witness} — closure theorem violated"
-        )
+    verify_cp_module(hom).require(ConsistencyError, "hom module (closure theorem)")
     return hom
 
 
@@ -1162,8 +1141,9 @@ def _tables(hom: HomModule) -> np.ndarray:
 
 def pullback(f: QuadCertificate, lc: CpModule, limit: int = 1_000_000) -> MapTable:
     """Precomposition h ↦ h∘f between hom modules, certified linear."""
-    if f.kind != "cp" or not f.passed:
-        raise PreconditionUnmet("pullback needs a passing pair certificate")
+    if f.kind != "cp":
+        raise PreconditionUnmet("pullback needs a pair certificate")
+    f.verdict.require(PreconditionUnmet, "pullback certificate")
     if not certificate_valid(f):
         raise CertificateInvalid("certificate does not re-verify from scratch")
     hom_src = hom_module(f.map.cod, lc, limit=limit)
@@ -1180,8 +1160,9 @@ def pullback(f: QuadCertificate, lc: CpModule, limit: int = 1_000_000) -> MapTab
 def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> QuadCertificate:
     """Postcomposition f ↦ g∘f between hom modules, certified quadratic,
     with the scalar-defect identity (g_*)_(r)(f) = g_(r)∘f cross-checked."""
-    if g.kind != "cp" or not g.passed:
-        raise PreconditionUnmet("pushforward needs a passing pair certificate")
+    if g.kind != "cp":
+        raise PreconditionUnmet("pushforward needs a pair certificate")
+    g.verdict.require(PreconditionUnmet, "pushforward certificate")
     if not certificate_valid(g):
         raise CertificateInvalid("certificate does not re-verify from scratch")
     hom_src = hom_module(ma, g.map.dom, limit=limit)
@@ -1190,8 +1171,7 @@ def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> Qua
     if table.min() < 0:
         raise ConsistencyError("postcomposition left the target hom carrier")
     out = is_cp_quadratic(MapTable(hom_src, hom_dst, table))
-    if not out.passed:
-        raise ConsistencyError("postcomposition by a quadratic pair map is not quadratic")
+    out.verdict.require(ConsistencyError, "postcomposition by a quadratic pair map")
     gd = g.defects
     for r in range(ma.sr.re.order):
         for i, h in enumerate(hom_src.maps):
@@ -1207,11 +1187,7 @@ def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> Qua
 def promote_to_cp(f: MapTable) -> QuadCertificate:
     """From a plain quadratic f: M → N to the pair map
     (M, [M,M]_R) → (im_R f, Z_R(im_R f)), certified quadratic."""
-    base = is_bhp_quadratic(f)
-    if not base.passed:
-        raise CertificateInvalid(
-            f"map is not quadratic: fails {base.verdict.failures[0].law}"
-        )
+    is_bhp_quadratic(f).verdict.require(CertificateInvalid, "map to promote")
     dom_pair = CpModule(f.dom.sr, f.dom.group, f.dom.scal, f.dom.bracket, derived_module(f.dom))
     image = generated_submodule(f.cod, {int(v) for v in f.table})
     sub, embed = submodule_module(f.cod, image)
@@ -1219,10 +1195,7 @@ def promote_to_cp(f: MapTable) -> QuadCertificate:
     index[embed] = np.arange(len(image))
     cod_pair = CpModule(sub.sr, sub.group, sub.scal, sub.bracket, r_center(sub))
     out = is_cp_quadratic(MapTable(dom_pair, cod_pair, index[f.table]))
-    if not out.passed:
-        raise ConsistencyError(
-            f"promoted pair map fails {out.verdict.failures[0].law}"
-        )
+    out.verdict.require(ConsistencyError, "promoted pair map")
     return out
 
 
@@ -1233,10 +1206,6 @@ def factorization_check(f: MapTable) -> Verdict:
     f = _pair_map(f, "factorization check needs CP modules on both sides")
     T, stacks = _one_map(f)
     c, sweeps = _Clauses(f.dom, f.cod, T, stacks), Sweeps(1)
-    gate = run_laws(_cp_def_route_laws(c), sweeps=sweeps)
-    if not gate.passed:
-        first = gate.failures[0]
-        raise PreconditionUnmet(
-            f"factorization needs a quadratic pair map; {first.law} fails at {first.witness}"
-        )
+    run_laws(_cp_def_route_laws(c), sweeps=sweeps).require(
+        PreconditionUnmet, "map for the factorization check")
     return run_laws(_factorization_laws(c), sweeps=sweeps)

@@ -13,7 +13,7 @@ import numpy as np
 from .config import check_cap, get_config
 from .errors import NotARing
 from .groups import FiniteGroup, _closure, _frozen_table, build_group, cyclic
-from .verdict import law_failures
+from .verdict import run_laws
 
 __all__ = ["NearRing", "CommutativeRing", "build_near_ring", "zmod"]
 
@@ -73,10 +73,7 @@ class NearRing:
             laws.append(
                 ("right-distributive", (n, n, n), lambda a, b, c: (mul[add[a, b], c], add[mul[a, c], mul[b, c]]))
             )
-        for label, dims, law in laws:
-            bad = law_failures(label, dims, law)
-            if bad:
-                raise NotARing(f"{label} fails at {bad[0].witness}: {bad[0].detail}")
+        run_laws(laws).require(NotARing, "near-ring")
 
     def __eq__(self, other) -> bool:
         if other is self:

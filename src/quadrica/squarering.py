@@ -65,7 +65,7 @@ AXIOM_TEXT = {
 class SquareRing:
     """Carrier tuple; run :func:`verify_square_ring` before using it."""
 
-    __slots__ = ("re", "ree", "act", "h", "p", "t", "_verdict", "_commutative", "_operad")
+    __slots__ = ("re", "ree", "act", "h", "p", "t", "_verdict", "_commutative", "_bar", "_operad")
 
     def __init__(self, re: NearRing, ree: FiniteGroup, act, h, p, t):
         self.re = re
@@ -91,6 +91,7 @@ class SquareRing:
             raise PreconditionUnmet("action entries out of range")
         self._verdict: Verdict | None = None
         self._commutative: bool | None = None
+        self._bar: RingBar | None = None
         self._operad: OperadTrunc2 | None = None
 
     @property
@@ -221,11 +222,8 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
     cfg = get_config()
     verdict = run_laws(laws, all_witnesses=cfg.exhaustive_witnesses)
     derived_verdict = run_laws(derived, all_witnesses=cfg.exhaustive_witnesses)
-    if verdict.passed and not derived_verdict.passed:
-        first = derived_verdict.failures[0]
-        raise ConsistencyError(
-            f"axioms pass but derived law {first.law} fails at {first.witness} ({first.detail})"
-        )
+    if verdict.passed:
+        derived_verdict.require(ConsistencyError, "square ring that satisfies its axioms")
     full = verdict.merge(derived_verdict)
     sr._verdict = full
     if not full.passed:
@@ -237,12 +235,7 @@ def ensure_verified(sr: SquareRing) -> None:
     """Gate used by every downstream constructor."""
     if sr._verdict is None:
         verify_square_ring(sr)
-    assert sr._verdict is not None
-    if not sr._verdict.passed:
-        first = sr._verdict.failures[0]
-        raise PreconditionUnmet(
-            f"square ring fails {first.law} at {first.witness} ({first.detail})"
-        )
+    sr._verdict.require(PreconditionUnmet, "square ring")
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,18 +254,25 @@ class RingBar:
 
 
 def cokernel_p(sr: SquareRing) -> RingBar:
-    """R_e / im P as an honest ring (im P is central, hence normal)."""
+    """R_e / im P as an honest ring (im P is central, hence normal), built
+    once per verified ring and cached on it, like ``operad_of``."""
     ensure_verified(sr)
+    if sr._bar is None:
+        sr._bar = _build_bar(sr)
+    return sr._bar
+
+
+def _build_bar(sr: SquareRing) -> RingBar:
     group_q, proj = sr.re.group.quotient(sr.im_p())
     reps = representatives(proj)
     mul_q = proj[sr.re.mul[np.ix_(reps, reps)]]
-    bad = law_failures(
+    run_laws([(
         "quotient-mul-well-defined",
         (sr.re.order, sr.re.order),
         lambda a, b: (proj[sr.re.mul[a, b]], mul_q[proj[a], proj[b]]),
-    )
-    if bad:
-        raise NotARing(f"coset multiplication ill-defined at {bad[0].witness}")
+    )]).require(NotARing, "R_e/im P")
+    for table in (proj, reps):
+        table.flags.writeable = False  # shared by every caller of the cache
     ring = NearRing(group_q, mul_q, int(proj[sr.one]), right_distributive=True)
     commutative = bool(np.array_equal(mul_q, mul_q.T))
     return RingBar(ring=ring, proj=proj, reps=reps, commutative=commutative)
@@ -309,15 +309,11 @@ def _build_operad(sr: SquareRing) -> OperadTrunc2:
     proj, reps = bar.proj, bar.reps
     ract = sr.act[np.ix_(reps, reps, np.arange(sr.ree.order), reps)]
     ract.flags.writeable = False  # shared by every caller of the cache
-    bad = law_failures(
+    run_laws([(
         "operad-action-well-defined",
         (sr.re.order, sr.re.order, sr.ree.order, sr.re.order),
         lambda r, s, x, u: (sr.act[r, s, x, u], ract[proj[r], proj[s], x, proj[u]]),
-    )
-    if bad:
-        raise ConsistencyError(
-            f"action does not descend to cosets of im P at {bad[0].witness}"
-        )
+    )]).require(ConsistencyError, "action on the cosets of im P")
     return OperadTrunc2(op1=bar, op2=sr.ree, act=ract, t=sr.t)
 
 
@@ -351,11 +347,6 @@ def is_commutative(sr: SquareRing) -> bool:
             ("rP(x)=P(x)r^2", (ne, nee), lambda r, x: (mul[r, sr.p[x]], mul[sr.p[x], mul[r, r]])),
             ("(r,r)x=x·r^2", (ne, nee), lambda r, x: (act[r, r, x, one], act[one, one, x, mul[r, r]])),
         ]
-        for label, dims, law in consequences:
-            bad = law_failures(label, dims, law)
-            if bad:
-                raise ConsistencyError(
-                    f"commutative square ring violates {label} at {bad[0].witness}"
-                )
+        run_laws(consequences).require(ConsistencyError, "commutative square ring")
     sr._commutative = result
     return result

@@ -84,6 +84,15 @@ class Verdict:
             self.checked + other.checked,
         )
 
+    def require(self, error: type[Exception], what: str) -> "Verdict":
+        """This verdict, if it passed; otherwise ``error`` raised on its
+        first failure, as "{what} fails {law} at {witness}: {detail}".
+        The one place where a law that must hold becomes a refusal."""
+        if not self.passed:
+            first = self.failures[0]
+            raise error(f"{what} fails {first.law} at {first.witness}: {first.detail}")
+        return self
+
     def failed_laws(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for f in self.failures:

@@ -102,6 +102,19 @@ def test_a_distinguished_part_that_is_no_subgroup_fails_verification(tmp_path, c
         assert "MC0 at (1, 2)" in "".join(capsys.readouterr())
 
 
+def test_a_pair_without_zero_in_a_exits_1_naming_mc0(tmp_path, capsys):
+    """A = {} is closed under sums and scalars but holds no 0: MC0 names
+    the witness (0,), and every command that loads the pair refuses it
+    with exit 1."""
+    pair = free_cp_pair(build_example("sym", 2))
+    doc = json.loads(dumps(to_doc(pair)))
+    doc["aset"] = []
+    path = write(tmp_path, "empty.pair", json.dumps(doc))
+    for argv in (["verify", path], ["gr", path], ["hom", path, path]):
+        assert main(argv) == 1, argv
+        assert "MC0 at (0,): lhs=0 rhs=1" in "".join(capsys.readouterr())
+
+
 def test_quad_accepts_the_boolean_square(tmp_path, capsys):
     path = square_map_doc(tmp_path, 2)
     assert main(["quad", path]) == 0

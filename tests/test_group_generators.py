@@ -54,7 +54,8 @@ def full_sweep_message(add: np.ndarray) -> str | None:
     None when the table is associative."""
     n = len(add)
     bad = law_failures("associativity", (n, n, n), associativity(add))
-    return f"associativity fails at {bad[0].witness}: {bad[0].detail}" if bad else None
+    return (f"group table fails associativity at {bad[0].witness}: {bad[0].detail}"
+            if bad else None)
 
 
 def loop_closure(group: FiniteGroup, seed) -> tuple[int, ...]:
@@ -192,7 +193,7 @@ def test_a_witness_off_the_generating_set_keeps_the_full_sweep_message():
     assert _generating_set(add) == (1,)
     with pytest.raises(NotAGroup) as info:
         build_group(add)
-    assert str(info.value) == "associativity fails at (1, 2, 1): lhs=2 rhs=0"
+    assert str(info.value) == "group table fails associativity at (1, 2, 1): lhs=2 rhs=0"
     assert str(info.value) == full_sweep_message(add)
 
 
@@ -230,7 +231,7 @@ def test_closures_and_generators_match_the_loop_on_every_suite_group(monkeypatch
     monkeypatch.setattr(FiniteGroup, "subgroup_closure", recording)
     build_suite_groups()
     monkeypatch.undo()
-    assert len(recorded) > 50
+    assert len(dict.fromkeys(recorded)) >= 10  # distinct (group, seed) pairs
     for group, seed in dict.fromkeys(recorded):
         assert group.subgroup_closure(seed) == loop_closure(group, seed)
     for group in suite_groups():

@@ -9,8 +9,10 @@ from quadrica import (
     cokernel_p,
     is_commutative,
     operad_of,
+    rbar_regular_module,
     verify_square_ring,
 )
+from quadrica import squarering
 from quadrica.errors import InvalidEpsilon, PreconditionUnmet
 from quadrica.squarering import ensure_verified
 
@@ -144,3 +146,17 @@ def test_noncommutative_ring_still_verifies_as_square_ring():
     sr = triangular_square_ring()
     assert verify_square_ring(sr).passed
     assert not is_commutative(sr)
+
+
+def test_one_quotient_ring_serves_every_caller(monkeypatch):
+    """R̄ = R_e/im P is built once per ring: ``rbar_regular_module``,
+    ``is_commutative`` and ``operad_of`` share it."""
+    sr = build_example("tensor", 3)
+    fresh = SquareRing(sr.re, sr.ree, sr.act, sr.h, sr.p, sr.t)  # nothing cached
+    builds = []
+    build = squarering._build_bar
+    monkeypatch.setattr(squarering, "_build_bar", lambda ring: builds.append(ring) or build(ring))
+    rbar_regular_module(fresh)
+    assert is_commutative(fresh)
+    assert operad_of(fresh).op1 is cokernel_p(fresh)
+    assert builds == [fresh]

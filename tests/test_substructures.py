@@ -14,16 +14,20 @@ from functools import cache
 import pytest
 
 from quadrica import (
+    FiniteGroup,
     admissible_intermediates,
     build_example,
+    derived_module,
     free_cp_pair,
     generated_submodule,
     gr,
     quotient_bhp,
+    r_center,
     ree_module,
     regular_module,
 )
-from quadrica.errors import NotNormal, PreconditionUnmet
+from quadrica import modules as modules_layer
+from quadrica.errors import ConsistencyError, NotNormal, PreconditionUnmet
 from quadrica.groups import representatives
 
 from _census import module_census
@@ -182,3 +186,28 @@ def test_coset_representatives_are_carried_by_the_quotient_objects():
     bar = graded.operad.op1
     assert bar.reps.tolist() == representatives(bar.proj).tolist()
     assert bar.proj[bar.reps].tolist() == list(range(bar.order))
+
+
+def test_the_inclusion_chain_reuses_what_each_function_holds(monkeypatch):
+    """On the ``sym 4`` regular module, ``admissible_intermediates``
+    computes [M,M]_R once and ``r_center`` not at all; a chain that does
+    not hold is still refused."""
+    mod = regular_module(build_example("sym", 4))
+    calls = []
+    closure = modules_layer.generated_submodule
+    monkeypatch.setattr(modules_layer, "generated_submodule",
+                        lambda m, seed: calls.append(m) or closure(m, seed))
+    admissible_intermediates(mod)
+    assert len(calls) == 1
+    calls.clear()
+    assert r_center(mod) != (0,)
+    assert calls == []
+    monkeypatch.setattr(modules_layer, "r_center", lambda m: (0,))
+    with pytest.raises(ConsistencyError, match=r"^inclusion chain broken: "
+                       r"\[M,M\]=\[0\], \[M,M\]_R=\[0, 1, 2, 3\], Z_R=\[0\]$"):
+        derived_module(mod)
+    monkeypatch.undo()
+    monkeypatch.setattr(FiniteGroup, "center", lambda group: (0,))
+    with pytest.raises(ConsistencyError, match=r"^inclusion chain broken: "
+                       r"\[M,M\]=\[0\], Z_R=\[0, 1, 2, 3\], Z=\[0\]$"):
+        r_center(mod)
