@@ -221,9 +221,18 @@ def _load_pair(path: str, command: str) -> CpModule:
     return _checked(path, _load(path), "cp_module", command)
 
 
+def _once_each(load, paths: tuple[str, ...]) -> list:
+    """``load`` of each path in turn, called once per distinct path: a
+    document named twice is read, parsed and verified once."""
+    done: dict[str, Any] = {}
+    for path in paths:
+        if path not in done:
+            done[path] = load(path)
+    return [done[path] for path in paths]
+
+
 def cmd_enum(args) -> int:
-    ma = _load_pair(args.domain, "enum")
-    nb = _load_pair(args.codomain, "enum")
+    ma, nb = _once_each(lambda path: _load_pair(path, "enum"), (args.domain, args.codomain))
     maps = enumerate_cp_quadratic(ma, nb, limit=args.limit)
     tables = [[int(v) for v in f.table] for f in maps]
     if args.format == "structured":
@@ -237,8 +246,7 @@ def cmd_enum(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    ma = _load_pair(args.domain, "hom")
-    nb = _load_pair(args.codomain, "hom")
+    ma, nb = _once_each(lambda path: _load_pair(path, "hom"), (args.domain, args.codomain))
     h = hom_module(ma, nb, limit=args.limit)
     report = {
         "command": "hom",
@@ -256,8 +264,9 @@ def cmd_hom(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    loaded = [(path, _load(path)) for path in (args.first, args.then)]
-    f, g = (_checked(path, doc, "map", "compose") for path, doc in loaded)
+    paths = (args.first, args.then)
+    f, g = (_checked(path, doc, "map", "compose")
+            for path, doc in zip(paths, _once_each(_load, paths)))
     if not (isinstance(f.dom, CpModule) and isinstance(g.dom, CpModule)):
         raise PreconditionUnmet("compose needs maps between pair modules")
     fc = is_cp_quadratic(f)

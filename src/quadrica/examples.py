@@ -328,8 +328,10 @@ def _algebra_laws(kind: str, g: FiniteGroup, prod: np.ndarray, scal_r: np.ndarra
     if kind == "comm":
         laws.append(("commutative", (order, order), lambda m, q: (prod[m, q], prod[q, m])))
     if kind == "divided":
+        # the product is the polarization of γ, whose value at (0, q) is
+        # −γ(0), so γ(0) ≠ 0 would first fail additivity: check it first
+        laws.insert(0, ("γ(0) = 0", (1,), lambda z: (gam[z], z)))
         laws += [
-            ("γ(0) = 0", (1,), lambda z: (gam[z], z)),
             ("γ(mr) = γ(m)r²", (order, n),
              lambda m, r: (gam[scal_r[m, r]], scal_r[gam[m], (r * r) % n])),
             ("γ(γ(m)) = 0", (order,), lambda m: (gam[gam[m]], np.zeros_like(m))),

@@ -175,6 +175,10 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
     G = generators(mod.group)
     G_R = generators(sr.re.group) or (0,)
     G_ee = generators(sr.ree) or (0,)
+    # the first two clauses of MC5 run the added element over G; a pair
+    # module's brackets are central without MC5, so there n (in the first
+    # clause) and x run over G and G_ee too (see ``verify_bhp_module``)
+    mc5_n, mc5_x = (nm, nee) if with_mc7 else (G, G_ee)
     laws = [
         ("MC1", (nm,), lambda m: (scal[m, one], m), None),
         (
@@ -207,7 +211,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 bracket[madd[m, m2], n, x],
                 madd[bracket[m, n, x], bracket[m2, n, x]],
             ),
-            (nm, G, nm, nee),
+            (nm, G, mc5_n, mc5_x),
         ),
         (
             "MC5",
@@ -216,7 +220,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 bracket[m, madd[n, n2], x],
                 madd[bracket[m, n, x], bracket[m, n2, x]],
             ),
-            (nm, nm, G, nee),
+            (nm, nm, G, mc5_x),
         ),
         (
             "MC5",
@@ -312,6 +316,23 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
       the added element runs over G.  Clause 3, [m,n]·(x+y) =
       [m,n]·x + [m,n]·y: the lemma for x ↦ [m,n]·x on R_ee, so y runs
       over G_ee.  None of the three needs another law.
+    * MC5 of a pair module, clauses 1–2 further: x runs over G_ee in both,
+      and n over G in clause 1.  First, A is central: for a ∈ A, MC2 at
+      r = 1 + 1, with m·(1+1) = m + m by MC1 (clauses 1 and 3), gives
+      m + a + m + a = m + m + a + a + [m,a]·H(1+1); by MC4
+      [m,a]·H(1+1) = [a,m]·T(H(1+1)), which is 0 by MC7a, so cancelling
+      gives a + m = m + a.  Brackets lie in A by MC7b, so they are central
+      too, and a sum of two bracket-valued homomorphisms is again a
+      homomorphism.  Clause 2: for n' ∈ G, both sides are additive in x,
+      by clause 3 and centrality, so they agree once they agree for
+      x ∈ G_ee; the lemma for n ↦ [m,n]·x then covers every n'.
+      Clause 1: for m' ∈ G, both sides are additive in x (clause 3) and in
+      n (clause 2), so they agree once they agree for n ∈ G and x ∈ G_ee;
+      the lemma for m ↦ [m,n]·x then covers every m'.  The laws this uses
+      are swept in full, apart from clause 3 of MC1 and MC5, which rest on
+      the lemma alone, so no proof leans on its own conclusion.  A plain
+      module keeps the dims of the item above: there centrality of
+      brackets rests on MC7, whose reduced form rests on MC5.
     * MC7, given MC5: [[m,m']·x, n]·y is additive in m, m' and n, being
       built from the maps that MC5 makes additive, and so is 0; generator
       triples (m, m', n) decide it.  (In a pair module MC7 follows from

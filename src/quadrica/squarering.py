@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import get_config
 from .errors import ConsistencyError, NotARing, PreconditionUnmet
-from .groups import FiniteGroup, _frozen_table, representatives
+from .groups import FiniteGroup, _frozen_table, generators, representatives
 from .rings import NearRing
 from .verdict import Verdict, law_failures, run_laws
 
@@ -127,10 +127,10 @@ class SquareRing:
         return f"SquareRing(|R_e|={self.re.order}, |R_ee|={self.ree.order})"
 
 
-def verify_square_ring(sr: SquareRing) -> Verdict:
-    """Exhaustive check of the structural laws, AC0–AC8, and the derived
-    identities.  A derived identity failing while every axiom passes is a
-    contradiction with proved facts and raises ConsistencyError."""
+def _ring_laws(sr: SquareRing) -> tuple[list, list]:
+    """The axioms of ``verify_square_ring`` and its derived identities, in
+    verdict order; each law is (label, dims, law) or (label, dims, law,
+    reduced), as for ``verdict.run_laws``."""
     ne, nee = sr.re.order, sr.ree.order
     add = sr.re.add
     mul = sr.re.mul
@@ -138,6 +138,8 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
     eadd, eneg = sr.ree.add, sr.ree.neg
     act, h, p, t = sr.act, sr.h, sr.p, sr.t
     zero_e = np.int64(0)
+    G_R = generators(sr.re.group) or (0,)
+    G_ee = generators(sr.ree) or (0,)
 
     laws = [
         ("ree-commutative", (nee, nee), lambda x, y: (eadd[x, y], eadd[y, x])),
@@ -148,26 +150,31 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
             "action-additive-1",
             (ne, ne, ne, nee, ne),
             lambda r, r2, s, x, u: (act[add[r, r2], s, x, u], eadd[act[r, s, x, u], act[r2, s, x, u]]),
+            (ne, G_R, G_R, G_ee, G_R),
         ),
         (
             "action-additive-2",
             (ne, ne, ne, nee, ne),
             lambda r, s, s2, x, u: (act[r, add[s, s2], x, u], eadd[act[r, s, x, u], act[r, s2, x, u]]),
+            (ne, ne, G_R, G_ee, G_R),
         ),
         (
             "action-additive-3",
             (ne, ne, nee, nee, ne),
             lambda r, s, x, y, u: (act[r, s, eadd[x, y], u], eadd[act[r, s, x, u], act[r, s, y, u]]),
+            (ne, ne, nee, G_ee, ne),
         ),
         (
             "action-additive-4",
             (ne, ne, nee, ne, ne),
             lambda r, s, x, u, u2: (act[r, s, x, add[u, u2]], eadd[act[r, s, x, u], act[r, s, x, u2]]),
+            (ne, ne, G_ee, ne, G_R),
         ),
         (
             "action-left-monoid",
             (ne, ne, ne, ne, nee),
             lambda r, s, r2, s2, x: (act[r, s, act[r2, s2, x, one], one], act[mul[r, r2], mul[s, s2], x, one]),
+            (ne, ne, ne, ne, G_ee),
         ),
         (
             "action-right-monoid",
@@ -219,6 +226,45 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
             lambda r, s: (add[add[add[r, s], sr.re.neg[r]], sr.re.neg[s]], p[act[s, r, h[two], one]]),
         ),
     ]
+    return laws, derived
+
+
+def verify_square_ring(sr: SquareRing) -> Verdict:
+    """Exhaustive check of the structural laws, AC0–AC8, and the derived
+    identities, cached on the ring.  A derived identity failing while every
+    axiom passes is a contradiction with proved facts and raises
+    ConsistencyError.
+
+    The verdict equals the exhaustive sweep of every law, witnesses
+    included; the additivity laws of the action and its left monoid law
+    are decided on generators when every other axiom holds (see
+    ``verdict.run_laws``).  G_R and G_ee are ``generators`` of R_e and
+    R_ee, {0} when their group is 0.  The lemma of ``verify_bhp_module``:
+    a map out of a finite group X with φ(u + g) = φ(u) + φ(g) for every
+    u ∈ X and every g in a generating set of X is a homomorphism, and two
+    maps additive in each of some arguments are equal once they agree
+    whenever those arguments lie in generating sets.  R_ee is commutative
+    (a law swept in full), so a sum of two homomorphisms into R_ee is one.
+
+    * action-additive-3, additive in x: the lemma for x ↦ (r,s)·x·t, so
+      y runs over G_ee.  It needs no other law.
+    * action-additive-4, additive in t: the lemma for t ↦ (r,s)·x·t, so t'
+      runs over G_R.  Both sides are additive in x by action-additive-3,
+      so x runs over G_ee.
+    * action-additive-2, additive in s: the lemma, s' over G_R; both sides
+      are additive in x (action-additive-3) and in t (action-additive-4),
+      so x runs over G_ee and t over G_R.
+    * action-additive-1, additive in r: the lemma, r' over G_R; both sides
+      are additive in s, x and t (action-additive-2, -3, -4), so s and t
+      run over G_R and x over G_ee.
+    * action-left-monoid, (r,s)·((r',s')·x) = (rr',ss')·x: both sides are
+      additive in x, the left one as a composite of two maps that
+      action-additive-3 makes additive, so x runs over G_ee.
+
+    Each proof rests only on laws swept in full and on reduced forms
+    earlier in this chain (3, then 4, 2, 1), so none leans on its own
+    conclusion."""
+    laws, derived = _ring_laws(sr)
     cfg = get_config()
     verdict = run_laws(laws, all_witnesses=cfg.exhaustive_witnesses)
     derived_verdict = run_laws(derived, all_witnesses=cfg.exhaustive_witnesses)

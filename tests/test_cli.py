@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadrica.cli as cli
 from quadrica import (
     Config,
     CpModule,
@@ -209,6 +210,33 @@ def test_compose_certifies_and_rejects_mismatches(tmp_path, capsys):
         MapTable(*(free_cp_pair(build_example("sym", 2)),) * 2, np.zeros(4, dtype=np.int64)),
     )
     assert main(["compose", first, other]) == 4
+
+
+@pytest.mark.parametrize("command", ["hom", "enum", "compose"])
+def test_a_document_named_twice_is_loaded_once(tmp_path, capsys, monkeypatch, command):
+    """``X X`` reads, parses and verifies X once, and prints what ``X Y``
+    prints for a byte-identical copy Y."""
+    if command == "compose":
+        text = Path(square_map_doc(tmp_path, 2)).read_text()
+    else:
+        text = dumps(free_cp_pair(build_example("sym", 2)))
+    first, copy = write(tmp_path, "first.doc", text), write(tmp_path, "copy.doc", text)
+    loads_of = []
+    load = cli._load
+
+    def counting(path):
+        loads_of.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load", counting)
+    runs = {}
+    for paths in ((first, copy), (first, first)):
+        loads_of.clear()
+        code = main([command, *paths])
+        runs[paths] = (code, capsys.readouterr().out)
+        assert sorted(loads_of) == sorted(set(paths))
+    assert runs[first, first] == runs[first, copy]
+    assert runs[first, first][0] == 0 and runs[first, first][1]
 
 
 def test_usage_mismatches_exit_four(tmp_path, capsys):

@@ -118,13 +118,27 @@ def test_module_from_algebra_rejections():
         module_from_algebra("jordan", _heisenberg_gamma_data())
     with pytest.raises(NotAnAlgebra):  # factor order must divide the modulus
         module_from_algebra("lie", AlgebraData(n=2, factors=(3,), product=((0,) * 3,) * 3))
-    with pytest.raises(NotAnAlgebra):  # lie products must be alternating
+    # 1∗1 = 1 on Z/2 is not nilpotent: (1∗1)∗1 ≠ 0 is found first
+    with pytest.raises(NotAnAlgebra, match=r"fails triple products vanish \(left\)"):
         module_from_algebra("lie", AlgebraData(n=2, factors=(2,), product=((0, 0), (0, 1))))
-    with pytest.raises(NotAnAlgebra):  # comm products must be symmetric
+    # on (Z/2)², index 2a + b, (a, b)∗(a', b') = (0, aa') is bilinear and
+    # nilpotent, but 2∗2 = 1
+    lie = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1))
+    with pytest.raises(NotAnAlgebra) as info:
+        module_from_algebra("lie", AlgebraData(n=2, factors=(2, 2), product=lie))
+    assert str(info.value) == "lie data fails alternating at (2,): lhs=1 rhs=0"
+    # a constant nonzero product is not additive
+    with pytest.raises(NotAnAlgebra, match="fails additive in the first slot"):
         module_from_algebra("comm", AlgebraData(n=2, factors=(2, 2), product=tuple((0,) * 3 + (1,) for _ in range(4))))
+    # on (Z/2)³, index 4a + 2b + c, m∗q = a(m)b(q)·(0, 0, 1): 4∗2 = 1, 2∗4 = 0
+    comm = tuple(tuple((m >> 2) & (q >> 1) & 1 for q in range(8)) for m in range(8))
+    with pytest.raises(NotAnAlgebra) as info:
+        module_from_algebra("comm", AlgebraData(n=2, factors=(2, 2, 2), product=comm))
+    assert str(info.value) == "comm data fails commutative at (2, 4): lhs=0 rhs=1"
     with pytest.raises(NotAnAlgebra):  # divided data needs its gamma table
         module_from_algebra("divided", AlgebraData(n=2, factors=(2,)))
-    with pytest.raises(NotAnAlgebra):  # gamma must vanish at zero
+    with pytest.raises(NotAnAlgebra) as info:  # gamma must vanish at zero
         module_from_algebra("divided", AlgebraData(n=2, factors=(2,), gamma_map=(1, 0)))
+    assert str(info.value) == "divided data fails γ(0) = 0 at (0,): lhs=1 rhs=0"
     with pytest.raises(NotAnAlgebra):  # wrong product shape
         module_from_algebra("assoc", AlgebraData(n=2, factors=(2,), product=((0, 0),)))

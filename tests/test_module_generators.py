@@ -3,13 +3,16 @@
 ``verify_bhp_module`` and ``verify_cp_module`` decide the additivity clause
 of MC1 on generators of R_e, the x-clause of MC5 on generators of R_ee, and
 the first two clauses of MC5, MC6 and MC7 on generator tuples of the
-carrier, once every other law holds, and sweep them in full otherwise.  Their verdicts must equal a plain
-exhaustive ``run_laws`` over every law: passed, each failure with its
-witness and detail, and ``checked``.
+carrier (in a pair module, the first two clauses of MC5 with x on
+generators of R_ee too), once every other law holds, and sweep them in full
+otherwise.  Their verdicts must equal a plain exhaustive ``run_laws`` over
+every law: passed, each failure with its witness and detail, and
+``checked``.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 from math import prod
 
@@ -265,6 +268,65 @@ def test_a_module_that_fails_only_the_mc5_x_clause_off_the_generators(pair):
     assert_agrees(mod)
 
 
+def clique_pair(clique) -> CpModule:
+    """The pair ((Z/2)³, A = {0, 4}) over ``lambda 2`` (H = 0, P = 0,
+    T = id), elements as bit vectors, r acting as multiplication by
+    r ∈ Z/2, with [m,n]·1 = 4 when m ≠ n both lie in ``clique`` and
+    [m,n]·x = 0 otherwise.  The clique misses A, so the bracket is
+    symmetric, alternating, A-valued and kills A: every law but the first
+    two clauses of MC5 holds.  (Given MC4 in full, those two fail
+    together: T is a bijection.)"""
+    sr = build_example("lambda", 2)
+    m = np.arange(8)
+    group = FiniteGroup(m[:, None] ^ m[None, :], m)
+    scal = np.zeros((8, 2), dtype=np.int64)
+    scal[:, sr.one] = m
+    inside = np.isin(m, list(clique))
+    bracket = np.zeros((8, 8, 2), dtype=np.int64)
+    bracket[:, :, 1] = 4 * (inside[:, None] & inside[None, :] & (m[:, None] != m[None, :]))
+    return CpModule(sr, group, scal, bracket, (0, 4))
+
+
+@pytest.mark.parametrize("clique, witnesses", [
+    ((1, 5, 6, 7), ((1, 2, 5, 1), (1, 1, 4, 1))),
+    ((1, 2, 3, 7), ((1, 2, 7, 1), (1, 1, 6, 1))),
+])
+def test_pair_modules_that_fail_mc5_first_off_the_generators(clique, witnesses):
+    """A pair module runs n over G and x over G_ee in the first clause of
+    MC5, and x over G_ee in the second.  Here the first failing cell of the
+    first clause has n ∉ G = (1, 2, 4) (and with the second clique so does
+    the second clause at its added element), yet the reduced forms still
+    refuse, and the witnesses are those of the full sweeps.  A first
+    failing x ∉ G_ee cannot occur while the x-clause holds: at the first
+    failing (m, m', n) the difference of the two sides is a homomorphism
+    in x, so the least x where it is not 0 lies outside the span of the
+    smaller elements, and the greedy choice of G_ee picks that x."""
+    mod = clique_pair(clique)
+    G = generators(mod.group)
+    assert G == (1, 2, 4) and generators(mod.sr.ree) == (1,)
+    mc5 = [(dims, law, reduced) for label, dims, law, reduced in _module_laws(mod)
+           if label == "MC5"]
+    assert [reduced for _, _, reduced in mc5] == [(8, G, G, (1,)), (8, 8, G, (1,)),
+                                                  (8, 8, 2, (1,))]
+    for label, dims, law, _ in _module_laws(mod):
+        assert holds(label, dims, law) == (label != "MC5" or dims == (8, 8, 2, 2)), label
+    assert not all(holds("MC5", reduced, law) for _, law, reduced in mc5)
+    assert witnesses[0][2] not in G
+    set_config(exhaustive_witnesses=False)
+    assert tuple(f.witness for f in verify(mod).failures) == witnesses
+    assert_agrees(mod)
+
+
+def test_every_clique_pair_keeps_the_exhaustive_verdict():
+    failing = 0
+    for size in range(7):
+        for clique in itertools.combinations((1, 2, 3, 5, 6, 7), size):
+            mod = clique_pair(clique)
+            assert_agrees(mod)
+            failing += not verify(mod).passed
+    assert 0 < failing < 64
+
+
 def mc6_only_module(*, pair: bool, bit=(0, 1, 2, 3, 4, 5)) -> BhpModule:
     """A module over ``gamma 2`` on (Z/2)⁶ with basis e0..e5, e_i the bit
     ``bit[i]`` of an element.  The bracket at x = 1 is the symmetric
@@ -337,8 +399,8 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
     ng = len(generators(hom.group))
     ng_r, ng_ee = len(generators(hom.sr.re.group)), len(generators(hom.sr.ree))
     expected = [(label, sizes(dims)) for label, dims, _, r in laws if r is None]
-    expected += [("MC1", (nm, ne, ng_r)), ("MC5", (nm, ng, nm, nee)),
-                 ("MC5", (nm, nm, ng, nee)), ("MC5", (nm, nm, nee, ng_ee)),
+    expected += [("MC1", (nm, ne, ng_r)), ("MC5", (nm, ng, ng, ng_ee)),
+                 ("MC5", (nm, nm, ng, ng_ee)), ("MC5", (nm, nm, nee, ng_ee)),
                  ("MC6", (ng, ng, ne, ne, nee, ne))]
     seen = sweeps(monkeypatch, hom)
     assert sorted(seen) == sorted(expected)
@@ -360,3 +422,16 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
     mutant = mc5_only_mutant(pair=False)
     assert sorted(sweeps(monkeypatch, mutant)) == sorted(full_sweeps(mutant)
                                                          + [("MC1", (4, 2, 1)), ("MC5", (4, 2, 4, 2))])
+
+
+def test_the_tensor_3_hom_carrier_sweeps_at_most_480000_cells(monkeypatch):
+    """A passing pair module sweeps each law once, the reducible ones on
+    generators: 470,854 cells on the 81-element Hom carrier of Z/3
+    ``tensor`` (888,166 with the MC5 dims of a plain module)."""
+    set_config(cap_group=128)
+    pair = free_cp_pair(build_example("tensor", 3))
+    hom = hom_module(pair, pair)
+    assert hom.nm == 81 and generators(hom.group) == (1, 3, 9, 27)
+    seen = sweeps(monkeypatch, hom)
+    assert len(seen) == len(_module_laws(hom))
+    assert sum(prod(d) for _, d in seen) <= 480_000

@@ -53,11 +53,16 @@ def test_build_near_ring_locates_the_unit():
 def test_build_near_ring_rejections():
     with pytest.raises(NotAGroup):
         build_near_ring([[0, 1], [1, 1]], [[0, 0], [0, 1]])
-    with pytest.raises(NotARing):  # no unit
+    with pytest.raises(NotARing, match="no two-sided multiplicative unit"):
         build_near_ring(zmod(2).group.add, [[0, 0], [0, 0]])
-    with pytest.raises(NotARing):  # non-associative multiplication
-        mul = np.array([[0, 0, 0], [0, 2, 1], [0, 1, 1]])
+    with pytest.raises(NotARing, match="no two-sided multiplicative unit"):
+        mul = np.array([[0, 0, 0], [0, 2, 1], [0, 1, 1]])  # not associative either
         build_near_ring(zmod(3).group.add, mul)
+    # Z/4 with unit 1, 2·2 = 0 and 3·2 = 3: (3·2)·2 = 3, but 3·(2·2) = 0
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 0], [0, 3, 3, 0]]
+    with pytest.raises(NotARing) as info:
+        build_near_ring(zmod(4).group.add, mul)
+    assert str(info.value) == "near-ring fails mul-associative at (3, 2, 2): lhs=3 rhs=0"
 
 
 def test_one_sided_distributivity_is_checked():
