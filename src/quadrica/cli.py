@@ -270,7 +270,7 @@ def cmd_compose(args) -> int:
     if not (isinstance(f.dom, CpModule) and isinstance(g.dom, CpModule)):
         raise PreconditionUnmet("compose needs maps between pair modules")
     fc = is_cp_quadratic(f)
-    gc = is_cp_quadratic(g)
+    gc = fc if g is f else is_cp_quadratic(g)
     for name, cert in ((args.first, fc), (args.then, gc)):
         if not cert.passed:
             print(f"{name}: not quadratic, fails {list(cert.failed_laws())}", file=sys.stderr)

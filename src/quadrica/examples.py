@@ -1,7 +1,9 @@
-"""The canonical square-ring families over ℤ/n, and converters between
-classes of nilpotent algebras and modules over the matching family.
+"""The canonical square-ring families, and converters between classes of
+nilpotent algebras and modules over the matching family.
 
-Families (all over a finite commutative base ring R = ℤ/n):
+Each family is built over a finite commutative base ring R from R's own
+tables (its addition, negation, product and unit); ``build_example`` takes
+R = ℤ/n.  An element (r,s) of R⊕R sits at index r·|R| + s.  Families:
 
 * ``classical``  R → 0 → R: plain commutative-ring module theory.
 * ``rnil``       R → I₂ → R with H(r) = r²−r and P = 0, where I₂ is the
@@ -17,8 +19,8 @@ Families (all over a finite commutative base ring R = ℤ/n):
   are class-≤2 nilpotent commutative R-algebras.
 * ``gamma``      same R_e, R_ee = R, H(r,s) = s, P(x) = (0,2x): modules
   are class-≤2 nilpotent divided-power R-algebras.  The optional
-  deformation ε (with ε·I₂ = 0) twists the addition of R_e into
-  (r,s)+(r',s') = (r+r', s+s'+εrr').
+  deformation ε (the integer ε as the element ε·1, with ε·I₂ = 0) twists
+  the addition of R_e into (r,s)+(r',s') = (r+r', s+s'+εrr').
 """
 
 from __future__ import annotations
@@ -64,36 +66,48 @@ class ExampleSpec:
             raise PreconditionUnmet("epsilon only applies to the gamma family")
 
 
+def _r2_minus_r(base: CommutativeRing) -> np.ndarray:
+    """r²−r at each element r of R."""
+    r = np.arange(base.order)
+    return base.group.sub(base.mul[r, r], r)
+
+
 def i2_ideal(base: CommutativeRing) -> tuple[int, ...]:
     """The ideal generated by the elements r²−r (computed, not assumed)."""
-    n = base.order
-    gens = {int(base.group.sub(base.mul[r, r], r)) for r in range(n)}
-    return base.ideal_closure(gens)
+    return base.ideal_closure(_r2_minus_r(base).tolist())
 
 
-def _pair_re(n: int, eps: int = 0) -> NearRing:
+def _pairs(n: int):
+    """The layout of R⊕R for |R| = n, as in ``groups.direct_product``: the
+    components r and s of each index, and ``index(r, s) = r·n + s``."""
+    idx = np.arange(n, dtype=np.int64)
+    return np.repeat(idx, n), np.tile(idx, n), lambda r, s: r * n + s
+
+
+def _pair_re(base: CommutativeRing, eps: int = 0) -> NearRing:
     """R⊕R with multiplication (r,s)(r',s') = (rr', r²s'+sr'), addition
-    possibly deformed by ε: (r,s)+(r',s') = (r+r', s+s'+εrr')."""
-    e = np.arange(n * n, dtype=np.int64)
-    r, s = np.divmod(e, n)
-    r1, s1 = r[:, None], s[:, None]
-    r2, s2 = r[None, :], s[None, :]
-    add = ((r1 + r2) % n) * n + (s1 + s2 + eps * r1 * r2) % n
-    neg = ((-r) % n) * n + (-s + eps * r * r) % n
-    group = FiniteGroup(add.astype(np.int64), neg.astype(np.int64))
-    mul = ((r1 * r2) % n) * n + (r1 * r1 * s2 + s1 * r2) % n
-    return NearRing(group, mul.astype(np.int64), one=1 * n + 0, right_distributive=False)
+    possibly deformed by the element ε: (r,s)+(r',s') = (r+r', s+s'+εrr')."""
+    add, neg, mul = base.add, base.neg, base.mul
+    r, s, pair = _pairs(base.order)
+    r1, s1, r2, s2 = r[:, None], s[:, None], r[None, :], s[None, :]
+    group = FiniteGroup(pair(add[r1, r2], add[add[s1, s2], mul[eps, mul[r1, r2]]]),
+                        pair(neg[r], add[neg[s], mul[eps, mul[r, r]]]))
+    prod = pair(mul[r1, r2], add[mul[mul[r1, r1], s2], mul[s1, r2]])
+    return NearRing(group, prod, pair(base.one, 0), right_distributive=False)
 
 
-def _first_component_action(n: int) -> np.ndarray:
-    """(r,s)·x·(t,u) acting through first components: r·r'·x·t in R."""
-    ne = n * n
-    r = np.arange(ne, dtype=np.int64) // n
-    x = np.arange(n, dtype=np.int64)
-    prod = (
-        r[:, None, None, None] * r[None, :, None, None] * x[None, None, :, None] * r[None, None, None, :]
-    ) % n
-    return prod.astype(np.int64)
+def _action(base: CommutativeRing, first: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(e,e')·x·e'' = r·r'·x·r'' in R, where r, r', r'' are ``first`` at
+    e, e', e'': the scalars act through their first components."""
+    mul = base.mul
+    return mul[mul[mul[first[:, None, None, None], first[None, :, None, None]],
+                   x[None, None, :, None]], first[None, None, None, :]]
+
+
+def _integer(base: CommutativeRing, k: int) -> int:
+    """The integer k as the element k·1 of R."""
+    order = len(base.group.subgroup_closure([base.one]))  # the additive order of 1
+    return base.group.repeat(base.one, k % order)
 
 
 def build_example(spec, n: int | None = None, epsilon: int | None = None) -> SquareRing:
@@ -103,7 +117,6 @@ def build_example(spec, n: int | None = None, epsilon: int | None = None) -> Squ
     if not isinstance(spec, ExampleSpec):
         spec = ExampleSpec(str(spec), int(n), epsilon)
     base = zmod(spec.n)
-    n = spec.n
     builder = {
         "classical": _build_classical,
         "rnil": _build_rnil,
@@ -114,7 +127,7 @@ def build_example(spec, n: int | None = None, epsilon: int | None = None) -> Squ
     }[spec.kind]
     sr = builder(base, spec)
     ensure_verified(sr)
-    _structural_asserts(sr, spec)
+    _structural_asserts(sr, base, spec)
     return sr
 
 
@@ -131,102 +144,76 @@ def _build_classical(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
     )
 
 
-def _scaled_subgroup_square_ring(base, members, h_values) -> SquareRing:
-    """Shared core of rnil and lambda: R_ee is an additive subgroup of R,
-    the action is (r,s)·x·t = rsxt, P = 0, T = −Id."""
-    n = base.order
-    members = tuple(members)
-    nee = len(members)
-    index = np.full(n, -1, dtype=np.int64)
-    index[list(members)] = np.arange(nee)
+def _scaled_subgroup_square_ring(base: CommutativeRing, members, h) -> SquareRing:
+    """Shared core of rnil and lambda: R_ee is the additive subgroup
+    ``members`` of R, the action is (r,s)·x·t = rsxt, H is ``h`` (values in
+    ``members``), P = 0 and T = −Id."""
     vals = np.array(members, dtype=np.int64)
-    add_e = index[(vals[:, None] + vals[None, :]) % n]
-    neg_e = index[(-vals) % n]
-    ree = FiniteGroup(add_e, neg_e)
-    r = np.arange(n, dtype=np.int64)
-    act = index[
-        (r[:, None, None, None] * r[None, :, None, None] * vals[None, None, :, None] * r[None, None, None, :]) % n
-    ]
-    h = index[h_values % n]
-    p = np.zeros(nee, dtype=np.int64)
-    t = index[(-vals) % n]
-    return SquareRing(base, ree, act, h, p, t)
+    index = np.full(base.order, -1, dtype=np.int64)
+    index[vals] = np.arange(len(vals))
+    ree = FiniteGroup(index[base.add[np.ix_(vals, vals)]], index[base.neg[vals]])
+    act = index[_action(base, np.arange(base.order), vals)]
+    return SquareRing(base, ree, act, index[h], np.zeros(len(vals), dtype=np.int64),
+                      index[base.neg[vals]])
 
 
 def _build_rnil(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
-    n = base.order
-    r = np.arange(n, dtype=np.int64)
-    return _scaled_subgroup_square_ring(base, i2_ideal(base), (r * r - r) % n)
+    return _scaled_subgroup_square_ring(base, i2_ideal(base), _r2_minus_r(base))
 
 
 def _build_lambda(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
-    n = base.order
-    return _scaled_subgroup_square_ring(base, range(n), np.zeros(n, dtype=np.int64))
+    return _scaled_subgroup_square_ring(base, range(base.order), np.zeros(base.order, dtype=np.int64))
 
 
 def _build_tensor(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
-    n = base.order
-    re = _pair_re(n)
-    ree = direct_product(cyclic(n), cyclic(n))  # (x,y) at index x*n+y
-    e = np.arange(n * n, dtype=np.int64)
-    s = e % n
-    h = s * n + s
-    x, y = np.divmod(e, n)
-    p = ((x + y) % n).astype(np.int64)  # (0, x+y) sits at index x+y
-    t = y * n + x
-    # (x,y) ↦ (r r' x r'', r r' y r''): the scalar action applied to both slots
-    act_first = _first_component_action(n)
-    xi, yi = np.divmod(np.arange(n * n), n)
-    act = act_first[:, :, xi, :] * n + act_first[:, :, yi, :]
-    return SquareRing(re, ree, act.astype(np.int64), h, p, t)
+    """R_ee = R⊕R in the layout of R_e; the scalars act on both slots."""
+    r, s, pair = _pairs(base.order)
+    act = _action(base, r, np.arange(base.order))
+    return SquareRing(_pair_re(base), direct_product(base.group, base.group),
+                      pair(act[:, :, r, :], act[:, :, s, :]), pair(s, s),
+                      pair(0, base.add[r, s]), pair(s, r))
 
 
 def _build_sym(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
-    n = base.order
-    re = _pair_re(n)
-    ree = cyclic(n)
-    e = np.arange(n * n, dtype=np.int64)
-    h = (2 * (e % n)) % n
-    p = np.arange(n, dtype=np.int64)  # (0,x) sits at index x
-    t = np.arange(n, dtype=np.int64)
-    act = _first_component_action(n)
-    return SquareRing(re, ree, act, h, p, t)
+    r, s, pair = _pairs(base.order)
+    x = np.arange(base.order)
+    return SquareRing(_pair_re(base), base.group, _action(base, r, x), base.add[s, s], pair(0, x), x)
 
 
 def _build_gamma(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
-    n = base.order
-    eps = int(spec.epsilon or 0) % n
+    eps = _integer(base, spec.epsilon or 0)
     i2 = i2_ideal(base)
-    if any((eps * v) % n for v in i2):
+    if base.mul[eps, list(i2)].any():
         raise InvalidEpsilon(
             f"ε={eps} does not annihilate the ideal {i2} generated by the r²−r"
         )
-    re = _pair_re(n, eps=eps)
-    ree = cyclic(n)
-    e = np.arange(n * n, dtype=np.int64)
-    h = e % n
-    p = (2 * np.arange(n, dtype=np.int64)) % n  # (0,2x) sits at index 2x
-    t = np.arange(n, dtype=np.int64)
-    act = _first_component_action(n)
-    return SquareRing(re, ree, act, h, p, t)
+    r, s, pair = _pairs(base.order)
+    x = np.arange(base.order)
+    return SquareRing(_pair_re(base, eps), base.group, _action(base, r, x), s,
+                      pair(0, base.add[x, x]), x)
 
 
-def _structural_asserts(sr: SquareRing, spec: ExampleSpec) -> None:
-    n = spec.n
+def _structural_asserts(sr: SquareRing, base: CommutativeRing, spec: ExampleSpec) -> None:
     if spec.kind == "tensor":
-        e = np.arange(n * n)
-        x, y = np.divmod(e, n)
-        if not np.array_equal(sr.t, y * n + x):
+        r, s, pair = _pairs(base.order)
+        if not np.array_equal(sr.t, pair(s, r)):
             raise ConsistencyError("tensor family: T must swap the two components")
     if spec.kind in ("sym", "gamma"):
         if not np.array_equal(sr.t, np.arange(sr.ree.order)):
             raise ConsistencyError(f"{spec.kind} family: T must be the identity")
     if spec.kind in ("tensor", "sym", "gamma"):
-        expected = 0 if spec.kind != "gamma" else (int(spec.epsilon or 0) % n)
+        expected = _integer(base, spec.epsilon or 0) if spec.kind == "gamma" else 0
         if int(sr.h[sr.two]) != expected:
             raise ConsistencyError(
                 f"{spec.kind} family: H(2) = {int(sr.h[sr.two])}, expected {expected}"
             )
+
+
+def _i2_is_2r(base: CommutativeRing) -> bool:
+    """The criterion I₂ = 2R for the gamma family over ``base`` to be
+    commutative."""
+    r = np.arange(base.order)
+    return set(i2_ideal(base)) == set(base.add[r, r].tolist())
 
 
 def commutativity_census(specs) -> list[dict]:
@@ -241,15 +228,13 @@ def commutativity_census(specs) -> list[dict]:
         comm = is_commutative(sr)
         row = {"kind": spec.kind, "n": spec.n, "epsilon": spec.epsilon, "commutative": comm}
         if spec.kind == "gamma":
-            base = zmod(spec.n)
-            i2 = set(i2_ideal(base))
-            two_r = {(2 * r) % spec.n for r in range(spec.n)}
-            if (i2 == two_r) != comm:
+            criterion = _i2_is_2r(zmod(spec.n))
+            if criterion != comm:
                 raise ConsistencyError(
-                    f"gamma commutativity criterion I₂=2R gives {i2 == two_r}, "
+                    f"gamma commutativity criterion I₂=2R gives {criterion}, "
                     f"verifier gives {comm}"
                 )
-            row["i2_equals_2R"] = i2 == two_r
+            row["i2_equals_2R"] = criterion
         rows.append(row)
     return rows
 
@@ -333,7 +318,7 @@ def _algebra_laws(kind: str, g: FiniteGroup, prod: np.ndarray, scal_r: np.ndarra
         laws.insert(0, ("γ(0) = 0", (1,), lambda z: (gam[z], z)))
         laws += [
             ("γ(mr) = γ(m)r²", (order, n),
-             lambda m, r: (gam[scal_r[m, r]], scal_r[gam[m], (r * r) % n])),
+             lambda m, r: (gam[scal_r[m, r]], scal_r[scal_r[gam[m], r], r])),
             ("γ(γ(m)) = 0", (order,), lambda m: (gam[gam[m]], np.zeros_like(m))),
             ("γ(m)·q = 0", (order, order), lambda m, q: (prod[gam[m], q], np.zeros_like(m + q))),
             ("γ(m·q) = 0", (order, order), lambda m, q: (gam[prod[m, q]], np.zeros_like(m + q))),
@@ -377,7 +362,7 @@ def module_from_algebra(kind: str, data: AlgebraData) -> BhpModule:
     scal, bracket = _module_tables(kind, sr, g, scal_r, prod, gam)
     mod = BhpModule(sr, g, scal, bracket)
     verify_bhp_module(mod).require(NotAnAlgebra, f"{kind} module")
-    _roundtrip_check(kind, mod, prod, gam)
+    _roundtrip_check(kind, mod, prod, gam, n)
     return mod
 
 
@@ -394,15 +379,12 @@ def _module_tables(kind, sr, g, scal_r, prod, gam):
         return scal, bracket
     # pair-carrier scalars (r,s): m·(r,s) = m·r + w(m)·s with w = m∗m or γ(m)
     w = prod[m, m] if kind != "divided" else gam
-    e = np.arange(n * n)
-    r_part, s_part = np.divmod(e, n)
-    scal = g.add[scal_r[m[:, None], r_part[None, :]], scal_r[w[m][:, None], s_part[None, :]]]
-    if kind == "assoc":
-        x = np.arange(n * n)
-        xr, ys = np.divmod(x, n)
+    r, s, _ = _pairs(n)
+    scal = g.add[scal_r[m[:, None], r[None, :]], scal_r[w[m][:, None], s[None, :]]]
+    if kind == "assoc":  # R_ee = R⊕R and [m,n]·(x,y) = (m∗n)x + (n∗m)y
         bracket = g.add[
-            scal_r[prod[m[:, None, None], m[None, :, None]], xr[None, None, :]],
-            scal_r[prod[m[None, :, None], m[:, None, None]], ys[None, None, :]],
+            scal_r[prod[m[:, None, None], m[None, :, None]], r[None, None, :]],
+            scal_r[prod[m[None, :, None], m[:, None, None]], s[None, None, :]],
         ]
     else:  # comm, divided: R_ee = R and [m,n]·x = (m∗n)x
         x = np.arange(n)
@@ -410,19 +392,12 @@ def _module_tables(kind, sr, g, scal_r, prod, gam):
     return scal, bracket
 
 
-def _roundtrip_check(kind, mod, prod, gam) -> None:
-    sr, order = mod.sr, mod.nm
-    n = int(round(np.sqrt(sr.re.order))) if kind != "lie" else sr.re.order
-    m = np.arange(order)
-    if kind == "lie":
-        got = mod.bracket[:, :, 1 % sr.ree.order]
-    elif kind == "assoc":
-        got = mod.bracket[:, :, 1 * n + 0]  # [m,n]·(1,0)
-    else:
-        got = mod.bracket[:, :, 1 % n]
+def _roundtrip_check(kind, mod, prod, gam, n) -> None:
+    one, pair = 1 % n, _pairs(n)[2]  # the unit of ℤ/n, and the layout of R⊕R
+    got = mod.bracket[:, :, pair(one, 0) if kind == "assoc" else one]  # [m,n]·1
     if not np.array_equal(got, prod):
         raise ConsistencyError(f"{kind}: reading the product back off the module fails")
     if kind == "divided":
-        got_gamma = mod.scal[:, 0 * n + 1]  # γ(m) = m·(0,1)
+        got_gamma = mod.scal[:, pair(0, one)]  # γ(m) = m·(0,1)
         if not np.array_equal(got_gamma, gam):
             raise ConsistencyError("divided: reading γ back off the module fails")

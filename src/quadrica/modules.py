@@ -378,9 +378,6 @@ def elementary_properties(mod: BhpModule) -> Verdict:
     scal, bracket = mod.scal, mod.bracket
     h, p, two = sr.h, sr.p, sr.two
 
-    def grp_comm(a, b):
-        return madd[madd[madd[a, b], mneg[a]], mneg[b]]
-
     laws = [
         (
             "brackets-central",
@@ -390,12 +387,12 @@ def elementary_properties(mod: BhpModule) -> Verdict:
         (
             "bracket-H2-commutator",
             (nm, nm),
-            lambda m, n: (bracket[m, n, h[two]], grp_comm(n, m)),
+            lambda m, n: (bracket[m, n, h[two]], g.commutator(n, m)),
         ),
         (
             "class-le-2",
             (nm, nm, nm),
-            lambda m, n, q: (madd[grp_comm(m, n), q], madd[q, grp_comm(m, n)]),
+            lambda m, n, q: (madd[g.commutator(m, n), q], madd[q, g.commutator(m, n)]),
         ),
         (
             "neg-scal",
@@ -528,11 +525,16 @@ def submodule_module(mod: BhpModule, members) -> tuple[BhpModule, np.ndarray]:
     return out, embed
 
 
-def admissible_intermediates(mod: BhpModule, *, max_order: int = 16) -> list[tuple[int, ...]]:
+# the largest carrier ``admissible_intermediates`` accepts: the number of
+# intermediate subgroups it lists can grow exponentially with the carrier
+_ADMISSIBLE_MAX_ORDER = 16
+
+
+def admissible_intermediates(mod: BhpModule) -> list[tuple[int, ...]]:
     """All scalar-stable subgroups A with [M,M]_R <= A <= Z_R(M); each pair
     (M,A) is a CP-module and is re-verified here."""
     ensure_module_verified(mod)
-    check_cap("admissible_intermediates carrier", mod.nm, max_order)
+    check_cap("admissible_intermediates carrier", mod.nm, _ADMISSIBLE_MAX_ORDER)
     lower = derived_module(mod)
     upper = r_center(mod)
 

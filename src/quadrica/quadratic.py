@@ -303,13 +303,9 @@ def _relation_laws(c: _Clauses):
     dom, cod, T = c.dom, c.cod, c.T
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
-    nadd, nsub, nneg, nscal = cod.group.add, cod.group.sub, cod.group.neg, cod.scal
+    nadd, nsub, nscal = cod.group.add, cod.group.sub, cod.scal
     mul, h = dom.sr.re.mul, dom.sr.h
     B = c.get(_image_brackets)
-
-    def grp_comm(a, b):
-        return nadd[nadd[nadd[a, b], nneg[a]], nneg[b]]
-
     return [
         *c.laws("zero", _zero),
         *c.laws("1(a)", _additive_brackets),
@@ -330,7 +326,7 @@ def _relation_laws(c: _Clauses):
                 nadd[nadd[nadd[T[q, madd[madd[m, m2], m3]], T[q, m]], T[q, m2]], T[q, m3]],
                 nsub(
                     nadd[nadd[T[q, madd[m, m2]], T[q, madd[m2, m3]]], T[q, madd[m, m3]]],
-                    grp_comm(T[q, m2], T[q, madd[m, m3]]),
+                    cod.group.commutator(T[q, m2], T[q, madd[m, m3]]),
                 ),
             ),
         ),
@@ -897,7 +893,7 @@ def compose_quadratic(g: QuadCertificate, f: QuadCertificate) -> QuadCertificate
         (g∘f)_(r)(m)     = g(f_(r)(m)) + g_(r)(f(m))
         (g∘f)_[x](m,m')  = g(f_[x](m,m')) + g_[x](f(m),f(m'))
     """
-    for cert in (f, g):
+    for cert in dict.fromkeys((f, g)):  # each distinct certificate once
         if cert.kind != "cp":
             raise PreconditionUnmet("composition works on pair certificates")
         cert.verdict.require(CertificateInvalid, "input certificate")
@@ -1202,10 +1198,8 @@ def promote_to_cp(f: MapTable) -> QuadCertificate:
 def factorization_check(f: MapTable) -> Verdict:
     """The pointwise factorization properties of a quadratic pair map:
     d_f descends to a bilinear B-valued form on classes mod A, and f_(r)
-    descends to a degree-2 form with bilinear polarization."""
-    f = _pair_map(f, "factorization check needs CP modules on both sides")
-    T, stacks = _one_map(f)
-    c, sweeps = _Clauses(f.dom, f.cod, T, stacks), Sweeps(1)
-    run_laws(_cp_def_route_laws(c), sweeps=sweeps).require(
-        PreconditionUnmet, "map for the factorization check")
-    return run_laws(_factorization_laws(c), sweeps=sweeps)
+    descends to a degree-2 form with bilinear polarization.  This is the
+    factorization route of ``is_cp_quadratic``, read off its certificate."""
+    cert = is_cp_quadratic(_pair_map(f, "factorization check needs CP modules on both sides"))
+    cert.verdict.require(PreconditionUnmet, "map for the factorization check")
+    return dict(cert.routes)["factorization"]

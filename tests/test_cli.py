@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadrica.cli as cli
+import quadrica.quadratic as quadratic
 from quadrica import (
+    FAMILY_KINDS,
     Config,
     CpModule,
     Failure,
@@ -212,6 +214,23 @@ def test_compose_certifies_and_rejects_mismatches(tmp_path, capsys):
     assert main(["compose", first, other]) == 4
 
 
+def test_compose_decides_each_distinct_certificate_once(tmp_path, capsys, monkeypatch):
+    """``compose X X`` decides X once in the command and re-validates it
+    once in ``compose_quadratic``, and decides the composite: 3 decisions,
+    with the output of ``compose X Y`` for a copy Y, which makes 5."""
+    text = Path(square_map_doc(tmp_path, 2)).read_text()
+    first, copy = write(tmp_path, "first.map", text), write(tmp_path, "copy.map", text)
+    decide, calls = quadratic._decide, []
+    monkeypatch.setattr(quadratic, "_decide", lambda *a: calls.append(a) or decide(*a))
+    runs = {}
+    for paths in ((first, first), (first, copy)):
+        calls.clear()
+        runs[paths] = (main(["compose", *paths]), capsys.readouterr().out, len(calls))
+    assert runs[first, first][:2] == runs[first, copy][:2]
+    assert runs[first, first][0] == 0
+    assert (runs[first, first][2], runs[first, copy][2]) == (3, 5)
+
+
 @pytest.mark.parametrize("command", ["hom", "enum", "compose"])
 def test_a_document_named_twice_is_loaded_once(tmp_path, capsys, monkeypatch, command):
     """``X X`` reads, parses and verifies X once, and prints what ``X Y``
@@ -283,6 +302,23 @@ def test_example_emit_variants(tmp_path, capsys):
     for emit in ("ring", "pair", "regular", "ree"):
         assert main(["example", "rnil", "4", "--emit", emit]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("emit", ["ring", "pair"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_every_example_keeps_the_exit_code_contract(capsys, kind, emit, fmt):
+    """``example K n`` for n = 1..5 returns a code in 0–4 (a traceback would
+    escape ``main``).  n = 1 is the zero ring, whose unit is 0, and builds;
+    the pair rings at n = 5 have 25 elements, above the ring cap."""
+    for n in range(1, 6):
+        code = main(["example", kind, str(n), "--emit", emit, "--format", fmt])
+        err = capsys.readouterr().err
+        assert code in range(5) and "Traceback" not in err
+        if n == 1:
+            assert code == 0
+        if n == 5 and kind in ("tensor", "sym", "gamma"):
+            assert code == 3 and err.startswith("bound exceeded: ring carrier has 25 elements")
 
 
 def test_the_removed_profile_flag_exits_four(tmp_path, capsys):

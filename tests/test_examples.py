@@ -7,14 +7,19 @@ from quadrica import (
     ALGEBRA_KINDS,
     FAMILY_KINDS,
     AlgebraData,
+    CommutativeRing,
     ExampleSpec,
     build_example,
+    build_group,
     commutativity_census,
+    is_commutative,
     module_from_algebra,
     set_config,
     verify_bhp_module,
+    verify_square_ring,
 )
-from quadrica.errors import InvalidEpsilon, NotAnAlgebra, PreconditionUnmet
+from quadrica import examples
+from quadrica.errors import CapExceeded, InvalidEpsilon, NotAnAlgebra, PreconditionUnmet
 
 
 def test_kind_catalogues():
@@ -72,6 +77,74 @@ def test_census_plain_rings_lack_the_gamma_column():
     rows = commutativity_census([("sym", 2, None), ("rnil", 3, None)])
     assert all(r["commutative"] for r in rows)
     assert all("i2_equals_2R" not in r for r in rows)
+
+
+def _ring(add, mul, one) -> CommutativeRing:
+    return CommutativeRing(build_group(add), mul, one)
+
+
+def _f4() -> CommutativeRing:
+    """F_4 = F_2[w]/(w² + w + 1), a + bw at index a + 2b."""
+    def mul(i, j):
+        a, b, c, d = i & 1, i >> 1, j & 1, j >> 1
+        return (a * c + b * d) % 2 + 2 * ((a * d + b * c + b * d) % 2)  # w² = w + 1
+
+    return _ring([[i ^ j for j in range(4)] for i in range(4)],
+                 [[mul(i, j) for j in range(4)] for i in range(4)], 1)
+
+
+def _z2_times_z2() -> CommutativeRing:
+    """Z/2 × Z/2, componentwise, (a, b) at index a + 2b."""
+    return _ring([[i ^ j for j in range(4)] for i in range(4)],
+                 [[i & j for j in range(4)] for i in range(4)], 3)
+
+
+def _dual_numbers(p: int) -> CommutativeRing:
+    """Z/p[t]/(t²), a + bt at index a·p + b."""
+    def add(i, j):
+        return ((i // p + j // p) % p) * p + (i + j) % p
+
+    def mul(i, j):
+        (a, b), (c, d) = divmod(i, p), divmod(j, p)
+        return ((a * c) % p) * p + (a * d + b * c) % p
+
+    n = p * p
+    return _ring([[add(i, j) for j in range(n)] for i in range(n)],
+                 [[mul(i, j) for j in range(n)] for i in range(n)], p)
+
+
+# every family builds and verifies over these rings, except that the pair
+# rings R⊕R over Z/3[t]/(t²) have 81 elements, above the default ring cap
+BASE_RINGS = {"F4": _f4, "Z2xZ2": _z2_times_z2, "Z2[t]": lambda: _dual_numbers(2),
+              "Z3[t]": lambda: _dual_numbers(3)}
+PAIR_FAMILIES = ("tensor", "sym", "gamma")
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("name", BASE_RINGS)
+def test_families_compute_from_the_base_ring(name, kind):
+    """Each family builder computes over the ring it is handed, not over
+    ℤ/|R|: the pair families put R_e's unit at (1, 0) and take the first
+    components of R_e's sum and product from R, and gamma is commutative
+    exactly when I₂ = 2R."""
+    base = BASE_RINGS[name]()
+    build = getattr(examples, f"_build_{kind}")
+    if name == "Z3[t]" and kind in PAIR_FAMILIES:
+        with pytest.raises(CapExceeded) as info:
+            build(base, ExampleSpec(kind, base.order))
+        assert (info.value.what, info.value.size) == ("ring carrier", 81)
+        return
+    sr = build(base, ExampleSpec(kind, base.order))
+    assert verify_square_ring(sr).passed
+    if kind in PAIR_FAMILIES:
+        n = base.order
+        r = np.arange(n * n) // n  # (r, s) sits at index r·n + s
+        assert sr.one == base.one * n
+        assert np.array_equal(r[sr.re.add], base.add[r[:, None], r[None, :]])
+        assert np.array_equal(r[sr.re.mul], base.mul[r[:, None], r[None, :]])
+    if kind == "gamma":
+        assert is_commutative(sr) == examples._i2_is_2r(base)
+        assert is_commutative(sr) == (name == "Z2xZ2")
 
 
 def _heisenberg_gamma_data() -> AlgebraData:

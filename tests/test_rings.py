@@ -69,7 +69,7 @@ def test_one_sided_distributivity_is_checked():
     """The R ⊕ R pair ring distributes on the left but not on the right;
     the right-distributive constructor must refuse it and the relaxed one
     must accept it."""
-    pr = _pair_re(3)
+    pr = _pair_re(zmod(3))
     with pytest.raises(NotARing):
         build_near_ring(pr.group.add, pr.mul)
     relaxed = build_near_ring(pr.group.add, pr.mul, right_distributive=False)
