@@ -298,6 +298,17 @@ def _additive_brackets(c: _Clauses):
              lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]))]
 
 
+def _scalar_brackets(c: _Clauses):
+    """m ↦ [f(m),f(n)]·x commutes with scalars: relation 2(b), the second
+    clause of BHPc1."""
+    dom, cod = c.dom, c.cod
+    nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
+    dscal, nscal = dom.scal, cod.scal
+    B = c.get(_image_brackets)
+    return [((nm, nm, ne, nee),
+             lambda q, m, n, r, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]))]
+
+
 def _relation_laws(c: _Clauses):
     """The eight-relation characterization of a quadratic map."""
     dom, cod, T = c.dom, c.cod, c.T
@@ -309,11 +320,7 @@ def _relation_laws(c: _Clauses):
     return [
         *c.laws("zero", _zero),
         *c.laws("1(a)", _additive_brackets),
-        (
-            "2(b)",
-            (nm, nm, ne, nee),
-            lambda q, m, n, r, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]),
-        ),
+        *c.laws("2(b)", _scalar_brackets),
         (
             "3(c)",
             (nm, nm, nee, nm, nee),
@@ -579,18 +586,13 @@ def _def_route_laws(c: _Clauses):
 def _cor_route_laws(c: _Clauses):
     """Reduced characterization: linearity of m ↦ [f(m),n]·x for n in im f,
     bilinearity of d_f, homogeneity, and f_(r) killing the derived part."""
-    dom, cod = c.dom, c.cod
+    dom, nbr = c.dom, c.cod.bracket
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    dscal, dbr = dom.scal, dom.bracket
-    nscal, nbr = cod.scal, cod.bracket
+    dbr = dom.bracket
     B, scalar = c.get(_image_brackets), c.D.scalar
     return [
         *c.laws("BHPc1", _additive_brackets),
-        (
-            "BHPc1",
-            (nm, ne, nm, nee),
-            lambda q, m, r, n, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]),
-        ),
+        *c.laws("BHPc1", _scalar_brackets),
         (
             "BHPc1",
             (nm, nm, nee, nm, nee),
@@ -1125,7 +1127,7 @@ def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     hom = HomModule(ma.sr, group, scal, bracket, aset)
     hom.dom_pair = ma
     hom.cod_pair = nb
-    hom.maps = tuple(MapTable(ma, nb, t) for t in tables)
+    hom.maps = tuple(maps)
     verify_cp_module(hom).require(ConsistencyError, "hom module (closure theorem)")
     return hom
 
@@ -1163,20 +1165,19 @@ def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> Qua
         raise CertificateInvalid("certificate does not re-verify from scratch")
     hom_src = hom_module(ma, g.map.dom, limit=limit)
     hom_dst = hom_module(ma, g.map.cod, limit=limit)
-    table = _row_ranks(_tables(hom_dst), g.map.table[_tables(hom_src)], g.map.cod.nm)
+    src, dst = _tables(hom_src), _tables(hom_dst)
+    table = _row_ranks(dst, g.map.table[src], g.map.cod.nm)
     if table.min() < 0:
         raise ConsistencyError("postcomposition left the target hom carrier")
     out = is_cp_quadratic(MapTable(hom_src, hom_dst, table))
     out.verdict.require(ConsistencyError, "postcomposition by a quadratic pair map")
-    gd = g.defects
-    for r in range(ma.sr.re.order):
-        for i, h in enumerate(hom_src.maps):
-            expect = gd.scalar[r][h.table]
-            got = hom_dst.maps[int(out.defects.scalar[r, i])].table
-            if not np.array_equal(expect, got):
-                raise ConsistencyError(
-                    f"(g_*)_({r}) disagrees with g_({r})∘f at map {i}"
-                )
+    # expect[r, i] = g_(r)∘f_i, got[r, i] = the map (g_*)_(r) sends f_i to
+    expect = g.defects.scalar[:, src]
+    got = dst[out.defects.scalar]
+    wrong = (expect != got).any(axis=2)
+    if wrong.any():
+        r, i = np.argwhere(wrong)[0]
+        raise ConsistencyError(f"(g_*)_({r}) disagrees with g_({r})∘f at map {i}")
     return out
 
 

@@ -28,8 +28,9 @@ from .errors import ParseError, QuadricaError
 from .groups import FiniteGroup, build_group
 from .modules import BhpModule, CpModule
 from .quadratic import MapTable
-from .rings import NearRing, build_near_ring
+from .rings import NearRing, _right_distributivity, build_near_ring
 from .squarering import SquareRing
+from .verdict import run_laws
 
 __all__ = ["to_doc", "from_doc", "dumps", "loads"]
 
@@ -40,20 +41,12 @@ def _group_doc(g: FiniteGroup) -> dict:
     return {"add": g.add.tolist()}
 
 
-def _right_distributive(r: NearRing) -> bool:
-    n = r.order
-    a = np.arange(n).reshape(n, 1, 1)
-    b = np.arange(n).reshape(1, n, 1)
-    c = np.arange(n).reshape(1, 1, n)
-    return bool((r.mul[r.group.add[a, b], c] == r.group.add[r.mul[a, c], r.mul[b, c]]).all())
-
-
 def _near_ring_doc(r: NearRing) -> dict:
     return {
         "add": r.group.add.tolist(),
         "mul": r.mul.tolist(),
         "one": int(r.one),
-        "right_distributive": _right_distributive(r),
+        "right_distributive": run_laws([_right_distributivity(r)]).passed,
     }
 
 

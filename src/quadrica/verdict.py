@@ -2,8 +2,9 @@
 
 Every axiom/relation check in the library is phrased as "evaluate two integer
 arrays over a full index grid and compare".  The engine sweeps a law over a
-leading candidate axis and the grid, in blocks (so worst-case grids never
-materialise much more than one block of cells at once).
+leading candidate axis and the grid, in blocks of one cell budget cut along
+any axis (``_blocks``), so no sweep, of a passing or of a failing object,
+materialises much more than one block of cells at once.
 ``passing_candidates`` reads one boolean per candidate, for batch deciders;
 ``law_failures`` is the sweep of one candidate, with lexicographically-first
 witness extraction.  ``Sweeps`` shares the sweeps of one decision between
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import product
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -140,26 +142,28 @@ def _split(dims: tuple) -> tuple[tuple, tuple | None]:
     return sizes, grid
 
 
-def _blocks(dims: tuple[int, ...], grid, qs: np.ndarray, chunk_cells: int):
-    """Split the sweep of the candidates ``qs`` over ``grid``, of the
-    sizes ``dims``, into blocks of about ``chunk_cells`` cells, splitting
-    the candidates first, then the leading grid axis into ranges.  Yields
-    each block's slice of ``qs``, its candidates ``q`` and its grid,
-    shaped to broadcast over (candidates, *dims), and the block's shape."""
-    qshape = (-1,) + (1,) * len(dims)
-    rest = prod(dims[1:])
-    per_q = dims[0] * rest
-    if qs.size * per_q <= chunk_cells:
-        yield slice(0, qs.size), qs.reshape(qshape), grid, (qs.size,) + dims
+def _blocks(dims: tuple[int, ...], grid, count: int):
+    """Split the sweep of ``count`` candidates over ``grid``, of the sizes
+    ``dims``, into blocks of at most ``_BLOCK_CELLS`` cells.  The
+    candidates, then each grid axis in turn, run one index at a time until
+    the axes after them fit the budget; the next axis runs in ranges.
+    Yields, in lexicographic order, each block's slice of the candidates,
+    its grid, shaped to broadcast over (candidates, *dims), and its shape.
+    A sweep of no cells yields no block; an empty ``dims`` is one cell."""
+    shape = (count,) + dims
+    size = prod(shape)
+    if size <= _BLOCK_CELLS:  # most sweeps: one block, no bookkeeping
+        if size:
+            yield slice(0, count), grid, shape
         return
-    q_step = max(1, chunk_cells // per_q)
-    lead_step = dims[0] if per_q <= chunk_cells else max(1, chunk_cells // rest)
-    for a in range(0, qs.size, q_step):
-        block = slice(a, min(a + q_step, qs.size))
-        q = qs[block].reshape(qshape)
-        for b in range(0, dims[0], lead_step):
-            lead = grid[0][:, b : b + lead_step]
-            yield block, q, (lead, *grid[1:]), (q.size, lead.size) + dims[1:]
+    k = next(k for k in range(len(shape)) if prod(shape[k + 1:]) <= _BLOCK_CELLS)
+    step = _BLOCK_CELLS // prod(shape[k + 1:])
+    for lead in product(*map(range, shape[:k])):
+        for a in range(0, shape[k], step):
+            index = [slice(i, i + 1) for i in lead] + [slice(a, a + step)]
+            cells = tuple(g[(slice(None),) * (j + 1) + (index[j + 1],)] if j < k else g
+                          for j, g in enumerate(grid))
+            yield index[0], cells, (1,) * k + (min(step, shape[k] - a),) + shape[k + 1:]
 
 
 # The two evaluators below take the law's values as an argument, so that a
@@ -170,11 +174,10 @@ def _witnesses(label: str, values, grid, shape, limit: int):
     """At most ``limit`` failing cells of one block as Failures, in
     lexicographic order, each named by its values on ``grid``, and the
     number of failing cells of the block."""
-    lhs, rhs = (np.asarray(v) for v in values)
-    neq = lhs != rhs
+    neq = np.not_equal(*values)
     if not neq.any():
         return [], 0
-    lhs, rhs, neq = (np.broadcast_to(v, shape)[0] for v in (lhs, rhs, neq))
+    lhs, rhs, neq = (np.broadcast_to(v, shape)[0] for v in (*values, neq))
     if limit == 1:  # the first failing cell, without listing the others
         bad = [np.unravel_index(int(neq.argmax()), neq.shape)]
         failing = int(np.count_nonzero(neq))
@@ -197,13 +200,9 @@ def _fails_per_candidate(values) -> np.ndarray:
     return neq.reshape(len(neq), -1).any(axis=1)
 
 
-_ONE = np.zeros(1, dtype=np.int64)
-
-# Cells per block.  A one-map sweep up to _SWEEP_CELLS runs as one block,
-# with no block bookkeeping, which is most of the cost of a small sweep.
-_SWEEP_CELLS = 1 << 22
-# A candidate-stack law allocates several block-sized arrays at once.
-_BATCH_CELLS = 1 << 20
+# Cells per block, in every sweep.  A candidate-stack law allocates several
+# block-sized arrays at once.
+_BLOCK_CELLS = 1 << 20
 
 
 def law_failures(
@@ -225,29 +224,14 @@ def law_failures(
     candidate axis and the witnesses drop it.
     """
     dims = tuple(int(d) for d in dims)
-    if prod(dims) == 0:
-        return []
-    if not dims:
-        lhs, rhs = law()
-        if int(lhs) != int(rhs):
-            return [Failure(label, (), f"lhs={int(lhs)} rhs={int(rhs)}")]
-        return []
     limit = WITNESS_CAP if all_witnesses else 1
-    if grid is None:
-        grid = _grid(dims)
-    if prod(dims) <= _SWEEP_CELLS:  # one block: no block bookkeeping
-        lhs, rhs = law(*grid)
-        if not (lhs != rhs).any():
-            return []
-        failures, failing = _witnesses(label, (lhs, rhs), grid, (1,) + dims, limit)
-    else:
-        failures, failing = [], 0
-        for _, _, block, shape in _blocks(dims, grid, _ONE, _SWEEP_CELLS):
-            found, count = _witnesses(label, law(*block), block, shape, limit - len(failures))
-            failures += found
-            failing += count
-            if failures and not all_witnesses:
-                break
+    failures, failing = [], 0
+    for _, block, shape in _blocks(dims, _grid(dims) if grid is None else grid, 1):
+        found, count = _witnesses(label, law(*block), block, shape, limit - len(failures))
+        failures += found
+        failing += count
+        if failures and not all_witnesses:
+            break
     if all_witnesses and failing > len(failures):
         failures[-1] = replace(failures[-1], omitted=failing - len(failures))
     return failures
@@ -267,12 +251,9 @@ def _law_parts(laws) -> list[tuple]:
 def _fails(law: Law, sizes: tuple[int, ...], grid, qs: np.ndarray) -> np.ndarray:
     """Per candidate of ``qs``: whether ``law(q, *grid)`` fails somewhere."""
     bad = np.zeros(qs.size, dtype=bool)
-    if prod(sizes) == 0:
-        return bad
-    if grid is None:
-        grid = _grid(sizes)
-    for block, q, cells, _ in _blocks(sizes, grid, qs, _BATCH_CELLS):
-        bad[block] |= _fails_per_candidate(law(q, *cells))
+    qshape = (-1,) + (1,) * len(sizes)
+    for block, cells, _ in _blocks(sizes, _grid(sizes) if grid is None else grid, qs.size):
+        bad[block] |= _fails_per_candidate(law(qs[block].reshape(qshape), *cells))
     return bad
 
 

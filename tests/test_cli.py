@@ -88,6 +88,22 @@ def test_verify_prints_witnesses_that_name_elements_of_a(tmp_path, capsys):
     ]
 
 
+def test_verify_structured_report_lists_each_failure(tmp_path, capsys):
+    """The structured report of a failing document: exit 1, and one entry
+    per failure with its law, witness and detail, in law order."""
+    sr = build_example("sym", 2)
+    reg = regular_module(sr)
+    path = write_doc(tmp_path, "bad.pair", CpModule(sr, reg.group, reg.scal, reg.bracket, (0, 2)))
+    assert main(["verify", path, "--format", "structured"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert doc["failures"] == [
+        {"law": "MC0", "witness": [2, 1], "detail": "lhs=0 rhs=1"},
+        {"law": "MC7a", "witness": [2, 2, 1], "detail": "lhs=1 rhs=0"},
+        {"law": "MC7b", "witness": [2, 2, 1], "detail": "lhs=0 rhs=1"},
+    ]
+
+
 def test_a_distinguished_part_that_is_no_subgroup_fails_verification(tmp_path, capsys):
     """Over ``lambda 2``, the zero-bracket module (Z/2)² with m·1 = m and
     A = {0, 1, 2} satisfies every other law of a pair module, but 1 + 2 = 3
@@ -387,15 +403,34 @@ def test_console_entry_point():
 
 
 # Verifies a document with the address space of the process capped at what
-# the interpreter holds after importing the CLI plus a budget in bytes.
+# the interpreter holds after importing the CLI plus a budget in bytes; any
+# further arguments are passed on to ``verify``.
 _VERIFY_UNDER_BUDGET = """
 import resource, sys
 from quadrica.cli import main
 kib = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:"))
 limit = kib * 1024 + int(sys.argv[2])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-sys.exit(main(["verify", sys.argv[1]]))
+sys.exit(main(["verify", sys.argv[1], *sys.argv[3:]]))
 """
+
+GAMMA4_HOM = Path(__file__).parent / "data" / "gamma4_hom.cpmod"
+
+
+def verify_under_budget(doc, budget_mb: int, *flags: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", _VERIFY_UNDER_BUDGET, str(doc), str(budget_mb << 20), *flags],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+
+
+def with_a_raised_bracket(doc: Path, tmp_path) -> str:
+    """The pair module of ``doc`` with bracket[1,1,1] raised by 1 mod |M|."""
+    bad = json.loads(doc.read_text())
+    bad["bracket"][1][1][1] = (bad["bracket"][1][1][1] + 1) % len(bad["group"]["add"])
+    return write(tmp_path, "bad.cpmod", json.dumps(bad, separators=(",", ":")))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -405,28 +440,48 @@ def test_a_64_element_hom_carrier_verifies_at_the_default_caps_within_48_mb():
     default group cap.  Swept in full, its MC6 grid alone has
     64·64·16·16·4·16 ≈ 67M cells and needs more than 48 MB on top of the
     interpreter; on pairs of its 4 generators it has 262k."""
-    doc = Path(__file__).parent / "data" / "gamma4_hom.cpmod"
-    proc = subprocess.run(
-        [sys.executable, "-c", _VERIFY_UNDER_BUDGET, str(doc), str(48 << 20)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-    )
+    proc = verify_under_budget(GAMMA4_HOM, 48)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "result: PASS"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_failing_64_element_module_is_decided_within_48_mb(tmp_path):
+    """One bracket entry of the same carrier changed: the module fails
+    MC2, MC3, MC5, MC6 and MC7a, so every law with a reduced form is swept
+    in full as well, MC6 over ≈ 67M cells.  Every sweep runs in blocks of
+    one cell budget, so the verdict and its first witness come within the
+    same 48 MB as the passing carrier's."""
+    proc = verify_under_budget(with_a_raised_bracket(GAMMA4_HOM, tmp_path), 48)
+    assert proc.returncode == 1, proc.stderr
+    fails = [line for line in proc.stdout.splitlines() if "FAIL" in line]
+    assert fails[0] == "  FAIL MC2 at (1, 1, 1): lhs=0 rhs=1"
+    assert fails[-1] == "result: FAIL"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_failing_128_element_module_is_decided_within_48_mb(tmp_path, capsys):
+    """The Hom of the Z/4 ``tensor`` free pair has 128 elements, beyond the
+    default group cap; with one bracket entry changed it fails MC3, MC4,
+    MC5, MC6 and MC7a, and its full MC6 grid has ≈ 1.07e9 cells.  Under
+    ``--cap-group 128`` it is decided within 48 MB on top of the
+    interpreter."""
+    pair, hom = str(tmp_path / "tensor4.pair"), tmp_path / "tensor4.hom"
+    assert main(["example", "tensor", "4", "--emit", "pair", "--out", pair]) == 0
+    assert main(["hom", pair, pair, "--cap-group", "128", "--out", str(hom)]) == 0
+    capsys.readouterr()
+    proc = verify_under_budget(with_a_raised_bracket(hom, tmp_path), 48, "--cap-group", "128")
+    assert proc.returncode == 1, proc.stderr
+    fails = [line for line in proc.stdout.splitlines() if "FAIL" in line]
+    assert fails[0] == "  FAIL MC3 at (1, 1): lhs=0 rhs=1"
+    assert fails[-1] == "result: FAIL"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_running_out_of_memory_exits_three_without_a_traceback():
     """With 2 MB above the interpreter an allocation fails while the same
     document is read and verified; that is a bound, not a crash."""
-    doc = Path(__file__).parent / "data" / "gamma4_hom.cpmod"
-    proc = subprocess.run(
-        [sys.executable, "-c", _VERIFY_UNDER_BUDGET, str(doc), str(2 << 20)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-    )
+    proc = verify_under_budget(GAMMA4_HOM, 2)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("bound exceeded: out of memory")
     assert "Traceback" not in proc.stderr

@@ -247,3 +247,17 @@ def test_functoriality_needs_a_passing_pair_certificate():
     ident.map.table[1] = 0
     with pytest.raises(CertificateInvalid):
         pushforward(ident, pair)
+
+
+def test_pushforward_names_the_first_scalar_defect_that_disagrees():
+    """The cross-check (g_*)_(r)(f) = g_(r)∘f, with g_(1) spoiled at one
+    element m: the first disagreement, r first, then the carrier's maps in
+    order, is at r = 1 and the first map that takes the value m."""
+    sr = build_example("tensor", 2)
+    pair = free_cp_pair(sr)
+    sq = is_cp_quadratic(MapTable(pair, pair, sr.re.mul[np.arange(4), np.arange(4)]))
+    m = 3
+    sq.defects.scalar[1, m] = (sq.defects.scalar[1, m] + 1) % pair.nm
+    first = next(i for i, h in enumerate(hom_module(pair, pair).maps) if m in h.table)
+    with pytest.raises(ConsistencyError, match=rf"^\(g_\*\)_\(1\) disagrees with g_\(1\)∘f at map {first}$"):
+        pushforward(sq, pair)

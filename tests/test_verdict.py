@@ -4,7 +4,10 @@ counts the failing cells left out."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+import pytest
 
 import quadrica.verdict as engine
 from quadrica.verdict import WITNESS_CAP, Failure, law_failures, passing_candidates, run_laws
@@ -24,7 +27,7 @@ def test_the_witness_list_stops_at_the_cap_and_counts_the_rest(monkeypatch):
     assert [f.omitted for f in failures] == [0] * (WITNESS_CAP - 1) + [CELLS - 1 - WITNESS_CAP]
     assert law_failures("L", (CELLS,), identity_is_zero) == failures[:1]
     # the same list when the sweep runs in blocks of 64 cells
-    monkeypatch.setattr(engine, "_SWEEP_CELLS", 64)
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", 64)
     assert law_failures("L", (CELLS,), identity_is_zero, all_witnesses=True) == failures
 
 
@@ -53,7 +56,50 @@ def test_an_index_set_axis_runs_over_its_elements(monkeypatch):
     assert [f.witness for f in every] == cells[:WITNESS_CAP]
     stack = [("L", (odd,), lambda q, a: (a == q, np.zeros_like(a + q)))]
     assert passing_candidates(stack, 12).tolist() == [q % 2 == 0 for q in range(12)]
-    monkeypatch.setattr(engine, "_SWEEP_CELLS", 64)
-    monkeypatch.setattr(engine, "_BATCH_CELLS", 64)
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", 64)
     assert run_laws(laws, all_witnesses=True).failures == every
     assert passing_candidates(stack, 12).tolist() == [q % 2 == 0 for q in range(12)]
+
+
+def scattered(q, a, b, c):
+    """Holds for the candidates divisible by 3; every other candidate fails
+    at a scattered set of cells, its own."""
+    fails = (q % 3 != 0) & ((a * b + c + q) % 5 == 0)
+    return fails, np.zeros_like(q + a + b + c)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 13, 64])
+def test_blocks_split_any_axis_and_keep_every_verdict_and_witness(monkeypatch, budget):
+    """With a block budget smaller than one candidate's grid, and smaller
+    than a slice of it along the leading axes, the sweep splits the
+    candidates and then each axis in turn.  Every block fits the budget,
+    the blocks cover each cell once in lexicographic order, and every
+    result is that of the unsplit sweep: first and exhaustive witnesses on
+    index-set axes, and the mask of a candidate stack."""
+    odd = (1, 3, 5, 9, 11)
+    dims = (odd, 4, (0, 2, 6))
+    single = [("L", dims, partial(scattered, 4))]
+    stack = [("L", dims, scattered)]
+    first, every = run_laws(single), run_laws(single, all_witnesses=True)
+    mask = passing_candidates(stack, 12)
+    assert len(first.failures) == 1 and 1 < len(every.failures) < 60
+    assert mask.tolist() == [q % 3 == 0 for q in range(12)]
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", budget)
+    assert run_laws(single) == first
+    assert run_laws(single, all_witnesses=True) == every
+    assert passing_candidates(stack, 12).tolist() == mask.tolist()
+    sizes, grid = engine._split(dims)
+    qs = np.arange(12)
+    cells = []
+    for block, parts, shape in engine._blocks(sizes, grid, len(qs)):
+        assert np.prod(shape) <= budget
+        cells += [(int(qs[block][i]), *(int(p.ravel()[j]) for p, j in zip(parts, rest)))
+                  for i, *rest in np.ndindex(*shape)]
+    assert cells == [(q, a, b, c) for q in qs for a in odd for b in range(4) for c in (0, 2, 6)]
+
+
+def test_a_law_with_empty_dims_sweeps_its_one_cell(monkeypatch):
+    monkeypatch.setattr(engine, "_BLOCK_CELLS", 1)
+    assert law_failures("E", (), lambda: (1, 2)) == [Failure("E", (), "lhs=1 rhs=2")]
+    assert law_failures("E", (), lambda: (3, 3), all_witnesses=True) == []
+    assert law_failures("Z", (0, 3), lambda a, b: (a, b + 1)) == []
