@@ -20,6 +20,7 @@ __all__ = [
     "FiniteGroup",
     "build_group",
     "generators",
+    "sweep_generators",
     "cyclic",
     "direct_product",
     "dihedral",
@@ -212,13 +213,17 @@ def representatives(proj: np.ndarray) -> np.ndarray:
     return np.unique(proj, return_index=True)[1]
 
 
-def _generating_set(add: np.ndarray) -> tuple[int, ...]:
-    """The least element not yet in the closure of 0 and the elements picked
-    so far under ``add``, picked until that closure is the whole table."""
+def _generating_set(add: np.ndarray, members: Iterable[int] | None = None) -> tuple[int, ...]:
+    """The least element of ``members`` (by default the whole table) not yet
+    in the closure of 0 and the elements picked so far under ``add``, picked
+    until that closure holds every member.  For a subgroup, the picks
+    generate it."""
+    want = np.zeros(len(add), dtype=bool)
+    want[slice(None) if members is None else _elements(len(add), members)] = True
     picked: list[int] = []
     span = np.arange(len(add)) == 0  # {0} is closed: 0 is neutral
-    while not span.all():
-        picked.append(int(np.argmin(span)))
+    while (missing := want & ~span).any():
+        picked.append(int(np.argmax(missing)))
         span = _closure(add, picked[-1:], span)
     return tuple(picked)
 
@@ -230,6 +235,12 @@ def generators(group: FiniteGroup) -> tuple[int, ...]:
     if group._generators is None:
         group._generators = _generating_set(group.add)
     return group._generators
+
+
+def sweep_generators(group: FiniteGroup) -> tuple[int, ...]:
+    """``generators`` of ``group`` as the axis of a reduced form: (0,) for
+    the trivial group, so that a sweep over it is never empty."""
+    return generators(group) or (0,)
 
 
 def _find_neutral(add: np.ndarray) -> int | None:

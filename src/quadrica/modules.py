@@ -20,9 +20,10 @@ from .groups import (
     FiniteGroup,
     _closure,
     _frozen_table,
+    _generating_set,
     closed_sets_between,
-    generators,
     representatives,
+    sweep_generators,
 )
 from .squarering import OperadTrunc2, SquareRing, cokernel_p, ensure_verified, operad_of
 from .verdict import Verdict, law_failures, run_laws
@@ -172,13 +173,20 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
     add, mul = sr.re.add, sr.re.mul
     eadd = sr.ree.add
     one, h, p, t, act = sr.one, sr.h, sr.p, sr.t, sr.act
-    G = generators(mod.group)
-    G_R = generators(sr.re.group) or (0,)
-    G_ee = generators(sr.ree) or (0,)
-    # the first two clauses of MC5 run the added element over G; a pair
-    # module's brackets are central without MC5, so there n (in the first
-    # clause) and x run over G and G_ee too (see ``verify_bhp_module``)
-    mc5_n, mc5_x = (nm, nee) if with_mc7 else (G, G_ee)
+    G, G_R, G_ee = map(sweep_generators, (mod.group, sr.re.group, sr.ree))
+    # the first two clauses of MC5 run the added element over G.  A pair
+    # module's brackets are central by MC2 and MC4 at the generators of A,
+    # so there n (in the first clause) and x run over G and G_ee too, and
+    # MC2 and MC4 run n over G and the generators of A, MC4 x over G_ee
+    # and T(H(2)) (see ``verify_bhp_module``)
+    if with_mc7:
+        mc2 = mc4 = None
+        mc5_n, mc5_x = nm, nee
+    else:
+        n_axis = tuple(sorted({*G, *_generating_set(madd, mod.aset)}))
+        mc2 = (nm, n_axis, ne)
+        mc4 = (nm, n_axis, tuple(sorted({*G_ee, int(t[h[sr.two]])})))
+        mc5_n, mc5_x = G, G_ee
     laws = [
         ("MC1", (nm,), lambda m: (scal[m, one], m), None),
         (
@@ -200,10 +208,10 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 scal[madd[m, n], r],
                 madd[madd[scal[m, r], scal[n, r]], bracket[m, n, h[r]]],
             ),
-            None,
+            mc2,
         ),
         ("MC3", (nm, nee), lambda m, x: (scal[m, p[x]], bracket[m, m, x]), None),
-        ("MC4", (nm, nm, nee), lambda m, n, x: (bracket[m, n, t[x]], bracket[n, m, x]), None),
+        ("MC4", (nm, nm, nee), lambda m, n, x: (bracket[m, n, t[x]], bracket[n, m, x]), mc4),
         (
             "MC5",
             (nm, nm, nm, nee),
@@ -238,7 +246,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
                 scal[bracket[scal[m, r], scal[n, s], x], u],
                 bracket[m, n, act[r, s, x, u]],
             ),
-            (G, G, ne, ne, nee, ne),
+            (G, G, G_R, G_R, G_ee, G_R),
         ),
     ]
     if with_mc7:
@@ -293,12 +301,16 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
     re-checked).  MC0 makes A a subgroup: it holds 0 and A + A ⊆ A, and
     −a, a multiple of a in a finite group, lies in A too.  The verdict
     equals the exhaustive sweep of every law, witnesses included; the
-    additivity clause of MC1, the three clauses of MC5, MC6 and MC7 are
-    decided on generator tuples when every other law holds (see
-    ``verdict.run_laws``).  Let G be ``generators(M)``, G_R
-    ``generators(R_e)`` and G_ee ``generators(R_ee)``, the last two {0}
-    when their group is 0, so that a sweep over them is never empty; each
-    generates its group.
+    additivity clause of MC1, the three clauses of MC5, MC6 and MC7, and
+    in a pair module MC2 and MC4, are decided on generator tuples when
+    every other law holds (see ``verdict.run_laws``).  Let G, G_R and
+    G_ee be ``sweep_generators`` of M, R_e and R_ee ({0} for a trivial
+    group, so that a sweep over them is never empty); each generates its
+    group.  In a
+    pair module let G_A be the elements of A picked the same way (the
+    least element of A not yet in the span of those picked, until the
+    span holds A); once MC0 holds, G_A generates A.  The square ring was
+    verified before the module was built, so its laws hold.
 
     Lemma.  A map φ: X → M from a finite group X, with
     φ(u + g) = φ(u) + φ(g) for all u ∈ X and g in a generating set G of X,
@@ -308,7 +320,8 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
     under +.  In a finite group that makes S a subgroup, so S ⊇ ⟨G⟩ = X.
     (If X = 0 there is nothing to prove.)  Two homomorphisms that agree on
     G are equal; so two maps that are additive in each of some arguments
-    are equal once they agree whenever those arguments lie in G.
+    are equal once they agree whenever those arguments lie in G (fix all
+    of them but one, and take them one at a time).
 
     * MC1, clause 3, m·(r+s) = m·r + m·s: the lemma for r ↦ m·r on R_e,
       so s runs over G_R.  Clauses 1–2 are swept in full.
@@ -316,40 +329,70 @@ def verify_bhp_module(mod: BhpModule) -> Verdict:
       the added element runs over G.  Clause 3, [m,n]·(x+y) =
       [m,n]·x + [m,n]·y: the lemma for x ↦ [m,n]·x on R_ee, so y runs
       over G_ee.  None of the three needs another law.
-    * MC5 of a pair module, clauses 1–2 further: x runs over G_ee in both,
-      and n over G in clause 1.  First, A is central: for a ∈ A, MC2 at
-      r = 1 + 1, with m·(1+1) = m + m by MC1 (clauses 1 and 3), gives
-      m + a + m + a = m + m + a + a + [m,a]·H(1+1); by MC4
-      [m,a]·H(1+1) = [a,m]·T(H(1+1)), which is 0 by MC7a, so cancelling
-      gives a + m = m + a.  Brackets lie in A by MC7b, so they are central
-      too, and a sum of two bracket-valued homomorphisms is again a
-      homomorphism.  Clause 2: for n' ∈ G, both sides are additive in x,
-      by clause 3 and centrality, so they agree once they agree for
-      x ∈ G_ee; the lemma for n ↦ [m,n]·x then covers every n'.
-      Clause 1: for m' ∈ G, both sides are additive in x (clause 3) and in
-      n (clause 2), so they agree once they agree for n ∈ G and x ∈ G_ee;
-      the lemma for m ↦ [m,n]·x then covers every m'.  The laws this uses
-      are swept in full, apart from clause 3 of MC1 and MC5, which rest on
-      the lemma alone, so no proof leans on its own conclusion.  A plain
-      module keeps the dims of the item above: there centrality of
-      brackets rests on MC7, whose reduced form rests on MC5.
     * MC7, given MC5: [[m,m']·x, n]·y is additive in m, m' and n, being
       built from the maps that MC5 makes additive, and so is 0; generator
       triples (m, m', n) decide it.  (In a pair module MC7 follows from
       MC7a and MC7b: [m,m']·x lies in A, which the bracket kills.)
-    * MC6, given MC2, MC4, MC5 and MC7: the right side [m,n]·z is additive
-      in m and n by MC5.  On the left, MC2 writes (m+m')·r as
+    * A pair module goes further, in five steps.
+      1. A is central.  For a ∈ G_A, MC2 at (m, a, 1 + 1), with
+         m·(1+1) = m + m by MC1 (clauses 1 and 3), gives
+         m + a + m + a = m + m + a + a + [m,a]·H(1+1); MC4 at
+         (m, a, T(H(1+1))), with T(T(y)) = y (a ring law), gives
+         [m,a]·H(1+1) = [a,m]·T(H(1+1)), which is 0 by MC7a; cancelling
+         gives a + m = m + a.  The centralizer of m is a subgroup that
+         holds G_A, so it holds A.  The reduced sweeps hold these
+         instances: MC2 runs n over G ∪ G_A and r over R_e, and MC4 runs
+         n over G ∪ G_A and x over G_ee and T(H(1+1)).
+      2. Brackets lie in A by MC7b, so they are central too, and a sum of
+         two bracket-valued homomorphisms is again a homomorphism.
+      3. MC5, clauses 1–2, further: x runs over G_ee in both, and n over
+         G in clause 1.  Clause 2: for n' ∈ G, both sides are additive in
+         x, by clause 3 and step 2, so they agree once they agree for
+         x ∈ G_ee; the lemma for n ↦ [m,n]·x then covers every n'.
+         Clause 1: for m' ∈ G, both sides are additive in x (clause 3)
+         and in n (clause 2), so they agree once they agree for n ∈ G and
+         x ∈ G_ee; the lemma for m ↦ [m,n]·x then covers every m'.
+      4. MC2, n over G ∪ G_A: fix r, and let S be the set of n at which
+         (m+n)·r = m·r + n·r + [m,n]·H(r) holds for every m; S holds G.
+         For n, n' ∈ S, MC2 at n' (for m + n), at n, and at n' (for n)
+         give, with the central brackets moved to the end,
+         (m+n+n')·r = m·r + n·r + n'·r + [m,n]·H(r) + [m+n,n']·H(r) and
+         m·r + (n+n')·r + [m,n+n']·H(r) =
+         m·r + n·r + n'·r + [n,n']·H(r) + [m,n+n']·H(r).  By MC5 both
+         bracket sums are [m,n]·H(r) + [m,n']·H(r) + [n,n']·H(r), so
+         n + n' ∈ S.  S is closed under +, hence a subgroup, hence M.
+      5. MC4, [m,n]·T(x) = [n,m]·x, n over G ∪ G_A and x over G_ee and
+         T(H(1+1)): both sides are additive in n (MC5, clauses 2 and 1)
+         and in x (T is additive, a ring law, and MC5's x-clause), so
+         they agree once they agree for n ∈ G and x ∈ G_ee.
+      A plain module keeps MC2, MC4 and the dims of MC5 above in full:
+      there centrality of brackets rests on MC7, whose reduced form rests
+      on MC5.
+    * MC6, given MC1, MC2, MC4, MC5 and MC7 (in a pair module MC7a and
+      MC7b, which imply MC7), and the additivity laws of the ring's
+      action: both sides are additive in each of m, n, r, s, x and u, so
+      (G, G, G_R, G_R, G_ee, G_R) decides it.  A bracket α has
+      (α + α')·u = α·u + α'·u + [α,α']·H(u) by MC2, and [α,α']·H(u) = 0
+      by MC7, so α ↦ α·u is additive on brackets.  The right side
+      [m,n]·((r,s)·x·u) is additive in m and n by MC5, and in r, s, x and
+      u by action-additive-1 to -4 followed by MC5's x-clause.  On the
+      left, ([m·r, n·s]·x)·u: in m, MC2 writes (m+m')·r as
       m·r + m'·r + [m,m']·H(r), MC5 splits the bracket over that sum, and
       the last term [[m,m']·H(r), n·s]·x is a bracket of a bracket, 0 by
       MC7.  In n the extra term is [m·r, β]·x with β a bracket, which is
-      [β, m·r]·T(x) by MC4, so 0 again.  Finally MC2 gives
-      (α + α')·u = α·u + α'·u + [α,α']·H(u), and [α,α']·H(u) = 0 by MC7
-      since α is a bracket.  So both sides are additive in m and in n, and
-      generator pairs (m, n) decide MC6, with r, s, x, u swept in full.
+      [β, m·r]·T(x) by MC4, so 0 again.  In r, m·(r+r') = m·r + m·r' by
+      MC1 and MC5 splits the bracket; s the same.  In x, MC5's x-clause;
+      in u, α·(u+u') = α·u + α·u' by MC1.  Each sum of brackets is then
+      carried through α ↦ α·u.
 
-    Each reduced form sweeps a subset of its law's cells, so a reduced
-    form that fails means a law that fails, and then the full sweeps give
-    the witnesses."""
+    The laws these proofs use are swept in full, or rest on the lemma
+    alone (clause 3 of MC1 and of MC5, clauses 1–2 of MC5 in a plain
+    module), or come earlier in the chain: MC7 after MC5; in a pair
+    module steps 1–2 read only instances that the reduced sweeps hold,
+    step 3 reads steps 1–2, steps 4–5 read step 3; MC6 comes last.  So no
+    proof leans on its own conclusion.  Each reduced form sweeps a subset
+    of its law's cells, so a reduced form that fails means a law that
+    fails, and then the full sweeps give the witnesses."""
     verdict = run_laws(_module_laws(mod), all_witnesses=get_config().exhaustive_witnesses)
     mod._verdict = verdict
     return verdict
@@ -606,11 +649,24 @@ def gr(pair: CpModule) -> GradedAlgebra2:
 
 
 def _build_gr(pair: CpModule) -> GradedAlgebra2:
+    """The graded object of a verified pair, its induced tables checked as
+    laws.  pairing-well-defined, [m,n]·x read in A equals the pairing of
+    the classes of m and n, is decided on (G, G, G_ee), G and G_ee as in
+    ``verify_bhp_module``, once every other law of the build holds (see
+    ``verdict.run_laws``).  Both sides are additive in m, n and x.  On the
+    left, the bracket is additive in each argument (MC5) with values in A
+    (MC7b), and ``index2`` is an isomorphism from A onto the degree-2
+    group, whose table is that of A renumbered.  On the right, ``proj1``
+    is the quotient map, a homomorphism, and the pairing is additive in
+    each slot by pairing-additive-1 to -3, which are swept in full.  So by
+    the lemma of ``verify_bhp_module`` the two sides agree everywhere once
+    they agree on generators."""
     sr = pair.sr
     operad = operad_of(sr)
     bar = operad.op1
     nee = sr.ree.order
 
+    G = sweep_generators(pair.group)
     group1, proj1 = pair.group.quotient(pair.aset)
     k1 = group1.order
     reps1 = representatives(proj1)
@@ -634,7 +690,8 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
         ("deg2-well-defined", (pair.aset, sr.re.order),
          lambda a, r: (index2[pair.scal[a, r]], scal2[index2[a], bar.proj[r]])),
         ("pairing-well-defined", (pair.nm, pair.nm, nee),
-         lambda m, n, x: (index2[pair.bracket[m, n, x]], pairing[proj1[m], proj1[n], x])),
+         lambda m, n, x: (index2[pair.bracket[m, n, x]], pairing[proj1[m], proj1[n], x]),
+         (G, G, sweep_generators(sr.ree))),
         *_bar_module_laws(deg1, bar),
         *_bar_module_laws(deg2, bar),
         (

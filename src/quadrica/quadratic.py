@@ -48,7 +48,7 @@ from .errors import (
     PreconditionUnmet,
     SearchSpaceTooLarge,
 )
-from .groups import FiniteGroup, generators
+from .groups import FiniteGroup, sweep_generators
 from .modules import (
     BhpModule,
     CpModule,
@@ -283,30 +283,42 @@ def _image_brackets(c: _Clauses) -> np.ndarray:
     return cod.bracket[T[:, :, None, None], T[:, None, :, None], np.arange(cod.sr.ree.order)]
 
 
+def _generating_sets(dom: BhpModule) -> tuple[tuple[int, ...], ...]:
+    """G, G_R and G_ee: ``sweep_generators`` of the domain, of R_e and of
+    R_ee."""
+    return tuple(map(sweep_generators, (dom.group, dom.sr.re.group, dom.sr.ree)))
+
+
 def _zero(c: _Clauses):
     T = c.T
     return [((1,), lambda q, i: (T[q, i * 0], np.zeros_like(i)))]
 
 
 def _additive_brackets(c: _Clauses):
-    """m ↦ [f(m),f(n)]·x is additive: relation 1(a), the first clause of BHPc1."""
+    """m ↦ [f(m),f(n)]·x is additive: relation 1(a), the first clause of
+    BHPc1; m' runs over G and x over G_ee (see ``_bilinear_clauses``)."""
     dom, cod = c.dom, c.cod
     nm, nee = dom.nm, dom.sr.ree.order
     madd, nadd = dom.group.add, cod.group.add
+    G, _, G_ee = _generating_sets(dom)
     B = c.get(_image_brackets)
     return [((nm, nm, nm, nee),
-             lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]))]
+             lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]),
+             (nm, G, nm, G_ee))]
 
 
 def _scalar_brackets(c: _Clauses):
     """m ↦ [f(m),f(n)]·x commutes with scalars: relation 2(b), the second
-    clause of BHPc1."""
+    clause of BHPc1; m, r and x run over G, G_R and G_ee (see
+    ``_bilinear_clauses``)."""
     dom, cod = c.dom, c.cod
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     dscal, nscal = dom.scal, cod.scal
+    G, G_R, G_ee = _generating_sets(dom)
     B = c.get(_image_brackets)
     return [((nm, nm, ne, nee),
-             lambda q, m, n, r, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]))]
+             lambda q, m, n, r, x: (B[q, dscal[m, r], n, x], nscal[B[q, m, n, x], r]),
+             (G, nm, G_R, G_ee))]
 
 
 def _relation_laws(c: _Clauses):
@@ -316,6 +328,7 @@ def _relation_laws(c: _Clauses):
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nsub, nscal = cod.group.add, cod.group.sub, cod.scal
     mul, h = dom.sr.re.mul, dom.sr.h
+    G, _, G_ee = _generating_sets(dom)
     B = c.get(_image_brackets)
     return [
         *c.laws("zero", _zero),
@@ -325,6 +338,7 @@ def _relation_laws(c: _Clauses):
             "3(c)",
             (nm, nm, nee, nm, nee),
             lambda q, m, m2, x, n, y: (B[q, dbr[m, m2, x], n, y], np.zeros_like(m + m2 + n)),
+            (G, G, G_ee, nm, G_ee),
         ),
         (
             "4(d)",
@@ -387,34 +401,39 @@ def _relation_laws(c: _Clauses):
     ]
 
 
-def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
+def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
+                      phi_reduced: tuple | None = None):
     """phi(q, extra_dims..., m, m') must be linear in each of m, m'.  ``phi``
-    indexes as phi[(q, *extra, m, m')]; extra dimensions come first.  Six
-    clauses ``(dims, law, reduced)``, in this order: ``_first_add``,
-    ``_second_add``, ``_first_scal``, ``_second_scal``, ``_first_br``,
-    ``_second_br``.
+    indexes as phi[(q, *extra, m, m')]; extra dimensions come first, and
+    ``phi_reduced`` (by default ``phi_dims``) is their axes in the reduced
+    forms.  Six clauses ``(dims, law, reduced)``, in this order:
+    ``_first_add``, ``_second_add``, ``_first_scal``, ``_second_scal``,
+    ``_first_br``, ``_second_br``.
 
-    Every law carries a reduced form over G = ``generators(M)`` and
-    G_R = ``generators(R_e)`` (each {0} when its group is 0, so that it is
-    never empty), by the lemma in the docstring of
+    Every law carries a reduced form over G, G_R and G_ee
+    (``_generating_sets``), by the lemma in the docstring of
     ``modules.verify_bhp_module``: a map ψ from a finite group with
     ψ(u + g) = ψ(u) + ψ(g) for every u and every g of a generating set is a
-    homomorphism, and two homomorphisms that agree on a generating set are
-    equal.  M and N are verified modules, so their module axioms hold.
+    homomorphism, and two maps additive in some arguments agree once they
+    agree whenever those arguments lie in generating sets.  M and N are
+    verified modules, so their module axioms hold; in N, brackets are
+    central, and α ↦ α·r is additive on brackets (MC2 and MC7).
 
     * ``_first_add`` with m' ∈ G and ``_second_add`` with the added element
       in G: the lemma for m ↦ φ(m, n) and for n ↦ φ(m, n), with no other
       law needed.
-    * ``_first_br``, φ([m,m']·x, n) = [φ(m,n), φ(m',n)]·x, on m, m' ∈ G with
-      x and n swept in full, once both additivity laws of φ hold.  In m,
-      the left side is m ↦ [m,m']·x, additive by MC5 of M, followed by
-      φ(·, n), additive by ``_first_add``; the right side is m ↦ φ(m,n),
+    * ``_first_br``, φ([m,m']·x, n) = [φ(m,n), φ(m',n)]·x, on m, m' ∈ G and
+      x ∈ G_ee with n swept in full, once both additivity laws of φ hold.
+      In m, the left side is m ↦ [m,m']·x, additive by MC5 of M, followed
+      by φ(·, n), additive by ``_first_add``; the right side is m ↦ φ(m,n),
       additive, followed by [·, φ(m',n)]·x, additive by MC5 of N.  The same
-      holds in m'.  So for m' ∈ G the two sides agree on G as maps of m,
-      hence for every m; then for each m they agree on G as maps of m',
-      hence for every m'.  ``_second_br`` is the same argument for
-      φ(n, ·), with ``_second_add``.  n is swept in full:
-      [φ(m,n), φ(m',n)]·x is not additive in n.
+      holds in m', and in x: x ↦ [m,m']·x is additive by MC5 of M, and the
+      right side by MC5 of N.  So for m, m' ∈ G the two sides agree for
+      every x; then for m' ∈ G they agree on G as maps of m, hence for
+      every m; then for each m they agree on G as maps of m', hence for
+      every m'.  ``_second_br`` is the same argument for φ(n, ·), with
+      ``_second_add``.  n is swept in full: [φ(m,n), φ(m',n)]·x is not
+      additive in n.
     * ``_first_scal``, φ(m·r, n) = φ(m,n)·r, on m ∈ G and r ∈ G_R with n
       swept in full, once ``_first_add`` holds.  In r, for fixed m and n:
       m·(r+s) = m·r + m·s by MC1 of M, so r ↦ φ(m·r, n) is additive by
@@ -459,22 +478,85 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule):
       B is abelian, since a group commutator of two elements of B is a
       bracket of an element of B, 0 by MC7a.
 
-    No reduced form's proof uses a scalar law, and the bracket laws' proofs
-    use only additivity, so the argument is not circular.  Each reduced
-    form sweeps a subset of its law's cells."""
+    The f_[x] also run x over G_ee (``phi_reduced`` is (G_ee,)); the
+    polarizations keep r in full, since f_(r) is quadratic in r.  On every
+    route that holds the f_[x] (BHP2, CP2 and the gate of
+    ``three_defects_check``) f_[x] is additive in x.  With α = [m,m']·x
+    and β = [m,m']·y, MC5 of M gives α + β = [m,m']·(x+y), and
+    f(α + β) = d_f(α, β) + f(α) + f(β).  On CP2, α lies in A by MC7b of M,
+    so d_f(α, β) = 0 by CP4.  On BHP2 and the gate,
+    d_f(α, β) = [d_f(m,β), d_f(m',β)]·x by ``_first_br`` of d_f, which is 0:
+    BHP1 puts d_f(m,β) in the submodule S generated by the image of f and
+    makes its brackets with S vanish.  MC5 of N splits
+    [f(m),f(m')]·(x+y), and brackets are central in N, so
+    f_[x+y](m,m') = f_[x](m,m') + f_[y](m,m').  The values of the f_[x]
+    commute and have vanishing brackets with each other: on CP2 they lie
+    in B, since f([m,m']·x) ∈ f(A) ⊆ B (MC7b of M, CP1) and
+    [f(m),f(m')]·x ∈ B (MC7b of N), and B is central and killed by the
+    bracket (MC7a of N); on BHP2 and the gate they lie in S with
+    vanishing brackets there (BHP1), so they commute (a group commutator
+    is a bracket at H(2)).  So both sides of each of the six clauses are
+    additive in x: sums of values of the f_[x], α·r of such values (MC2
+    of N, whose bracket term vanishes) and brackets of such values (0).  Once
+    a clause holds for x ∈ G_ee, it holds for every x, and the proofs
+    above take it from there.
+
+    The other reduced forms of the routes:
+
+    * Membership of d_f in B (CP1, CPc1, FAC2) on pairs of G: d_f is
+      additive in each slot by ``_first_add`` and ``_second_add``, which
+      all three routes hold, and B is a subgroup (MC0 of N).  The m with
+      d_f(m, g) ∈ B for every g ∈ G are closed under +, so they are all
+      of M; then the same in the second slot.
+    * Membership of the f_[x] in B (CP1) on G_ee × G × G: it holds
+      outright, f([m,m']·x) ∈ f(A) ⊆ B by MC7b of M and the first clause
+      of CP1, and [f(m),f(m')]·x ∈ B by MC7b of N.
+    * d_f(M, A) = 0 and d_f(A, M) = 0 (CP4, CPc4) with the M slot over G:
+      for a ∈ A, m ↦ d_f(m, a) is additive by ``_first_add``, so it is 0
+      once it is 0 on G; m ↦ d_f(a, m) the same by ``_second_add``.
+    * f_[x](M, A) = 0 and f_[x](A, M) = 0 (CP4) with the M slot over G:
+      they hold outright.  [m,a]·x = [a,m]·T(x) by MC4, 0 by MC7a, so
+      f([m,a]·x) = f(0) = 0 by the zero law; [f(m),f(a)]·x is 0 in the
+      same way, f(a) ∈ B by CP1; and so for [a,m]·x.
+    * 1(a), the first clause of BHPc1, [f(m+m'),f(n)]·x =
+      [f(m),f(n)]·x + [f(m'),f(n)]·x, with m' ∈ G and x ∈ G_ee: the lemma
+      for m ↦ [f(m),f(n)]·x, and both sides are additive in x by MC5 of N.
+    * 3(c), [f([m,m']·x),f(n)]·y = 0, and the bracket clause of BHPc1,
+      [f([m,m']·y),f(n)]·x = [[f(m),f(n)]·x, [f(m'),f(n)]·x]·y, whose
+      right side is 0 by MC7 of N, with m, m' ∈ G and x, y ∈ G_ee: the
+      left side is additive in m, m' and the inner element of R_ee (MC5 of
+      M followed by 1(a)) and in the outer one (MC5 of N).  n is swept in
+      full: f is not additive.
+    * 2(b), the second clause of BHPc1, [f(m·r),f(n)]·x =
+      ([f(m),f(n)]·x)·r, with m ∈ G, r ∈ G_R and x ∈ G_ee.  In x: MC5 of
+      N, then α ↦ α·r on brackets.  In r: m·(r+s) = m·r + m·s by MC1 of M,
+      then 1(a); on the right MC1 of N.  In m: MC2 of M writes (m+m')·r as
+      m·r + m'·r + [m,m']·H(r), and 1(a) splits the left side into
+      [f(m·r),f(n)]·x + [f(m'·r),f(n)]·x + [f([m,m']·H(r)),f(n)]·x, whose
+      last term is 0 by 3(c) on the relations route and by the bracket
+      clause of BHPc1 on the reduced route; the right side is additive in
+      m by 1(a).
+
+    The chain: the additivity laws and 1(a) rest on the lemma alone; the
+    bracket laws, 3(c), the bracket clause of BHPc1 and the clauses on d_f
+    and A on them; the outright clauses on laws swept in full; x of the
+    f_[x] on the bracket law and the vanishing clauses of d_f; the scalar
+    laws and 2(b) on the additivity, bracket and membership laws.  No
+    reduced form's proof uses a scalar law or 2(b), so the argument is
+    not circular.  Each reduced form sweeps a subset of its law's cells."""
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
-    G = generators(dom.group) or (0,)
-    G_R = generators(dom.sr.re.group) or (0,)
+    G, G_R, G_ee = _generating_sets(dom)
     k = phi_dims  # leading extra dims: () for d, (nee,) for f_[x], (ne,) for pol
+    kr = k if phi_reduced is None else phi_reduced
     return [
-        (k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), k + (nm, G, nm)),
-        (k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), k + (nm, nm, G)),
-        (k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), k + (G, G_R, nm)),
-        (k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), k + (G, G_R, nm)),
-        (k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr), k + (G, G, nee, nm)),
-        (k + (nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr), k + (G, G, nee, nm)),
+        (k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), kr + (nm, G, nm)),
+        (k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), kr + (nm, nm, G)),
+        (k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), kr + (G, G_R, nm)),
+        (k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), kr + (G, G_R, nm)),
+        (k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr), kr + (G, G, G_ee, nm)),
+        (k + (nm, nm, nee, nm), lambda *a: _second_br(a, phi, dbr, nbr), kr + (G, G, G_ee, nm)),
     ]
 
 
@@ -530,7 +612,8 @@ def _bilinear(c: _Clauses, defect: str):
     if defect == "d":
         return _bilinear_clauses((), c.D.d, dom, c.cod)
     if defect == "bracket":
-        return _bilinear_clauses((dom.sr.ree.order,), c.D.bracket, dom, c.cod)
+        G_ee = _generating_sets(dom)[2]
+        return _bilinear_clauses((dom.sr.ree.order,), c.D.bracket, dom, c.cod, (G_ee,))
     return _bilinear_clauses((dom.sr.re.order,), c.get(_polarization), dom, c.cod)
 
 
@@ -589,6 +672,7 @@ def _cor_route_laws(c: _Clauses):
     dom, nbr = c.dom, c.cod.bracket
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     dbr = dom.bracket
+    G, _, G_ee = _generating_sets(dom)
     B, scalar = c.get(_image_brackets), c.D.scalar
     return [
         *c.laws("BHPc1", _additive_brackets),
@@ -600,6 +684,7 @@ def _cor_route_laws(c: _Clauses):
                 B[q, dbr[m, m2, y], n, x],
                 nbr[B[q, m, n, x], B[q, m2, n, x], y],
             ),
+            (G, G, G_ee, nm, G_ee),
         ),
         *c.laws("BHPc2", _bilinear, "d"),
         *c.laws("BHPc3", _homogeneity),
@@ -610,30 +695,37 @@ def _cor_route_laws(c: _Clauses):
 
 def _membership(c: _Clauses):
     """f(A) and the images of d_f, the f_(r) and the f_[x] lie in B, in this
-    order."""
+    order; the clauses of d_f and the f_[x] run on generators (proofs in
+    ``_bilinear_clauses``)."""
     dom, T, bmask = c.dom, c.T, c.cod.amask
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
+    G, _, G_ee = _generating_sets(dom)
     d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
     return [
-        ((dom.aset,), lambda q, a: (bmask[T[q, a]], np.ones_like(a))),
-        ((nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n))),
-        ((ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m))),
-        ((nee, nm, nm), lambda q, x, m, n: (bmask[bracket[q, x, m, n]], np.ones_like(x + m))),
+        ((dom.aset,), lambda q, a: (bmask[T[q, a]], np.ones_like(a)), None),
+        ((nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n)), (G, G)),
+        ((ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m)), None),
+        ((nee, nm, nm), lambda q, x, m, n: (bmask[bracket[q, x, m, n]], np.ones_like(x + m)),
+         (G_ee, G, G)),
     ]
 
 
 def _vanishing(c: _Clauses):
-    """d_f(M,A) = d_f(A,M) = 0, f_(r)(A) = 0, then f_[x](M,A) = f_[x](A,M) = 0."""
+    """d_f(M,A) = d_f(A,M) = 0, f_(r)(A) = 0, then f_[x](M,A) = f_[x](A,M) = 0;
+    the M slot runs over G (proofs in ``_bilinear_clauses``)."""
     dom = c.dom
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     A = dom.aset
+    G = _generating_sets(dom)[0]
     d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
     return [
-        ((nm, A), lambda q, m, a: (d[q, m, a], np.zeros_like(m + a))),
-        ((A, nm), lambda q, a, m: (d[q, a, m], np.zeros_like(m + a))),
-        ((ne, A), lambda q, r, a: (scalar[q, r, a], np.zeros_like(r + a))),
-        ((nee, nm, A), lambda q, x, m, a: (bracket[q, x, m, a], np.zeros_like(x + m + a))),
-        ((nee, A, nm), lambda q, x, a, m: (bracket[q, x, a, m], np.zeros_like(x + m + a))),
+        ((nm, A), lambda q, m, a: (d[q, m, a], np.zeros_like(m + a)), (G, A)),
+        ((A, nm), lambda q, a, m: (d[q, a, m], np.zeros_like(m + a)), (A, G)),
+        ((ne, A), lambda q, r, a: (scalar[q, r, a], np.zeros_like(r + a)), None),
+        ((nee, nm, A), lambda q, x, m, a: (bracket[q, x, m, a], np.zeros_like(x + m + a)),
+         (nee, G, A)),
+        ((nee, A, nm), lambda q, x, a, m: (bracket[q, x, a, m], np.zeros_like(x + m + a)),
+         (nee, A, G)),
     ]
 
 

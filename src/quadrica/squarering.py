@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import get_config
 from .errors import ConsistencyError, NotARing, PreconditionUnmet
-from .groups import FiniteGroup, _frozen_table, generators, representatives
+from .groups import FiniteGroup, _frozen_table, representatives, sweep_generators
 from .rings import NearRing
 from .verdict import Verdict, law_failures, run_laws
 
@@ -138,8 +138,7 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
     eadd, eneg = sr.ree.add, sr.ree.neg
     act, h, p, t = sr.act, sr.h, sr.p, sr.t
     zero_e = np.int64(0)
-    G_R = generators(sr.re.group) or (0,)
-    G_ee = generators(sr.ree) or (0,)
+    G_R, G_ee = sweep_generators(sr.re.group), sweep_generators(sr.ree)
 
     laws = [
         ("ree-commutative", (nee, nee), lambda x, y: (eadd[x, y], eadd[y, x])),
@@ -186,11 +185,13 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
             "action-split-left",
             (ne, ne, nee, ne),
             lambda r, s, x, u: (act[r, s, x, u], act[one, one, act[r, s, x, one], u]),
+            (G_R, G_R, G_ee, G_R),
         ),
         (
             "action-split-right",
             (ne, ne, nee, ne),
-            lambda r, s, x, u: (act[r, s, x, u], act[r, s, act[one, one, x, u], one], ),
+            lambda r, s, x, u: (act[r, s, x, u], act[r, s, act[one, one, x, u], one]),
+            (G_R, G_R, G_ee, G_R),
         ),
         ("AC0", (nee,), lambda x: (p[h[p[x]]], add[p[x], p[x]])),
         ("AC1", (ne, nee, ne), lambda r, x, s: (p[act[r, r, x, s]], mul[mul[r, p[x]], s])),
@@ -214,7 +215,12 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
             (ne, ne, ne),
             lambda r, s, u: (mul[add[r, s], u], add[add[mul[r, u], mul[s, u]], p[act[r, s, h[u], one]]]),
         ),
-        ("AC8", (ne, ne, nee, ne), lambda r, s, x, u: (t[act[r, s, x, u]], act[s, r, t[x], u])),
+        (
+            "AC8",
+            (ne, ne, nee, ne),
+            lambda r, s, x, u: (t[act[r, s, x, u]], act[s, r, t[x], u]),
+            (G_R, G_R, G_ee, G_R),
+        ),
     ]
     derived = [
         ("H(1)=0", (1,), lambda _: (h[one] + _ * zero_e, np.zeros_like(_))),
@@ -236,10 +242,10 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
     ConsistencyError.
 
     The verdict equals the exhaustive sweep of every law, witnesses
-    included; the additivity laws of the action and its left monoid law
-    are decided on generators when every other axiom holds (see
-    ``verdict.run_laws``).  G_R and G_ee are ``generators`` of R_e and
-    R_ee, {0} when their group is 0.  The lemma of ``verify_bhp_module``:
+    included; the additivity laws of the action, its left monoid law, its
+    two split laws and AC8 are decided on generators when every other
+    axiom holds (see ``verdict.run_laws``).  G_R and G_ee are
+    ``sweep_generators`` of R_e and R_ee.  The lemma of ``verify_bhp_module``:
     a map out of a finite group X with φ(u + g) = φ(u) + φ(g) for every
     u ∈ X and every g in a generating set of X is a homomorphism, and two
     maps additive in each of some arguments are equal once they agree
@@ -260,10 +266,19 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
     * action-left-monoid, (r,s)·((r',s')·x) = (rr',ss')·x: both sides are
       additive in x, the left one as a composite of two maps that
       action-additive-3 makes additive, so x runs over G_ee.
+    * action-split-left, (r,s)·x·t = ((r,s)·x)·t, action-split-right,
+      (r,s)·x·t = (r,s)·(x·t), and AC8, T((r,s)·x·t) = (s,r)·T(x)·t: both
+      sides of each are additive in r, s, x and t, so (G_R, G_R, G_ee,
+      G_R) decides them.  Each side is a composite of actions, each
+      additive in each slot by action-additive-1 to -4 (a composite of
+      maps additive in a slot and in the slot it feeds is additive), and,
+      in AC8, of T, additive by T-additive, swept in full.  In r and s the
+      slots swap on the right of AC8, where action-additive-2 and -1 give
+      additivity.
 
     Each proof rests only on laws swept in full and on reduced forms
-    earlier in this chain (3, then 4, 2, 1), so none leans on its own
-    conclusion."""
+    earlier in this chain (3, then 4, 2, 1, then the monoid, split and
+    AC8 laws), so none leans on its own conclusion."""
     laws, derived = _ring_laws(sr)
     cfg = get_config()
     verdict = run_laws(laws, all_witnesses=cfg.exhaustive_witnesses)

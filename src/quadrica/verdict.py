@@ -144,18 +144,26 @@ def _split(dims: tuple) -> tuple[tuple, tuple | None]:
 
 def _blocks(dims: tuple[int, ...], grid, count: int):
     """Split the sweep of ``count`` candidates over ``grid``, of the sizes
-    ``dims``, into blocks of at most ``_BLOCK_CELLS`` cells.  The
-    candidates, then each grid axis in turn, run one index at a time until
-    the axes after them fit the budget; the next axis runs in ranges.
-    Yields, in lexicographic order, each block's slice of the candidates,
-    its grid, shaped to broadcast over (candidates, *dims), and its shape.
-    A sweep of no cells yields no block; an empty ``dims`` is one cell."""
+    ``dims``, into blocks of at most ``_BLOCK_CELLS`` cells: each block's
+    slice of the candidates, its grid, shaped to broadcast over
+    (candidates, *dims), and its shape, in lexicographic order.  A sweep
+    that fits the budget is one block, returned as a tuple of one with no
+    generator to run; a sweep of no cells is the empty tuple (an empty
+    ``dims`` is one cell).  A larger sweep is cut by ``_cut``.
+    Every sweep of the package passes here, so counting the cells of its
+    calls counts the work of the law engine."""
     shape = (count,) + dims
     size = prod(shape)
     if size <= _BLOCK_CELLS:  # most sweeps: one block, no bookkeeping
-        if size:
-            yield slice(0, count), grid, shape
-        return
+        return ((slice(0, count), grid, shape),) if size else ()
+    return _cut(shape, grid)
+
+
+def _cut(shape: tuple[int, ...], grid):
+    """The blocks of a sweep of ``shape`` (candidates first) larger than
+    the budget.  The candidates, then each grid axis in turn, run one index
+    at a time until the axes after them fit the budget; the next axis runs
+    in ranges."""
     k = next(k for k in range(len(shape)) if prod(shape[k + 1:]) <= _BLOCK_CELLS)
     step = _BLOCK_CELLS // prod(shape[k + 1:])
     for lead in product(*map(range, shape[:k])):

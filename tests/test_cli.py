@@ -459,18 +459,26 @@ def test_a_failing_64_element_module_is_decided_within_48_mb(tmp_path):
     assert fails[-1] == "result: FAIL"
 
 
+@pytest.fixture(scope="module")
+def tensor4_hom(tmp_path_factory) -> Path:
+    """The Hom of the Z/4 ``tensor`` free pair, 128 elements, beyond the
+    default group cap: written by ``quadrica hom --cap-group 128``."""
+    out = tmp_path_factory.mktemp("tensor4")
+    pair, hom = str(out / "tensor4.pair"), out / "tensor4.hom"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example", "tensor", "4", "--emit", "pair", "--out", pair]) == 0
+        assert main(["hom", pair, pair, "--cap-group", "128", "--out", str(hom)]) == 0
+    return hom
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_a_failing_128_element_module_is_decided_within_48_mb(tmp_path, capsys):
-    """The Hom of the Z/4 ``tensor`` free pair has 128 elements, beyond the
-    default group cap; with one bracket entry changed it fails MC3, MC4,
-    MC5, MC6 and MC7a, and its full MC6 grid has ≈ 1.07e9 cells.  Under
-    ``--cap-group 128`` it is decided within 48 MB on top of the
-    interpreter."""
-    pair, hom = str(tmp_path / "tensor4.pair"), tmp_path / "tensor4.hom"
-    assert main(["example", "tensor", "4", "--emit", "pair", "--out", pair]) == 0
-    assert main(["hom", pair, pair, "--cap-group", "128", "--out", str(hom)]) == 0
-    capsys.readouterr()
-    proc = verify_under_budget(with_a_raised_bracket(hom, tmp_path), 48, "--cap-group", "128")
+def test_a_failing_128_element_module_is_decided_within_48_mb(tensor4_hom, tmp_path):
+    """The Hom of the Z/4 ``tensor`` free pair with one bracket entry
+    changed fails MC3, MC4, MC5, MC6 and MC7a, and its full MC6 grid has
+    ≈ 1.07e9 cells.  Under ``--cap-group 128`` it is decided within 48 MB
+    on top of the interpreter."""
+    proc = verify_under_budget(with_a_raised_bracket(tensor4_hom, tmp_path), 48,
+                               "--cap-group", "128")
     assert proc.returncode == 1, proc.stderr
     fails = [line for line in proc.stdout.splitlines() if "FAIL" in line]
     assert fails[0] == "  FAIL MC3 at (1, 1): lhs=0 rhs=1"
@@ -478,10 +486,11 @@ def test_a_failing_128_element_module_is_decided_within_48_mb(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_running_out_of_memory_exits_three_without_a_traceback():
-    """With 2 MB above the interpreter an allocation fails while the same
-    document is read and verified; that is a bound, not a crash."""
-    proc = verify_under_budget(GAMMA4_HOM, 2)
+def test_running_out_of_memory_exits_three_without_a_traceback(tensor4_hom):
+    """With 2 MB above the interpreter an allocation fails while the
+    128-element Hom of the Z/4 ``tensor`` free pair is read and verified;
+    that is a bound, not a crash."""
+    proc = verify_under_budget(tensor4_hom, 2, "--cap-group", "128")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("bound exceeded: out of memory")
     assert "Traceback" not in proc.stderr

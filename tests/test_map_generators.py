@@ -2,8 +2,11 @@
 
 ``_bilinear_clauses`` gives every bilinearity law of d_f, of the f_[x] and
 of the polarizations of the f_(r) a reduced form: the additive argument of
-an additivity law, the pair (m, m') of a bracket law and the pair (m, r) of
-a scalar law run over generators of the domain and of R_e.  ``run_laws``
+an additivity law, the pair (m, m') and x of a bracket law and the pair
+(m, r) of a scalar law run over generators of the domain, of R_e and of
+R_ee, and so does x of the f_[x].  Membership in B and the vanishing
+clauses of d_f and the f_[x], the relations 1(a), 2(b) and 3(c) and the
+bracket clause of BHPc1 carry reduced forms too.  ``run_laws``
 and ``passing_candidates`` decide on them once every other law holds, so
 every single-map verdict (passed, failures, witnesses, ``checked``) and
 every batch mask must equal a plain sweep of the full laws.  The pinned
@@ -50,6 +53,7 @@ from quadrica.quadratic import (
     _defect_stacks,
     _single,
 )
+import quadrica.verdict as engine
 from quadrica.verdict import passing_candidates, run_laws
 
 from _census import all_tables, module_census, pair_census
@@ -204,17 +208,23 @@ def test_free_pair_maps_keep_the_exhaustive_certificate(kind):
 
 def test_the_reduced_forms_sweep_fewer_cells_on_a_generated_carrier():
     """On the Z/3 ``tensor`` free pair (9 elements, 2 generators, over R_e
-    of 9 elements with 2 generators) every bilinearity law of the
-    definition route sweeps fewer cells: the additive argument, the pair
-    (m, r) of a scalar law or the pair (m, m') of a bracket law runs over
-    generators."""
+    and R_ee of 9 elements with 2 generators each) every reducible law of
+    the definition route sweeps fewer cells: the additive argument, the
+    pair (m, r) of a scalar law or the pair (m, m') and x of a bracket law
+    runs over generators, and so do x of the f_[x], the pair of a
+    membership clause and the M slot of a vanishing clause."""
     pair = free_cp_pair(build_example("tensor", 3))
     tables = np.zeros((1, pair.nm), dtype=np.int64)
     laws = route_laws("cp", pair, pair, tables)["definition"]
     reduced = [(law[1], law[3]) for law in laws if len(law) == 4 and law[3] is not None]
-    assert len(reduced) == 12  # six per bilinear defect: d_f and the f_[x]
+    # six per bilinear defect, d_f and the f_[x]; membership in B of d_f
+    # and of the f_[x]; the four vanishing clauses of d_f and the f_[x]
+    assert len(reduced) == 18
+    def cells(dims):
+        return prod(len(d) if isinstance(d, tuple) else d for d in dims)
+
     for dims, rdims in reduced:
-        assert prod(len(d) if isinstance(d, tuple) else d for d in rdims) < prod(dims)
+        assert cells(rdims) < cells(dims)
 
 
 def lambda2_module(bits: int, form) -> BhpModule:
@@ -399,3 +409,83 @@ def test_a_route_that_rejects_one_leaf_is_an_internal_error(monkeypatch):
     monkeypatch.setitem(quadratic._CP_ROUTES, "reduced", rejecting)
     with pytest.raises(ConsistencyError, match="routes disagree on leaf .*: definition accepts"):
         enumerate_cp_quadratic(pair, pair)
+
+
+# Maps of the Z/3 ``tensor`` free pair, decided as pair maps and as plain
+# maps, and for each the reduced forms (route, label, first failing cell of
+# the full law) that have a coordinate of that cell off their axes.
+OFF_THE_AXES = {
+    (0, 0, 3, 0, 0, 0, 0, 0, 0): {("definition", "CP1", (1, 3, 6)),
+                                  ("definition", "CP4", (1, 2, 2)),
+                                  ("relations", "2(b)", (1, 2, 6, 1)),
+                                  ("relations", "3(c)", (3, 3, 2, 2, 1)),
+                                  ("reduced", "BHPc1", (3, 3, 2, 2, 1))},
+    (0, 0, 0, 0, 0, 3, 0, 0, 0): {("definition", "CP1", (1, 4)),
+                                  ("relations", "1(a)", (1, 4, 5, 1)),
+                                  ("reduced", "BHPc1", (1, 4, 5, 1))},
+    (0, 0, 0, 0, 0, 0, 1, 0, 0): {("definition", "CP4", (6, 1)), ("reduced", "CPc4", (6, 1))},
+    (0, 0, 0, 0, 0, 1, 0, 0, 0): {("definition", "CP4", (1, 4)), ("reduced", "CPc4", (1, 4))},
+    (0, 2, 0, 3, 5, 5, 5, 4, 3): {("definition", "CP2", (2, 3, 3, 3)),
+                                  ("definition", "BHP2", (2, 3, 3, 3))},
+}
+
+
+def on_the_axes(witness, dims) -> bool:
+    return all(v in d for v, d in zip(witness, dims) if isinstance(d, tuple))
+
+
+@pytest.mark.parametrize("table", OFF_THE_AXES)
+def test_maps_that_fail_first_off_the_new_axes_keep_the_exhaustive_certificate(table):
+    """Membership in B of d_f (on generator pairs) and of the f_[x] (x
+    over G_ee too), the vanishing clauses with their M slot over G, the
+    relations 1(a), 2(b), 3(c) and the bracket clause of BHPc1 with x, y
+    over G_ee and m, m' over G, and x of the f_[x] over G_ee: each
+    pinned map fails one of them first at a cell off its axes.  The
+    certificates, primary verdict and routes, under both witness
+    policies, are those of the full sweeps.  On these maps a law without
+    a reduced form fails as well.  No map of the n = 2 census (4,696
+    route verdicts in which every law without a reduced form holds and
+    another fails), nor of samples of this pair, fails a reduced form
+    first off its axes while every law without one holds: an argument in
+    which the two sides are additive fails first at a greedy generator."""
+    pair = free_cp_pair(build_example("tensor", 3))
+    plain = BhpModule(pair.sr, pair.group, pair.scal, pair.bracket)
+    T = np.array([table])
+    off = set()
+    for kind, mod in (("cp", pair), ("bhp", plain)):
+        routes = route_laws(kind, mod, mod, T)
+        for route, laws in routes.items():
+            for label, dims, law, *reduced in _single(laws):
+                failures = run_laws([(label, dims, law)]).failures
+                if reduced and reduced[0] and failures:
+                    if not on_the_axes(failures[0].witness, reduced[0]):
+                        off.add((route, label, failures[0].witness))
+        decide = is_cp_quadratic if kind == "cp" else is_bhp_quadratic
+        primary, *secondary = routes.values()
+        for all_witnesses in (False, True):
+            set_config(exhaustive_witnesses=all_witnesses)
+            cert = decide(MapTable(mod, mod, T[0]))
+            assert cert.verdict == run_laws(full(_single(primary)), all_witnesses=all_witnesses)
+            assert [v for _, v in cert.routes] == [run_laws(full(_single(r))) for r in secondary]
+    assert OFF_THE_AXES[table] <= off
+
+
+def test_enumerating_the_tensor_3_pair_sweeps_at_most_650000_cells(monkeypatch):
+    """The level search and the three routes over the leaves of the Z/3
+    ``tensor`` free pair, with the graded maps of the accepted tables:
+    535,878 cells, counted where sweeps are cut into blocks (1,349,677
+    with x of the f_[x], x of the bracket laws, membership and vanishing
+    swept in full)."""
+    pair = free_cp_pair(build_example("tensor", 3))
+    cells = [0]
+    blocks = engine._blocks
+
+    def counting(dims, grid, count):
+        cells[0] += count * prod(dims)
+        return blocks(dims, grid, count)
+
+    monkeypatch.setattr(engine, "_blocks", counting)
+    maps = enumerate_cp_quadratic(pair, pair)
+    monkeypatch.undo()
+    assert len(maps) == 81
+    assert cells[0] <= 650_000

@@ -1,11 +1,12 @@
 """The generator route of the module verifiers.
 
 ``verify_bhp_module`` and ``verify_cp_module`` decide the additivity clause
-of MC1 on generators of R_e, the x-clause of MC5 on generators of R_ee, and
-the first two clauses of MC5, MC6 and MC7 on generator tuples of the
-carrier (in a pair module, the first two clauses of MC5 with x on
-generators of R_ee too), once every other law holds, and sweep them in full
-otherwise.  Their verdicts must equal a plain exhaustive ``run_laws`` over
+of MC1 on generators of R_e, the x-clause of MC5 on generators of R_ee, the
+first two clauses of MC5 and MC7 on generator tuples of the carrier, and
+MC6 on generators of the carrier, of R_e and of R_ee (in a pair module,
+also the first two clauses of MC5 with x on generators of R_ee, and MC2
+and MC4 with n on generators of the carrier and of A), once every other
+law holds, and sweep them in full otherwise.  Their verdicts must equal a plain exhaustive ``run_laws`` over
 every law: passed, each failure with its witness and detail, and
 ``checked``.
 """
@@ -372,6 +373,84 @@ def test_a_module_that_fails_only_mc6_at_distinct_generators(pair):
         assert_agrees(mod)
 
 
+def mc2_only_pair() -> CpModule:
+    """((Z/2)⁴, A = {0, 8}) over ``gamma 2`` with the zero bracket: ε
+    acts as γ(m) = λ(m)·e3 with the cubic λ(m) = b₀(m)·b₁(m)·b₂(m) of
+    the bits of m, 1 as the identity, 1 + ε as m + γ(m).  γ(γ(m)) = 0 and
+    γ(m + γ(m)) = γ(m), so MC1 holds; P = 0, so MC3 does; the bracket is 0,
+    so MC4–MC7b do.  γ is not additive, and H(ε) = 1 asks for
+    γ(m + n) = γ(m) + γ(n) + [m,n]·1 = γ(m) + γ(n): only MC2 fails."""
+    sr = build_example("gamma", 2)
+    m = np.arange(16)
+    group = FiniteGroup(m[:, None] ^ m[None, :], m)
+    gamma = ((m & 7) == 7) * 8
+    scal = np.stack([0 * m, gamma, m, m ^ gamma], axis=1)  # R_e: 0, ε, 1, 1 + ε
+    return CpModule(sr, group, scal, np.zeros((16, 16, 2), dtype=np.int64), (0, 8))
+
+
+def greedy_generators(group: FiniteGroup, members) -> tuple[int, ...]:
+    """The least member not in the span of those picked, until the span
+    holds every member."""
+    picked: list[int] = []
+    for a in sorted(members):
+        if a not in group.subgroup_closure(picked):
+            picked.append(a)
+    return tuple(picked)
+
+
+def mc2_axis(mod: CpModule) -> tuple[int, ...]:
+    """The n axis of the reduced MC2 and MC4 of a pair module: G and the
+    generators of A."""
+    return tuple(sorted({*generators(mod.group), *greedy_generators(mod.group, mod.aset)}))
+
+
+def test_a_pair_module_that_fails_only_mc2_first_off_the_generators():
+    """A pair module runs n of MC2 over G and the generators of A.  Here
+    MC2 alone fails, first at n = 6 = e1 + e2, outside G ∪ G_A =
+    (1, 2, 4, 8): (e0 + e1 + e2)·ε = e3, against e0·ε + (e1 + e2)·ε = 0.
+    The reduced form catches it elsewhere, at n = 4 ∈ G, and the verdict
+    is the exhaustive one under both witness policies."""
+    mod = mc2_only_pair()
+    axis = mc2_axis(mod)
+    assert axis == (1, 2, 4, 8)
+    for label, dims, law, reduced in _module_laws(mod):
+        assert holds(label, dims, law) == (label != "MC2"), label
+        if label == "MC2":
+            assert reduced == (16, axis, 4) and not holds(label, reduced, law)
+    set_config(exhaustive_witnesses=False)
+    assert verify(mod).failures == (Failure("MC2", (1, 6, 1), "lhs=8 rhs=0"),)
+    assert 6 not in axis
+    assert_agrees(mod)
+
+
+def test_a_pair_module_that_fails_mc4_and_mc6_first_off_the_generators():
+    """The Hom carrier of the ``sym 2`` free pair (8 elements, G = (1, 2, 4),
+    A = {0, 1}) with [2,5]·1 raised to 1.  MC4 fails first at (2, 5, 1)
+    and MC6 at (2, 5, 3, 2, 1, 2), n = 5 off the n axes and r = 3 = 1 + ε
+    off G_R = (1, 2); MC5 fails too.  The reduced MC4, n over G and the
+    generators of A, x over G_ee and T(H(2)), catches it at (5, 2, 1).
+    MC6 can fail first off G_R or G_ee only while an additivity law that
+    its proof reads fails too: with those laws, the cells of each of
+    r, s, x, u where it holds form a subgroup, and the least element
+    outside a subgroup is a greedy generator.  The verdict is the
+    exhaustive one under both witness policies."""
+    pair = free_cp_pair(build_example("sym", 2))
+    hom = hom_module(pair, pair)
+    bracket = hom.bracket.copy()
+    bracket[2, 5, 1] = 1
+    mod = CpModule(hom.sr, hom.group, hom.scal, bracket, hom.aset)
+    assert mc2_axis(mod) == generators(mod.group) == (1, 2, 4)
+    assert generators(mod.sr.re.group) == (1, 2) and mod.sr.t[mod.sr.h[mod.sr.two]] == 0
+    reduced = {label: (dims, law, r) for label, dims, law, r in _module_laws(mod) if r}
+    assert reduced["MC4"][2] == (8, (1, 2, 4), (0, 1))
+    assert not holds("MC4", reduced["MC4"][2], reduced["MC4"][1])
+    set_config(exhaustive_witnesses=False)
+    failures = verify(mod).failures
+    assert [f.law for f in failures] == ["MC4", "MC5", "MC5", "MC6"]
+    assert failures[0].witness == (2, 5, 1) and failures[-1].witness == (2, 5, 3, 2, 1, 2)
+    assert_agrees(mod)
+
+
 def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
     """The (label, dims) of every sweep that verifying ``mod`` runs."""
     seen = []
@@ -386,6 +465,24 @@ def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
     return seen
 
 
+def block_cells(monkeypatch, run) -> int:
+    """The cells that ``run()`` sweeps, counted where every sweep of the
+    package is cut into blocks: candidates times grid cells, per sweep."""
+    cells = [0]
+    blocks = engine._blocks
+
+    def counting(dims, grid, count):
+        cells[0] += count * prod(dims)
+        return blocks(dims, grid, count)
+
+    monkeypatch.setattr(engine, "_blocks", counting)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return cells[0]
+
+
 def full_sweeps(mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
     return [(label, sizes(dims)) for label, dims, _, _ in _module_laws(mod)]
 
@@ -398,10 +495,16 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
     nm, ne, nee = hom.nm, hom.sr.re.order, hom.sr.ree.order
     ng = len(generators(hom.group))
     ng_r, ng_ee = len(generators(hom.sr.re.group)), len(generators(hom.sr.ree))
+    # n of MC2 and MC4 over G and the generators of A, x of MC4 over G_ee
+    # and T(H(2))
+    n_axis = len(mc2_axis(hom))
+    x_axis = len({*generators(hom.sr.ree), int(hom.sr.t[hom.sr.h[hom.sr.two]])})
+    assert (nm, ne, nee, ng, n_axis, ng_r, ng_ee, x_axis) == (8, 4, 2, 3, 3, 2, 1, 2)
     expected = [(label, sizes(dims)) for label, dims, _, r in laws if r is None]
-    expected += [("MC1", (nm, ne, ng_r)), ("MC5", (nm, ng, ng, ng_ee)),
+    expected += [("MC1", (nm, ne, ng_r)), ("MC2", (nm, n_axis, ne)),
+                 ("MC4", (nm, n_axis, x_axis)), ("MC5", (nm, ng, ng, ng_ee)),
                  ("MC5", (nm, nm, ng, ng_ee)), ("MC5", (nm, nm, nee, ng_ee)),
-                 ("MC6", (ng, ng, ne, ne, nee, ne))]
+                 ("MC6", (ng, ng, ng_r, ng_r, ng_ee, ng_r))]
     seen = sweeps(monkeypatch, hom)
     assert sorted(seen) == sorted(expected)
     assert 2 * sum(prod(d) for _, d in seen) < sum(prod(d) for _, d in full_sweeps(hom))
@@ -424,14 +527,15 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
                                                          + [("MC1", (4, 2, 1)), ("MC5", (4, 2, 4, 2))])
 
 
-def test_the_tensor_3_hom_carrier_sweeps_at_most_480000_cells(monkeypatch):
+def test_the_tensor_3_hom_carrier_sweeps_at_most_260000_cells(monkeypatch):
     """A passing pair module sweeps each law once, the reducible ones on
-    generators: 470,854 cells on the 81-element Hom carrier of Z/3
-    ``tensor`` (888,166 with the MC5 dims of a plain module)."""
+    generators: 251,924 cells on the 81-element Hom carrier of Z/3
+    ``tensor``, counted where sweeps are cut into blocks (470,854 when
+    MC2, MC4 and MC6 swept n, x and r, s, x, u in full)."""
     set_config(cap_group=128)
     pair = free_cp_pair(build_example("tensor", 3))
     hom = hom_module(pair, pair)
     assert hom.nm == 81 and generators(hom.group) == (1, 3, 9, 27)
     seen = sweeps(monkeypatch, hom)
     assert len(seen) == len(_module_laws(hom))
-    assert sum(prod(d) for _, d in seen) <= 480_000
+    assert block_cells(monkeypatch, lambda: verify(hom)) <= 260_000
