@@ -118,17 +118,16 @@ def _failure_doc(f) -> dict:
 
 
 def _verdict_doc(v: Verdict) -> dict:
-    laws = list(dict.fromkeys(v.checked))
     return {
         "passed": bool(v.passed),
-        "laws_checked": laws,
+        "laws_checked": list(v.checked),
         "failures": [_failure_doc(f) for f in v.failures],
     }
 
 
 def _print_verdict_human(v: Verdict, out) -> None:
     failed = set(v.failed_laws())
-    for law in dict.fromkeys(v.checked):
+    for law in v.checked:
         if law not in failed:
             print(f"  PASS {law}", file=out)
     for f in v.failures:

@@ -194,19 +194,20 @@ def _build_gamma(base: CommutativeRing, spec: ExampleSpec) -> SquareRing:
 
 
 def _structural_asserts(sr: SquareRing, base: CommutativeRing, spec: ExampleSpec) -> None:
+    """The T and H(2) that the family's construction promises, as laws:
+    T swaps the two components (tensor) or is the identity (sym, gamma),
+    and H(2) is 0, or ε in the gamma family."""
+    laws, nee = [], sr.ree.order
     if spec.kind == "tensor":
         r, s, pair = _pairs(base.order)
-        if not np.array_equal(sr.t, pair(s, r)):
-            raise ConsistencyError("tensor family: T must swap the two components")
+        swap = pair(s, r)
+        laws.append(("T-swaps-components", (nee,), lambda x: (sr.t[x], swap[x])))
     if spec.kind in ("sym", "gamma"):
-        if not np.array_equal(sr.t, np.arange(sr.ree.order)):
-            raise ConsistencyError(f"{spec.kind} family: T must be the identity")
+        laws.append(("T-identity", (nee,), lambda x: (sr.t[x], x)))
     if spec.kind in ("tensor", "sym", "gamma"):
         expected = _integer(base, spec.epsilon or 0) if spec.kind == "gamma" else 0
-        if int(sr.h[sr.two]) != expected:
-            raise ConsistencyError(
-                f"{spec.kind} family: H(2) = {int(sr.h[sr.two])}, expected {expected}"
-            )
+        laws.append(("H(2)", (), lambda: (sr.h[sr.two], expected)))
+    run_laws(laws).require(ConsistencyError, f"{spec.kind} family")
 
 
 def _i2_is_2r(base: CommutativeRing) -> bool:
@@ -393,11 +394,12 @@ def _module_tables(kind, sr, g, scal_r, prod, gam):
 
 
 def _roundtrip_check(kind, mod, prod, gam, n) -> None:
+    """The product, [m,n]·1, and for divided powers γ(m) = m·(0,1), read
+    back off the module."""
     one, pair = 1 % n, _pairs(n)[2]  # the unit of ℤ/n, and the layout of R⊕R
-    got = mod.bracket[:, :, pair(one, 0) if kind == "assoc" else one]  # [m,n]·1
-    if not np.array_equal(got, prod):
-        raise ConsistencyError(f"{kind}: reading the product back off the module fails")
+    x = pair(one, 0) if kind == "assoc" else one
+    laws = [("product-read-back", (mod.nm, mod.nm),
+             lambda m, m2: (mod.bracket[m, m2, x], prod[m, m2]))]
     if kind == "divided":
-        got_gamma = mod.scal[:, pair(0, one)]  # γ(m) = m·(0,1)
-        if not np.array_equal(got_gamma, gam):
-            raise ConsistencyError("divided: reading γ back off the module fails")
+        laws.append(("gamma-read-back", (mod.nm,), lambda m: (mod.scal[m, pair(0, one)], gam[m])))
+    run_laws(laws).require(ConsistencyError, f"{kind} module")

@@ -126,32 +126,26 @@ class FiniteGroup:
         return s == self.subgroup_closure(s)
 
     def is_normal(self, members: Iterable[int]) -> bool:
-        return self._conjugation_witness(members) is None
+        return run_laws([self._normal_law(tuple(sorted({int(m) for m in members})))]).passed
 
-    def _conjugation_witness(self, s: Iterable[int]) -> tuple[int, int] | None:
-        """The first (g, m), g over the carrier and then m over ``s``, whose
-        conjugate g + m − g leaves ``s``; None if ``s`` is normal."""
-        m = _elements(self.order, s)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[m] = True
-        g = np.arange(self.order)[:, None]
-        escapes = ~mask[self.add[self.add[g, m], self.neg[g]]]
-        if not escapes.any():
-            return None
-        i, j = np.argwhere(escapes)[0]
-        return int(i), int(m[j])
+    def _normal_law(self, s: tuple[int, ...]) -> tuple:
+        """The law ``normal``: the conjugate g + m − g lies in ``s`` for
+        every g of the carrier and m of ``s`` (an ascending tuple)."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[_elements(self.order, s)] = True
+        add, neg = self.add, self.neg
+        return ("normal", (self.order, s), lambda g, m: (inside[add[add[g, m], neg[g]]], 1))
 
     def quotient(self, members: Iterable[int]) -> tuple["FiniteGroup", np.ndarray]:
         """Quotient by a normal subgroup; returns (Q, projection table).  Each
         element is labelled by the least element of its coset, and classes
         are numbered in the order of those least elements (see
-        ``representatives``)."""
+        ``representatives``).  A set that is not a subgroup is refused
+        first; a subgroup fails the law ``normal`` at its first (g, m)."""
         s = tuple(sorted(int(m) for m in members))
         if s != self.subgroup_closure(s):
             raise NotNormal(f"{s} is not a subgroup")
-        bad = self._conjugation_witness(s)
-        if bad is not None:
-            raise NotNormal(f"subgroup not normal, conjugation witness {bad}")
+        run_laws([self._normal_law(s)]).require(NotNormal, f"subgroup {s}")
         reps, proj = np.unique(self.add[:, s].min(axis=1), return_inverse=True)
         qadd = proj[self.add[np.ix_(reps, reps)]]
         qneg = proj[self.neg[reps]]
@@ -255,8 +249,9 @@ def _find_neutral(add: np.ndarray) -> int | None:
 def build_group(add_table) -> FiniteGroup:
     """Validate a Cayley table; renumbers so the neutral element is 0.
 
-    Raises NotAGroup with a witness when associativity, neutrality or
-    inverses fail.
+    Raises NotAGroup when there is no neutral element, and with a witness
+    when the law ``associativity`` fails, or then the law ``inverse``:
+    ν(a) + a = 0 for ν(a) the first right inverse of a.
 
     Associativity is decided by Light's test (A. H. Clifford and G. B.
     Preston, *The Algebraic Theory of Semigroups*, vol. I, 1961, §1.2) on a
@@ -295,12 +290,14 @@ def build_group(add_table) -> FiniteGroup:
         "associativity", (n, n, n), lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]]),
         (n, S, n),
     )]).require(NotAGroup, "group table")
-    neg = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        zeros = np.flatnonzero(add[a] == 0)
-        if zeros.size != 1 or add[int(zeros[0]), a] != 0:
-            raise NotAGroup(f"element {a} has no two-sided inverse")
-        neg[a] = int(zeros[0])
+    # ν(a) is the first right inverse of a, so a + ν(a) = 0, or 0 if a has
+    # none, and then a ≠ 0 (the row of 0 holds 0) and ν(a) + a = a ≠ 0.
+    # So the law ν(a) + a = 0 holds iff a + ν(a) = 0 = ν(a) + a for every a.
+    # It is exact: in an associative table with neutral 0, a right inverse
+    # b of an element a with a two-sided inverse c equals c,
+    # c = c + (a + b) = (c + a) + b = b, so then ν(a) = c.
+    neg = np.argmax(add == 0, axis=1)
+    run_laws([("inverse", (n,), lambda a: (add[neg[a], a], 0))]).require(NotAGroup, "group table")
     group = FiniteGroup(add, neg)
     group._generators = S  # a group's closure under + alone is a subgroup
     return group

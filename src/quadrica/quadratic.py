@@ -52,11 +52,11 @@ from .groups import FiniteGroup, sweep_generators
 from .modules import (
     BhpModule,
     CpModule,
+    _cp_linear_laws,
     derived_module,
     ensure_module_verified,
     generated_submodule,
     gr,
-    is_cp_linear,
     r_center,
     submodule_module,
     verify_cp_module,
@@ -1001,19 +1001,16 @@ def compose_quadratic(g: QuadCertificate, f: QuadCertificate) -> QuadCertificate
     out.verdict.require(ConsistencyError, "composite of quadratic pair maps")
     ladd = g.map.cod.group.add
     df, dg, dc = f.defects, g.defects, out.defects
-    checks = [
-        ("composite additive defect", dc.d, ladd[G[df.d], dg.d[np.ix_(F, F)]]),
-        ("composite scalar defects", dc.scalar, ladd[G[df.scalar], dg.scalar[:, F]]),
-        (
-            "composite bracket defects",
-            dc.bracket,
-            ladd[G[df.bracket], dg.bracket[:, F[:, None], F[None, :]]],
-        ),
-    ]
-    for what, direct, closed in checks:
-        if not np.array_equal(direct, closed):
-            where = tuple(int(v) for v in np.argwhere(direct != closed)[0])
-            raise ConsistencyError(f"{what} disagree with the closed form at {where}")
+    nm, ne, nee = f.map.dom.nm, f.map.dom.sr.re.order, f.map.dom.sr.ree.order
+    run_laws([
+        ("additive-defect-closed-form", (nm, nm),
+         lambda m, m2: (dc.d[m, m2], ladd[G[df.d[m, m2]], dg.d[F[m], F[m2]]])),
+        ("scalar-defect-closed-form", (ne, nm),
+         lambda r, m: (dc.scalar[r, m], ladd[G[df.scalar[r, m]], dg.scalar[r, F[m]]])),
+        ("bracket-defect-closed-form", (nee, nm, nm),
+         lambda x, m, m2: (dc.bracket[x, m, m2],
+                           ladd[G[df.bracket[x, m, m2]], dg.bracket[x, F[m], F[m2]]])),
+    ]).require(ConsistencyError, "composite g∘f")
     return out
 
 
@@ -1174,45 +1171,34 @@ def _row_ranks(tables: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
     return np.where(rkey >= 0, np.argsort(tkey)[rkey], -1)
 
 
-def _first_missing(neg, add, bracket, scal) -> str:
-    """Which pointwise operation gives the first result outside the
-    carrier, in the order of a cell-by-cell assembly: per map i, its
-    negation, then per map j the sum and the brackets, then its scalar
-    multiples."""
-    for i in range(len(neg)):
-        if neg[i] < 0:
-            return "negation"
-        for j in range(len(neg)):
-            if add[i, j] < 0:
-                return "sum"
-            if (bracket[i, j] < 0).any():
-                return "bracket"
-        if (scal[i] < 0).any():
-            return "scalar multiple"
-    raise AssertionError("no result is outside the carrier")
-
-
 def hom_module(ma: CpModule, nb: CpModule, limit: int = 1_000_000) -> HomModule:
     """Carrier: every quadratic pair map (M,A) → (N,B), under pointwise
     (f+g)(m) = f(m)+g(m), (f·r)(m) = f(m)·r, ([f,g]·x)(m) = [f(m),g(m)]·x.
-    Distinguished subgroup: maps with image in B killing A.  The result
-    must itself pass the full pair-module verification — the capstone
-    closure theorem, machine-checked on every call."""
+    Distinguished subgroup: maps with image in B killing A.  Each
+    pointwise result must be a map of the carrier: the laws
+    ``pointwise negation`` over f, ``pointwise sum`` over (f, g),
+    ``pointwise bracket`` over (f, g, x) and ``pointwise scalar multiple``
+    over (f, r).  The result must itself pass the full pair-module
+    verification — the capstone closure theorem, machine-checked on every
+    call."""
     maps = enumerate_cp_quadratic(ma, nb, limit=limit)
     tables = np.stack([f.table for f in maps])
-    k = len(tables)
+    k, ne, nee = len(tables), ma.sr.re.order, ma.sr.ree.order
     check_cap("hom-module carrier", k, get_config().cap_group)
     # every pointwise result as a row of N-values, located among the tables
+    # (-1 where it is none of them, refused by the laws below)
     fi, fj = tables[:, None, :], tables[None, :, :]
-    xs = np.arange(ma.sr.ree.order)[:, None]
-    rs = np.arange(ma.sr.re.order)[:, None]
+    xs, rs = np.arange(nee)[:, None], np.arange(ne)[:, None]
     neg = _row_ranks(tables, nb.group.neg[tables], nb.nm)
     add = _row_ranks(tables, nb.group.add[fi, fj], nb.nm)
     bracket = _row_ranks(tables, nb.bracket[fi[:, :, None], fj[:, :, None], xs], nb.nm)
     scal = _row_ranks(tables, nb.scal[tables[:, None, :], rs], nb.nm)
-    if min(t.min(initial=0) for t in (neg, add, bracket, scal)) < 0:
-        what = _first_missing(neg, add, bracket, scal)
-        raise ConsistencyError(f"pointwise {what} left the carrier of quadratic maps")
+    run_laws([
+        ("pointwise negation", (k,), lambda i: (neg[i] >= 0, 1)),
+        ("pointwise sum", (k, k), lambda i, j: (add[i, j] >= 0, 1)),
+        ("pointwise bracket", (k, k, nee), lambda i, j, x: (bracket[i, j, x] >= 0, 1)),
+        ("pointwise scalar multiple", (k, ne), lambda i, r: (scal[i, r] >= 0, 1)),
+    ]).require(ConsistencyError, "carrier of quadratic maps")
     group = FiniteGroup(add, neg)
     in_b = nb.amask[tables].all(axis=1)
     aset = np.flatnonzero(in_b & (tables[:, list(ma.aset)] == 0).all(axis=1))
@@ -1229,8 +1215,15 @@ def _tables(hom: HomModule) -> np.ndarray:
     return np.stack([f.table for f in hom.maps])
 
 
+def _in_carrier(table: np.ndarray) -> tuple:
+    """The law ``in-carrier``: each entry of a ``_row_ranks`` result names
+    a map of the target carrier (-1 names none)."""
+    return ("in-carrier", (len(table),), lambda i: (table[i] >= 0, 1))
+
+
 def pullback(f: QuadCertificate, lc: CpModule, limit: int = 1_000_000) -> MapTable:
-    """Precomposition h ↦ h∘f between hom modules, certified linear."""
+    """Precomposition h ↦ h∘f between hom modules, certified linear: the
+    laws ``in-carrier`` and those of ``modules._cp_linear_laws``."""
     if f.kind != "cp":
         raise PreconditionUnmet("pullback needs a pair certificate")
     f.verdict.require(PreconditionUnmet, "pullback certificate")
@@ -1239,17 +1232,15 @@ def pullback(f: QuadCertificate, lc: CpModule, limit: int = 1_000_000) -> MapTab
     hom_src = hom_module(f.map.cod, lc, limit=limit)
     hom_dst = hom_module(f.map.dom, lc, limit=limit)
     table = _row_ranks(_tables(hom_dst), _tables(hom_src)[:, f.map.table], lc.nm)
-    if table.min() < 0:
-        raise ConsistencyError("precomposition left the target hom carrier")
-    out = MapTable(hom_src, hom_dst, table)
-    if not is_cp_linear(table, hom_src, hom_dst):
-        raise ConsistencyError("precomposition by a quadratic pair map is not linear")
-    return out
+    run_laws([_in_carrier(table), *_cp_linear_laws(table, hom_src, hom_dst)]).require(
+        ConsistencyError, "precomposition by a quadratic pair map")
+    return MapTable(hom_src, hom_dst, table)
 
 
 def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> QuadCertificate:
-    """Postcomposition f ↦ g∘f between hom modules, certified quadratic,
-    with the scalar-defect identity (g_*)_(r)(f) = g_(r)∘f cross-checked."""
+    """Postcomposition f ↦ g∘f between hom modules: the law ``in-carrier``,
+    then certified quadratic, with the scalar-defect identity as the law
+    ``(g_*)_(r) = g_(r)∘f`` over (r, f, m)."""
     if g.kind != "cp":
         raise PreconditionUnmet("pushforward needs a pair certificate")
     g.verdict.require(PreconditionUnmet, "pushforward certificate")
@@ -1259,17 +1250,15 @@ def pushforward(g: QuadCertificate, ma: CpModule, limit: int = 1_000_000) -> Qua
     hom_dst = hom_module(ma, g.map.cod, limit=limit)
     src, dst = _tables(hom_src), _tables(hom_dst)
     table = _row_ranks(dst, g.map.table[src], g.map.cod.nm)
-    if table.min() < 0:
-        raise ConsistencyError("postcomposition left the target hom carrier")
+    what = "postcomposition by a quadratic pair map"
+    run_laws([_in_carrier(table)]).require(ConsistencyError, what)
     out = is_cp_quadratic(MapTable(hom_src, hom_dst, table))
-    out.verdict.require(ConsistencyError, "postcomposition by a quadratic pair map")
-    # expect[r, i] = g_(r)∘f_i, got[r, i] = the map (g_*)_(r) sends f_i to
-    expect = g.defects.scalar[:, src]
-    got = dst[out.defects.scalar]
-    wrong = (expect != got).any(axis=2)
-    if wrong.any():
-        r, i = np.argwhere(wrong)[0]
-        raise ConsistencyError(f"(g_*)_({r}) disagrees with g_({r})∘f at map {i}")
+    out.verdict.require(ConsistencyError, what)
+    # (g_*)_(r) sends f_i to the map dst[scalar[r, i]]; its value at m is g_(r)(f_i(m))
+    scalar = out.defects.scalar
+    run_laws([("(g_*)_(r) = g_(r)∘f", (ma.sr.re.order, len(src), ma.nm),
+               lambda r, i, m: (dst[scalar[r, i], m], g.defects.scalar[r, src[i, m]]))]).require(
+        ConsistencyError, what)
     return out
 
 

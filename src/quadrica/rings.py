@@ -103,11 +103,11 @@ class CommutativeRing(NearRing):
 
     def __init__(self, group: FiniteGroup, mul, one: int):
         super().__init__(group, mul, one, right_distributive=True)
-        if not group.commutative:
-            raise NotARing("addition is not commutative")
-        if not np.array_equal(self.mul, self.mul.T):
-            a, b = map(int, np.argwhere(self.mul != self.mul.T)[0])
-            raise NotARing(f"multiplication not commutative at ({a}, {b})")
+        n, add, mul = self.order, self.add, self.mul
+        run_laws([
+            ("add-commutative", (n, n), lambda a, b: (add[a, b], add[b, a])),
+            ("mul-commutative", (n, n), lambda a, b: (mul[a, b], mul[b, a])),
+        ]).require(NotARing, "commutative ring")
 
     def ideal_closure(self, gens) -> tuple[int, ...]:
         """Least ideal containing gens (two-sided = one-sided here): the

@@ -17,7 +17,7 @@ from .config import get_config
 from .errors import ConsistencyError, NotARing, PreconditionUnmet
 from .groups import FiniteGroup, _frozen_table, representatives, sweep_generators
 from .rings import NearRing
-from .verdict import Verdict, law_failures, run_laws
+from .verdict import Verdict, run_laws
 
 __all__ = [
     "SquareRing",
@@ -391,15 +391,10 @@ def is_commutative(sr: SquareRing) -> bool:
     ne, nee = sr.re.order, sr.ree.order
     act, mul, one = sr.act, sr.re.mul, sr.one
     bar = cokernel_p(sr)
-    slots_agree = not law_failures(
-        "actions-coincide",
-        (ne, nee),
-        lambda r, x: (act[r, one, x, one], act[one, r, x, one]),
-    ) and not law_failures(
-        "actions-coincide",
-        (ne, nee),
-        lambda r, x: (act[one, r, x, one], act[one, one, x, r]),
-    )
+    slots_agree = run_laws([
+        ("actions-coincide", (ne, nee), lambda r, x: (act[r, one, x, one], act[one, r, x, one])),
+        ("actions-coincide", (ne, nee), lambda r, x: (act[one, r, x, one], act[one, one, x, r])),
+    ]).passed
     result = bool(bar.commutative and slots_agree)
     if result:
         consequences = [

@@ -77,14 +77,13 @@ class Verdict:
 
     @staticmethod
     def from_failures(failures: Sequence[Failure], checked: Sequence[str]) -> "Verdict":
-        return Verdict(not failures, tuple(failures), tuple(checked))
+        """The verdict of ``failures``; ``checked`` names each law once, in
+        first-seen order (a law of several clauses repeats its label)."""
+        return Verdict(not failures, tuple(failures), tuple(dict.fromkeys(checked)))
 
     def merge(self, other: "Verdict") -> "Verdict":
-        return Verdict(
-            self.passed and other.passed,
-            self.failures + other.failures,
-            self.checked + other.checked,
-        )
+        return Verdict.from_failures(self.failures + other.failures,
+                                     self.checked + other.checked)
 
     def require(self, error: type[Exception], what: str) -> "Verdict":
         """This verdict, if it passed; otherwise ``error`` raised on its
@@ -96,10 +95,7 @@ class Verdict:
         return self
 
     def failed_laws(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for f in self.failures:
-            seen.setdefault(f.law, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(f.law for f in self.failures))
 
     def __bool__(self) -> bool:
         return self.passed

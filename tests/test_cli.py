@@ -392,11 +392,18 @@ def test_structured_reports_embed_the_document_unchanged(tmp_path, capsys):
         assert json.loads((tmp_path / what).read_text()) == doc
 
 
+# Subprocesses import the package this process imported, also when it is
+# found through pytest's ``pythonpath`` rather than PYTHONPATH.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "quadrica.cli", "example", "sym", "2"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "square_ring"
@@ -422,7 +429,7 @@ def verify_under_budget(doc, budget_mb: int, *flags: str) -> subprocess.Complete
         [sys.executable, "-c", _VERIFY_UNDER_BUDGET, str(doc), str(budget_mb << 20), *flags],
         capture_output=True,
         text=True,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        env=dict(SUBPROCESS_ENV, OPENBLAS_NUM_THREADS="1"),
     )
 
 

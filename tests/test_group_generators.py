@@ -198,9 +198,10 @@ def test_a_witness_off_the_generating_set_keeps_the_full_sweep_message():
 
 
 def test_associativity_sweeps_the_generating_set_on_the_middle_axis(monkeypatch):
-    """One sweep of n·|S|·n cells for a group, the full n³ as well for a
-    table that fails.  (S on the first axis would be a valid test too, by
-    the mirror of Light's argument, so only the dims tell it apart.)"""
+    """One sweep of n·|S|·n cells for a group, then the n cells of the
+    inverse law; the full n³ as well for a table that fails associativity,
+    and no inverse sweep.  (S on the first axis would be a valid test too,
+    by the mirror of Light's argument, so only the dims tell it apart.)"""
     seen = []
 
     def counting(label, dims, law, **kwargs):
@@ -209,7 +210,7 @@ def test_associativity_sweeps_the_generating_set_on_the_middle_axis(monkeypatch)
 
     monkeypatch.setattr(engine, "law_failures", counting)
     group = build_group(direct_product(cyclic(3), cyclic(3)).add)
-    assert seen == [(9, 2, 9)] and generators(group) == (1, 3)
+    assert seen == [(9, 2, 9), (9,)] and generators(group) == (1, 3)
     seen.clear()
     with pytest.raises(NotAGroup):
         build_group([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 2, 1, 2]])

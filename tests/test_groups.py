@@ -149,7 +149,7 @@ def test_quotient_numbers_classes_by_their_least_element():
 def test_quotient_names_the_first_conjugation_witness():
     with pytest.raises(NotNormal) as err:
         dihedral(4).quotient((0, 1))
-    assert str(err.value) == "subgroup not normal, conjugation witness (2, 1)"
+    assert str(err.value) == "subgroup (0, 1) fails normal at (2, 1): lhs=0 rhs=1"
     with pytest.raises(NotNormal) as err:
         dihedral(4).quotient((0, 2))
     assert str(err.value) == "(0, 2) is not a subgroup"

@@ -88,29 +88,28 @@ def test_hom_members_are_quadratic_and_nothing_else_is():
 
 
 def assemble_by_lookup(tables, nb, ne, nee):
-    """Hom tables built cell by cell through a dict of map tables: the
-    first result outside the carrier raises, or the four tables."""
+    """Hom tables built cell by cell through a dict of map tables, one
+    operation after the other in the order of the closure laws: the
+    negation over i, the sum over (i, j), the bracket over (i, j, x), then
+    the scalar multiple over (i, r).  The first result outside the carrier
+    raises, or the four tables."""
     rank = {tuple(t): i for i, t in enumerate(tables.tolist())}
-
-    def locate(row, what):
-        key = tuple(int(v) for v in row)
-        if key not in rank:
-            raise ConsistencyError(f"pointwise {what} left the carrier of quadratic maps")
-        return rank[key]
-
     k = len(tables)
-    add = np.zeros((k, k), dtype=np.int64)
-    neg = np.zeros(k, dtype=np.int64)
-    scal = np.zeros((k, ne), dtype=np.int64)
-    bracket = np.zeros((k, k, nee), dtype=np.int64)
-    for i in range(k):
-        neg[i] = locate(nb.group.neg[tables[i]], "negation")
-        for j in range(k):
-            add[i, j] = locate(nb.group.add[tables[i], tables[j]], "sum")
-            for x in range(nee):
-                bracket[i, j, x] = locate(nb.bracket[tables[i], tables[j], x], "bracket")
-        for r in range(ne):
-            scal[i, r] = locate(nb.scal[tables[i], r], "scalar multiple")
+
+    def lookup(what, shape, row):
+        out = np.zeros(shape, dtype=np.int64)
+        for cell in np.ndindex(*shape):
+            key = tuple(int(v) for v in row(*cell))
+            if key not in rank:
+                raise ConsistencyError(f"carrier of quadratic maps fails pointwise {what} "
+                                       f"at {cell}: lhs=0 rhs=1")
+            out[cell] = rank[key]
+        return out
+
+    neg = lookup("negation", (k,), lambda i: nb.group.neg[tables[i]])
+    add = lookup("sum", (k, k), lambda i, j: nb.group.add[tables[i], tables[j]])
+    bracket = lookup("bracket", (k, k, nee), lambda i, j, x: nb.bracket[tables[i], tables[j], x])
+    scal = lookup("scalar multiple", (k, ne), lambda i, r: nb.scal[tables[i], r])
     return add, neg, scal, bracket
 
 
@@ -135,14 +134,14 @@ def test_forged_carriers_fail_like_a_cell_by_cell_lookup(kind, n, monkeypatch):
                 with pytest.raises(ConsistencyError) as got:
                     hom_module(pair, pair)
                 assert str(got.value) == str(exc)
-                messages.add(str(exc).split()[1])
+                messages.add(str(exc).split(" pointwise ")[1].split(" at ")[0])
                 continue
             hm = hom_module(pair, pair)
             for got, want in zip((hm.group.add, hm.group.neg, hm.scal, hm.bracket), expected):
                 assert np.array_equal(got, want)
     assert messages == {
         ("sym", 2): {"sum", "bracket"},
-        ("gamma", 2): {"sum", "scalar"},
+        ("gamma", 2): {"sum", "scalar multiple"},
         ("rnil", 3): {"negation"},
         ("classical", 4): {"negation", "sum"},
     }[kind, n]
@@ -236,6 +235,29 @@ def test_pushforward_postcomposes():
         assert np.array_equal(hom_dst.maps[int(out.map.table[i])].table, sq.map.table[h.table])
 
 
+def test_pullback_names_the_linear_law_that_fails(monkeypatch):
+    """Precomposition along the identity into a carrier whose maps 2 and 3
+    trade labels, its tables left as they are: the table that swaps 2 and
+    3 maps A into B but is not additive, first at (2, 4)."""
+    pair = sym2_pair()
+    ident = is_cp_quadratic(MapTable(pair, pair, np.arange(4)))
+    real, homs = quadratic.hom_module, []
+
+    def relabelled(ma, nb, limit):
+        homs.append(hom := real(ma, nb, limit=limit))
+        if len(homs) == 2:  # the target carrier
+            maps = list(hom.maps)
+            maps[2], maps[3] = maps[3], maps[2]
+            hom.maps = tuple(maps)
+        return hom
+
+    monkeypatch.setattr(quadratic, "hom_module", relabelled)
+    with pytest.raises(ConsistencyError) as err:
+        pullback(ident, pair)
+    assert str(err.value) == ("precomposition by a quadratic pair map fails additive at (2, 4): "
+                              "lhs=6 rhs=7")
+
+
 def test_functoriality_needs_a_passing_pair_certificate():
     sr = build_example("rnil", 4)
     reg = regular_module(sr)
@@ -250,14 +272,19 @@ def test_functoriality_needs_a_passing_pair_certificate():
 
 
 def test_pushforward_names_the_first_scalar_defect_that_disagrees():
-    """The cross-check (g_*)_(r)(f) = g_(r)∘f, with g_(1) spoiled at one
-    element m: the first disagreement, r first, then the carrier's maps in
-    order, is at r = 1 and the first map that takes the value m."""
+    """The law (g_*)_(r) = g_(r)∘f over (r, f, m), with g_(1) spoiled at one
+    element m0: its first failing cell, r first, then the carrier's maps in
+    order, then m, is at r = 1, the first map that takes the value m0, and
+    the first m it sends to m0."""
     sr = build_example("tensor", 2)
     pair = free_cp_pair(sr)
     sq = is_cp_quadratic(MapTable(pair, pair, sr.re.mul[np.arange(4), np.arange(4)]))
-    m = 3
-    sq.defects.scalar[1, m] = (sq.defects.scalar[1, m] + 1) % pair.nm
-    first = next(i for i, h in enumerate(hom_module(pair, pair).maps) if m in h.table)
-    with pytest.raises(ConsistencyError, match=rf"^\(g_\*\)_\(1\) disagrees with g_\(1\)∘f at map {first}$"):
+    m0 = 3
+    right = int(sq.defects.scalar[1, m0])
+    sq.defects.scalar[1, m0] = spoiled = (right + 1) % pair.nm
+    first, m = next((i, m) for i, h in enumerate(hom_module(pair, pair).maps)
+                    for m in range(pair.nm) if h.table[m] == m0)
+    with pytest.raises(ConsistencyError) as err:
         pushforward(sq, pair)
+    assert str(err.value) == ("postcomposition by a quadratic pair map fails (g_*)_(r) = g_(r)∘f "
+                              f"at (1, {first}, {m}): lhs={right} rhs={spoiled}")

@@ -33,6 +33,8 @@ from quadrica import (
     zero_module,
 )
 from quadrica.errors import PreconditionUnmet
+from quadrica.modules import _cp_linear_laws
+from quadrica.verdict import run_laws
 
 SPOT_RINGS = [("sym", 2), ("rnil", 4), ("tensor", 3), ("gamma", 4)]
 
@@ -43,14 +45,14 @@ def test_standard_modules_verify(kind, n):
     for mod in (regular_module(sr), ree_module(sr), rbar_regular_module(sr)):
         v = verify_bhp_module(mod)
         assert v.passed, [f.law for f in v.failures]
-        assert {"MC1", "MC2", "MC3", "MC4", "MC5", "MC6", "MC7"} <= set(v.checked)
+        assert v.checked == ("MC1", "MC2", "MC3", "MC4", "MC5", "MC6", "MC7")  # each once
         e = elementary_properties(mod)
         assert e.passed
         assert "brackets-central" in e.checked and "class-le-2" in e.checked
     for pair in (free_cp_pair(sr), zero_module(sr)):
         v = verify_cp_module(pair)
         assert v.passed
-        assert {"MC0", "MC7a", "MC7b"} <= set(v.checked)
+        assert v.checked == ("MC1", "MC2", "MC3", "MC4", "MC5", "MC6", "MC0", "MC7a", "MC7b")
 
 
 def test_free_pair_distinguishes_im_p():
@@ -226,3 +228,19 @@ def test_linearity_predicates():
     pair = free_cp_pair(sr)
     assert is_cp_linear(np.arange(9), pair, pair)
     assert not is_cp_linear(mul[:, 5], pair, pair)
+
+
+def test_a_linear_map_that_does_not_map_a_into_b_fails_that_law_alone():
+    """The identity of the classical regular module from (R, R) to (R, {0}):
+    both are pairs, since its brackets vanish, and the identity is linear,
+    so ``A into B`` is the one law that fails, first at a = 1."""
+    sr = build_example("classical", 3)
+    reg = regular_module(sr)
+    full, zero = (CpModule(sr, reg.group, reg.scal, reg.bracket, aset)
+                  for aset in (tuple(range(reg.nm)), (0,)))
+    assert verify_cp_module(full).passed and verify_cp_module(zero).passed
+    ident = np.arange(reg.nm)
+    assert is_linear(ident, full, zero)
+    assert not is_cp_linear(ident, full, zero)
+    assert run_laws(_cp_linear_laws(ident, full, zero)).failures == (
+        Failure("A into B", (1,), "lhs=0 rhs=1"),)

@@ -16,22 +16,39 @@ import numpy as np
 import pytest
 
 import quadrica
+import quadrica.quadratic as quadratic
 from quadrica import (
     Failure,
     MapTable,
     SquareRing,
     Verdict,
     build_example,
+    build_group,
     build_near_ring,
+    compose_quadratic,
+    cyclic,
+    dihedral,
+    direct_product,
     factorization_check,
     free_cp_pair,
+    hom_module,
+    is_cp_quadratic,
     module_from_algebra,
+    quotient_bhp,
     regular_module,
     three_defects_check,
     zmod,
 )
-from quadrica.errors import NotAnAlgebra, NotARing, PreconditionUnmet
+from quadrica.errors import (
+    ConsistencyError,
+    NotAGroup,
+    NotAnAlgebra,
+    NotARing,
+    NotNormal,
+    PreconditionUnmet,
+)
 from quadrica.examples import AlgebraData
+from quadrica.rings import CommutativeRing
 
 SOURCES = Path(quadrica.__file__).parent
 
@@ -63,6 +80,38 @@ def factorization_of_the_square():
     return factorization_check(square_map(sr, free_cp_pair(sr)))
 
 
+def upper_triangular_matrices():
+    """The 2×2 upper triangular matrices over Z/2, (a, b, c) at 4a + 2b + c:
+    a ring with commutative addition, but (0,0,1)·(0,1,0) = 0 while
+    (0,1,0)·(0,0,1) = (0,1,0)."""
+    group = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    cells = [(i // 4, i // 2 % 2, i % 2) for i in range(8)]
+    mul = [[4 * a * a2 + 2 * ((a * b2 + b * c2) % 2) + c * c2 for a2, b2, c2 in cells]
+           for a, b, c in cells]
+    return CommutativeRing(group, mul, 5)
+
+
+def composite_of_a_spoiled_certificate():
+    """The squaring map of the ``tensor 2`` free pair, with f_(1) spoiled at
+    3, composed with the identity: (id∘f)_(1)(3) no longer equals
+    id(f_(1)(3)) + id_(1)(f(3))."""
+    sr = build_example("tensor", 2)
+    pair = free_cp_pair(sr)
+    f = is_cp_quadratic(square_map(sr, pair))
+    f.defects.scalar[1, 3] = (f.defects.scalar[1, 3] + 1) % pair.nm
+    compose_quadratic(is_cp_quadratic(MapTable(pair, pair, np.arange(pair.nm))), f)
+
+
+def forged_hom_carrier():
+    """The Hom assembly handed the zero map and the third quadratic map of
+    the ``sym 2`` free pair as its whole carrier."""
+    pair = free_cp_pair(build_example("sym", 2))
+    maps = quadratic.enumerate_cp_quadratic(pair, pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadratic, "enumerate_cp_quadratic", lambda *a, **k: [maps[0], maps[2]])
+        hom_module(pair, pair)
+
+
 def module_over_a_failing_square_ring():
     """``sym 2`` with T = 0: T(T(1)) = 0, not 1."""
     sr = build_example("sym", 2)
@@ -83,8 +132,22 @@ def module_over_a_failing_square_ring():
          "map for the factorization check fails CP1 at (3, 3): lhs=0 rhs=1"),
         (module_over_a_failing_square_ring, PreconditionUnmet,
          "square ring fails T-involution at (1,): lhs=0 rhs=1"),
+        (lambda: build_group([[0, 1], [1, 1]]), NotAGroup,
+         "group table fails inverse at (1,): lhs=1 rhs=0"),
+        (lambda: dihedral(4).quotient((0, 1)), NotNormal,
+         "subgroup (0, 1) fails normal at (2, 1): lhs=0 rhs=1"),
+        (lambda: quotient_bhp(regular_module(build_example("tensor", 3)), (0, 3, 6)), NotNormal,
+         "quotient by (0, 3, 6) fails scalar-stable at (3, 1): lhs=0 rhs=1"),
+        (upper_triangular_matrices, NotARing,
+         "commutative ring fails mul-commutative at (1, 2): lhs=0 rhs=2"),
+        (composite_of_a_spoiled_certificate, ConsistencyError,
+         "composite g∘f fails scalar-defect-closed-form at (1, 3): lhs=1 rhs=2"),
+        (forged_hom_carrier, ConsistencyError,
+         "carrier of quadratic maps fails pointwise bracket at (1, 1, 1): lhs=0 rhs=1"),
     ],
-    ids=["near-ring", "algebra", "three-defects", "factorization", "square-ring"],
+    ids=["near-ring", "algebra", "three-defects", "factorization", "square-ring",
+         "no-inverse", "not-normal", "not-scalar-stable", "not-commutative", "composite",
+         "forged-hom-carrier"],
 )
 def test_refusals_name_the_law_the_witness_and_the_detail(build, error, message):
     with pytest.raises(error) as info:
@@ -112,15 +175,20 @@ def _decide_lines() -> range:
 def test_one_refusal_path():
     """Outside ``verdict.py`` and the pinned messages of
     ``quadratic._decide``, no source line reads the first failure of a
-    verdict or of a sweep to build an exception: ``Verdict.require`` does."""
+    verdict or of a sweep to build an exception: ``Verdict.require`` does.
+    Nor does any module outside ``verdict.py`` search for a witness of its
+    own, with ``np.argwhere`` or a direct ``law_failures`` sweep: a table
+    identity is a law, decided by ``run_laws``."""
     first_failure = re.compile(r"\b(failures|bad)\[0\]")
+    own_search = re.compile(r"\bnp\.argwhere\(|\blaw_failures\(")
     allowed = {"quadratic.py": _decide_lines()}
     offenders = []
     for path in sorted(SOURCES.glob("*.py")):
         if path.name == "verdict.py":
             continue
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if first_failure.search(line) and number not in allowed.get(path.name, ()):
+            if own_search.search(line) or (first_failure.search(line)
+                                           and number not in allowed.get(path.name, ())):
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
     assert offenders == []
     assert len(_decide_lines()) > 1  # the scan still finds _decide

@@ -109,24 +109,29 @@ def test_admissible_intermediates_equal_brute_force(name):
 
 def refusal_oracle(mod, members) -> str | None:
     """The loops that decide whether ``members`` is a normal submodule, in
-    their order: subgroup, normal, scalar-stable, bracket-stable."""
+    their order: subgroup, then each law in its quantifier order: normal
+    over (g, m), scalar-stable over (a, r), bracket-stable over (m, n, x),
+    with m, a and n in the set.  By MC4, [n,m]·x = [m,n]·T(x), so the
+    bracket's other slot escapes at the same pairs; the oracle asserts it."""
     s = tuple(sorted({int(m) for m in members}))
-    add, neg = mod.group.add, mod.group.neg
+    add, neg, scal, bracket = mod.group.add, mod.group.neg, mod.scal, mod.bracket
+    ne, nee = mod.sr.re.order, mod.sr.ree.order
     if any(int(add[a, b]) not in s for a in s for b in s):
         return f"{s} is not a subgroup"
-    for g in range(mod.nm):
-        for m in s:
-            if int(add[add[g, m], neg[g]]) not in s:
-                return f"subgroup not normal, conjugation witness {(g, m)}"
-    for a in s:
-        for r in range(mod.sr.re.order):
-            if int(mod.scal[a, r]) not in s:
-                return f"not scalar-stable: {a}·{r} = {int(mod.scal[a, r])}"
-    for n in s:
-        for m in range(mod.nm):
-            for x in range(mod.sr.ree.order):
-                if int(mod.bracket[m, n, x]) not in s or int(mod.bracket[n, m, x]) not in s:
-                    return f"bracket escapes: [{m},{n}]·{x}"
+    laws = [
+        ("normal", [(g, m) for g in range(mod.nm) for m in s
+                    if int(add[add[g, m], neg[g]]) not in s]),
+        ("scalar-stable", [(a, r) for a in s for r in range(ne) if int(scal[a, r]) not in s]),
+        ("bracket-stable", [(m, n, x) for m in range(mod.nm) for n in s for x in range(nee)
+                            if int(bracket[m, n, x]) not in s]),
+    ]
+    other_slot = {(m, n) for m in range(mod.nm) for n in s for x in range(nee)
+                  if int(bracket[n, m, x]) not in s}
+    assert other_slot == {(m, n) for m, n, _ in laws[2][1]}
+    for law, failing in laws:
+        if failing:
+            what = "subgroup" if law == "normal" else "quotient by"
+            return f"{what} {s} fails {law} at {failing[0]}: lhs=0 rhs=1"
     return None
 
 
@@ -155,10 +160,13 @@ def test_quotient_refusals_equal_the_loop_oracle(name):
     "kind,n,members,message",
     [
         ("tensor", 3, (0, 1), "(0, 1) is not a subgroup"),
-        ("tensor", 3, (0, 3, 6), "not scalar-stable: 3·1 = 1"),
-        ("gamma", 3, (0, 3, 6), "not scalar-stable: 3·1 = 1"),
-        ("sym", 4, (0, 4, 8, 12), "not scalar-stable: 4·1 = 1"),
-        ("sym", 4, (0, 8), "bracket escapes: [4,8]·1"),
+        ("tensor", 3, (0, 3, 6),
+         "quotient by (0, 3, 6) fails scalar-stable at (3, 1): lhs=0 rhs=1"),
+        ("gamma", 3, (0, 3, 6),
+         "quotient by (0, 3, 6) fails scalar-stable at (3, 1): lhs=0 rhs=1"),
+        ("sym", 4, (0, 4, 8, 12),
+         "quotient by (0, 4, 8, 12) fails scalar-stable at (4, 1): lhs=0 rhs=1"),
+        ("sym", 4, (0, 8), "quotient by (0, 8) fails bracket-stable at (4, 8, 1): lhs=0 rhs=1"),
     ],
 )
 def test_quotient_bhp_refusal_messages(kind, n, members, message):

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import quadrica.verdict as engine
-from quadrica.verdict import WITNESS_CAP, Failure, law_failures, passing_candidates, run_laws
+from quadrica.verdict import (
+    WITNESS_CAP,
+    Failure,
+    Verdict,
+    law_failures,
+    passing_candidates,
+    run_laws,
+)
 
 CELLS = WITNESS_CAP + 100
 
@@ -103,3 +110,16 @@ def test_a_law_with_empty_dims_sweeps_its_one_cell(monkeypatch):
     assert law_failures("E", (), lambda: (1, 2)) == [Failure("E", (), "lhs=1 rhs=2")]
     assert law_failures("E", (), lambda: (3, 3), all_witnesses=True) == []
     assert law_failures("Z", (0, 3), lambda a, b: (a, b + 1)) == []
+
+
+def test_checked_names_each_law_once_in_first_seen_order():
+    """A law of several clauses repeats its label in the law list; the
+    verdict, and a merge of two verdicts, name it once."""
+    laws = [("L", (2,), lambda a: (a, a)), ("K", (2,), lambda a: (a, 0 * a)),
+            ("L", (3,), lambda a: (a, a))]
+    verdict = run_laws(laws)
+    assert verdict.checked == ("L", "K")
+    assert verdict.failures == (Failure("K", (1,), "lhs=1 rhs=0"),)
+    other = Verdict.from_failures([], ["M", "K"])
+    assert verdict.merge(other).checked == ("L", "K", "M")
+    assert other.merge(verdict).checked == ("M", "K", "L")
