@@ -88,9 +88,15 @@ __all__ = [
 
 
 class MapTable:
-    """A total map between module carriers, as a table of element indices."""
+    """A total map between module carriers, as a table of element indices.
 
-    __slots__ = ("dom", "cod", "table")
+    ``_decision`` is the last quadraticity decision made on the map, as
+    ``(table bytes, passed, defects)`` of the table it decided, or None;
+    ``three_defects_check`` reads it.  Its defects are the certificate's,
+    read-only.  It holds no certificate: a certificate holds its map, and
+    the cycle would keep both alive until the cycle collector runs."""
+
+    __slots__ = ("dom", "cod", "table", "_decision")
 
     def __init__(self, dom: BhpModule, cod: BhpModule, table):
         if dom.sr != cod.sr:
@@ -98,6 +104,7 @@ class MapTable:
         self.dom = dom
         self.cod = cod
         self.table = np.ascontiguousarray(table, dtype=np.int64)
+        self._decision = None
         if self.table.shape != (dom.nm,):
             raise PreconditionUnmet(f"map table shape {self.table.shape}, expected ({dom.nm},)")
         if self.table.size and (self.table.min() < 0 or self.table.max() >= cod.nm):
@@ -209,7 +216,14 @@ def _defect_stacks(dom: BhpModule, cod: BhpModule, T: np.ndarray) -> DefectBundl
 
 
 def _first(stacks: DefectBundle) -> DefectBundle:
-    return DefectBundle(d=stacks.d[0], scalar=stacks.scalar[0], bracket=stacks.bracket[0])
+    """The defects of the first candidate, as read-only copies: a view
+    would keep the whole stack alive, and a certificate shares its defects
+    with the decision its map keeps (``MapTable``)."""
+    first = DefectBundle(d=stacks.d[0].copy(), scalar=stacks.scalar[0].copy(),
+                         bracket=stacks.bracket[0].copy())
+    for values in (first.d, first.scalar, first.bracket):
+        values.flags.writeable = False
+    return first
 
 
 def _checked_pair(dom: BhpModule, cod: BhpModule) -> None:
@@ -599,10 +613,11 @@ def _second_br(args, phi, dbr, nbr):
     )
 
 
-def _polarization(c: _Clauses) -> np.ndarray:
-    """pol[q,r,m,n] = f_(r)(m+n) − f_(r)(n) − f_(r)(m)."""
-    madd, nsub, scalar = c.dom.group.add, c.cod.group.sub, c.D.scalar
-    return nsub(nsub(scalar[:, :, madd], scalar[:, :, None, :]), scalar[:, :, :, None])
+def _polarization(dom: BhpModule, cod: BhpModule, scalar: np.ndarray) -> np.ndarray:
+    """pol[..., r, m, n] = f_(r)(m+n) − f_(r)(n) − f_(r)(m), for the scalar
+    defects ``scalar[..., r, m]`` of one map or of a stack."""
+    madd, nsub = dom.group.add, cod.group.sub
+    return nsub(nsub(scalar[..., madd], scalar[..., None, :]), scalar[..., :, None])
 
 
 def _bilinear(c: _Clauses, defect: str):
@@ -614,7 +629,8 @@ def _bilinear(c: _Clauses, defect: str):
     if defect == "bracket":
         G_ee = _generating_sets(dom)[2]
         return _bilinear_clauses((dom.sr.ree.order,), c.D.bracket, dom, c.cod, (G_ee,))
-    return _bilinear_clauses((dom.sr.re.order,), c.get(_polarization), dom, c.cod)
+    pol = _polarization(dom, c.cod, c.D.scalar)
+    return _bilinear_clauses((dom.sr.re.order,), pol, dom, c.cod)
 
 
 def _homogeneity(c: _Clauses):
@@ -801,9 +817,11 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
     what the sweeps found.  When f passes, every route must pass every
     f_(r) too, and for pair maps the graded maps of f and of every f_(r)
     are checked as one stack; a failure raises ConsistencyError naming
-    the first law it fails, primary route first."""
+    the first law it fails, primary route first.  The outcome is kept on
+    f as ``f._decision``."""
     dom, cod = f.dom, f.cod
     stacks = _defect_stacks(dom, cod, T)
+    bundle = _first(stacks)
     c = _Clauses(dom, cod, T, stacks)
     routes = [(name, build(c)) for name, build in _ROUTES[kind].items()]
     (_, primary), *secondary = routes
@@ -821,7 +839,8 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
                     f"but {name} passes"
                 )
             outcomes.append((name, outcome))
-        return QuadCertificate(kind=kind, map=f, defects=_first(stacks), verdict=verdict,
+        f._decision = (T[0].tobytes(), False, bundle)
+        return QuadCertificate(kind=kind, map=f, defects=bundle, verdict=verdict,
                                routes=tuple(outcomes), passed=False)
     for name, laws in secondary:
         mask = passing_candidates(laws, len(T), sweeps=sweeps, lead=True)
@@ -846,7 +865,8 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
         raise ConsistencyError(
             f"scalar defect f_({stop - 1}) of a certified quadratic map fails {law}"
         )
-    return QuadCertificate(kind=kind, map=f, defects=_first(stacks), verdict=_passed(primary),
+    f._decision = (T[0].tobytes(), True, bundle)
+    return QuadCertificate(kind=kind, map=f, defects=bundle, verdict=_passed(primary),
                            routes=tuple(outcomes), passed=True, graded=graded,
                            scalar_defects_quadratic=True)
 
@@ -943,17 +963,42 @@ def cp_implies_bhp(cert: QuadCertificate) -> QuadCertificate:
 def three_defects_check(f: MapTable) -> Verdict:
     """d_{f_(r)}(m,m') = f_[H(r)](m,m') + d_f(m,m')·(r²−r), plus its r=2
     specialization d_{f_(2)}(m,m') = d_f(m,m') + d_f(m',m).  Requires the
-    centrality and bilinearity clauses to hold first."""
-    T, stacks = _one_map(f)
-    c = _Clauses(f.dom, f.cod, T, stacks)
-    run_laws(_single(_central_bilinear_laws(c))).require(
-        PreconditionUnmet, "map for the three-defects identity")
-    bundle = _first(stacks)
+    centrality and bilinearity clauses of the definition (BHP1 and BHP2)
+    to hold first: the gate, refused with PreconditionUnmet.
+
+    A map whose last decision (``f._decision``) passed on its current table
+    skips the gate and takes its defects from that decision; any other map
+    builds its defects and sweeps the gate.  The skip is sound because a
+    passing certificate implies the gate's laws in full:
+
+    * a plain certificate passed the definition route, whose laws include
+      every law of the gate, BHP1 and BHP2;
+    * a pair certificate passed CP2, which holds the same ``_bilinear``
+      families of d_f and of the f_[x] as BHP2.  By CP1 every value of
+      d_f, of the f_(r) and of the f_[x] lies in B.  Each such value is
+      built from values of f by +, −, ·r and brackets, so it lies in the
+      submodule S generated by the image of f; and MC7a of N kills
+      brackets with elements of B, so its brackets with S vanish.  That
+      is BHP1 (``_central_rows``).
+
+    A verdict passed by a route is that of its full sweeps (the reduced
+    forms are proved in ``_bilinear_clauses``), so the gate would pass.
+    A table written after the decision fails the bytes test and goes
+    through the gate again."""
     dom, cod = f.dom, f.cod
+    decision = f._decision
+    if decision is not None and decision[1] and decision[0] == f.table.tobytes():
+        _checked_pair(dom, cod)
+        bundle = decision[2]
+    else:
+        T, stacks = _one_map(f)
+        run_laws(_single(_central_bilinear_laws(_Clauses(dom, cod, T, stacks)))).require(
+            PreconditionUnmet, "map for the three-defects identity")
+        bundle = _first(stacks)
     nm, ne = dom.nm, dom.sr.re.order
     nadd, nscal = cod.group.add, cod.scal
     d, bracket = bundle.d, bundle.bracket
-    d_fr = c.get(_polarization)[0]  # d_{f_(r)}(m,m') at [r, m, m']
+    d_fr = _polarization(dom, cod, bundle.scalar)  # d_{f_(r)}(m,m') at [r, m, m']
     h, mul, rsub = dom.sr.h, dom.sr.re.mul, dom.sr.re.group.sub
     two = dom.sr.two
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
+from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import quadrica.verdict as engine
 from quadrica import Config, SquareRing, build_example, build_near_ring, cyclic, set_config
 
 # fixed examples and no example database: every run draws the same cases
@@ -43,6 +47,36 @@ def _default_config():
     set_config(Config())
     yield
     set_config(Config())
+
+
+@dataclass
+class Tally:
+    sweeps: int = 0
+    cells: int = 0
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """``with swept() as tally:`` counts the sweeps and cells of the block,
+    where every sweep of the package is cut into blocks
+    (``verdict._blocks``): one sweep per call, and candidates times grid
+    cells per sweep."""
+
+    @contextmanager
+    def counting():
+        tally = Tally()
+        blocks = engine._blocks
+
+        def spy(dims, grid, count):
+            tally.sweeps += 1
+            tally.cells += count * prod(dims)
+            return blocks(dims, grid, count)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_blocks", spy)
+            yield tally
+
+    return counting
 
 
 @pytest.fixture(scope="session")

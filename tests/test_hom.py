@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,7 +282,9 @@ def test_pushforward_names_the_first_scalar_defect_that_disagrees():
     sq = is_cp_quadratic(MapTable(pair, pair, sr.re.mul[np.arange(4), np.arange(4)]))
     m0 = 3
     right = int(sq.defects.scalar[1, m0])
-    sq.defects.scalar[1, m0] = spoiled = (right + 1) % pair.nm
+    scalar = sq.defects.scalar.copy()
+    scalar[1, m0] = spoiled = (right + 1) % pair.nm
+    sq.defects = replace(sq.defects, scalar=scalar)
     first, m = next((i, m) for i, h in enumerate(hom_module(pair, pair).maps)
                     for m in range(pair.nm) if h.table[m] == m0)
     with pytest.raises(ConsistencyError) as err:

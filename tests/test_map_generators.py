@@ -53,7 +53,6 @@ from quadrica.quadratic import (
     _defect_stacks,
     _single,
 )
-import quadrica.verdict as engine
 from quadrica.verdict import passing_candidates, run_laws
 
 from _census import all_tables, module_census, pair_census
@@ -470,22 +469,14 @@ def test_maps_that_fail_first_off_the_new_axes_keep_the_exhaustive_certificate(t
     assert OFF_THE_AXES[table] <= off
 
 
-def test_enumerating_the_tensor_3_pair_sweeps_at_most_650000_cells(monkeypatch):
+def test_enumerating_the_tensor_3_pair_sweeps_at_most_650000_cells(swept):
     """The level search and the three routes over the leaves of the Z/3
     ``tensor`` free pair, with the graded maps of the accepted tables:
     535,878 cells, counted where sweeps are cut into blocks (1,349,677
     with x of the f_[x], x of the bracket laws, membership and vanishing
     swept in full)."""
     pair = free_cp_pair(build_example("tensor", 3))
-    cells = [0]
-    blocks = engine._blocks
-
-    def counting(dims, grid, count):
-        cells[0] += count * prod(dims)
-        return blocks(dims, grid, count)
-
-    monkeypatch.setattr(engine, "_blocks", counting)
-    maps = enumerate_cp_quadratic(pair, pair)
-    monkeypatch.undo()
+    with swept() as tally:
+        maps = enumerate_cp_quadratic(pair, pair)
     assert len(maps) == 81
-    assert cells[0] <= 650_000
+    assert tally.cells <= 650_000

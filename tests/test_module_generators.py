@@ -465,24 +465,6 @@ def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
     return seen
 
 
-def block_cells(monkeypatch, run) -> int:
-    """The cells that ``run()`` sweeps, counted where every sweep of the
-    package is cut into blocks: candidates times grid cells, per sweep."""
-    cells = [0]
-    blocks = engine._blocks
-
-    def counting(dims, grid, count):
-        cells[0] += count * prod(dims)
-        return blocks(dims, grid, count)
-
-    monkeypatch.setattr(engine, "_blocks", counting)
-    try:
-        run()
-    finally:
-        monkeypatch.undo()
-    return cells[0]
-
-
 def full_sweeps(mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
     return [(label, sizes(dims)) for label, dims, _, _ in _module_laws(mod)]
 
@@ -527,7 +509,7 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
                                                          + [("MC1", (4, 2, 1)), ("MC5", (4, 2, 4, 2))])
 
 
-def test_the_tensor_3_hom_carrier_sweeps_at_most_260000_cells(monkeypatch):
+def test_the_tensor_3_hom_carrier_sweeps_at_most_260000_cells(monkeypatch, swept):
     """A passing pair module sweeps each law once, the reducible ones on
     generators: 251,924 cells on the 81-element Hom carrier of Z/3
     ``tensor``, counted where sweeps are cut into blocks (470,854 when
@@ -538,4 +520,6 @@ def test_the_tensor_3_hom_carrier_sweeps_at_most_260000_cells(monkeypatch):
     assert hom.nm == 81 and generators(hom.group) == (1, 3, 9, 27)
     seen = sweeps(monkeypatch, hom)
     assert len(seen) == len(_module_laws(hom))
-    assert block_cells(monkeypatch, lambda: verify(hom)) <= 260_000
+    with swept() as tally:
+        verify(hom)
+    assert tally.cells <= 260_000

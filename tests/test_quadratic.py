@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import re
+import weakref
+from functools import cache
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from quadrica.errors import (
     PreconditionUnmet,
     SearchSpaceTooLarge,
 )
-from quadrica.quadratic import _decide, _defect_stacks
+from quadrica.quadratic import DefectBundle, _decide, _defect_stacks
 
 from _census import module_census, pair_census
 from conftest import triangular_square_ring
@@ -54,6 +57,29 @@ def square_map(sr, module) -> MapTable:
 def all_tables(dom_order: int, cod_order: int) -> np.ndarray:
     grids = np.meshgrid(*([np.arange(cod_order)] * dom_order), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+DECIDE = {"bhp": is_bhp_quadratic, "cp": is_cp_quadratic}
+BATCH = {"bhp": batch_bhp_quadratic, "cp": batch_cp_quadratic}
+
+
+@cache
+def census_accepted() -> tuple:
+    """(kind, dom, cod, accepted tables) of every block of the rnil 2 /
+    sym 2 census with an accepted map: plain maps ("bhp") between census
+    modules, pair maps ("cp") between census pairs."""
+    blocks = []
+    for ring in ("rnil", "sym"):
+        mods = module_census(build_example(ring, 2))
+        pairs = [p for m in mods for p in pair_census(m)]
+        for kind, objs in (("bhp", mods), ("cp", pairs)):
+            for dom in objs:
+                for cod in objs:
+                    tables = all_tables(dom.nm, cod.nm)
+                    accepted = tables[BATCH[kind](dom, cod, tables)]
+                    if len(accepted):
+                        blocks.append((kind, dom, cod, accepted))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +236,94 @@ def test_three_defects_gates_on_quadraticity():
         three_defects_check(square_map(sr, regular_module(sr)))
 
 
+@pytest.mark.parametrize("kind", ["bhp", "cp"])
+def test_a_certified_map_sweeps_only_the_two_identity_laws(swept, kind):
+    sr = build_example("tensor", 2)
+    module = free_cp_pair(sr) if kind == "cp" else regular_module(sr)
+    f = square_map(sr, module)
+    assert DECIDE[kind](f).passed
+    with swept() as certified:
+        verdict = three_defects_check(f)
+    assert verdict.passed and certified.sweeps == 2
+    with swept() as fresh:
+        assert three_defects_check(MapTable(module, module, f.table)) == verdict
+    assert fresh.sweeps > 2  # the gate's sweeps
+
+
+def test_a_table_written_after_certification_goes_through_the_gate_again():
+    sr = build_example("tensor", 3)
+    reg = regular_module(sr)
+    f = MapTable(reg, reg, np.arange(reg.nm))  # the identity: linear, so quadratic
+    assert is_bhp_quadratic(f).passed
+    f.table[:] = square_map(sr, reg).table
+    with pytest.raises(PreconditionUnmet) as fresh:
+        three_defects_check(MapTable(reg, reg, f.table))
+    with pytest.raises(PreconditionUnmet, match=f"^{re.escape(str(fresh.value))}$"):
+        three_defects_check(f)
+
+
+def test_a_failed_decision_does_not_skip_the_gate():
+    sr = build_example("tensor", 3)
+    f = square_map(sr, regular_module(sr))
+    assert not is_bhp_quadratic(f).passed
+    with pytest.raises(PreconditionUnmet, match="three-defects identity fails BHP"):
+        three_defects_check(f)
+
+
+def test_certified_maps_keep_the_verdict_of_a_fresh_map_on_the_criterion_5_set(swept):
+    """Every accepted map of the rnil 2 / sym 2 census and the square on
+    the tensor 2 regular module: the verdict read off the certificate,
+    with no gate, equals the one that sweeps the gate."""
+    maps = [(DECIDE[kind], MapTable(dom, cod, table))
+            for kind, dom, cod, accepted in census_accepted() for table in accepted]
+    sr = build_example("tensor", 2)
+    maps.append((is_bhp_quadratic, square_map(sr, regular_module(sr))))
+    assert len(maps) == 412 + 1_276 + 1
+    for decide, f in maps:
+        assert decide(f).passed
+    with swept() as tally:
+        verdicts = [three_defects_check(f) for _, f in maps]
+    assert tally.sweeps == 2 * len(maps)
+    assert all(v.passed for v in verdicts)
+    assert verdicts == [three_defects_check(MapTable(f.dom, f.cod, f.table)) for _, f in maps]
+
+
+def test_spoiling_a_certificate_s_defects_leaves_the_three_defects_verdict_alone():
+    sr = build_example("tensor", 2)
+    pair = free_cp_pair(sr)
+    f = square_map(sr, pair)
+    cert = is_cp_quadratic(f)
+    fresh = three_defects_check(MapTable(pair, pair, f.table))
+    with pytest.raises(ValueError, match="read-only"):
+        cert.defects.d[0, 0] = 1
+    spoiled = (cert.defects.d, cert.defects.scalar, cert.defects.bracket)
+    cert.defects = DefectBundle(*((values + 1) % pair.nm for values in spoiled))
+    assert three_defects_check(f) == fresh
+
+
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_a_certificate_owns_its_defects_and_dies_without_the_cycle_collector(quadratic):
+    """A certificate holds one map's defects, not views of the decision's
+    stacks, and reference counting alone frees it while its map lives on:
+    the decision that the map keeps does not point back at it."""
+    sr = build_example("tensor", 2)
+    pair = free_cp_pair(sr)
+    f = square_map(sr, pair) if quadratic else MapTable(pair, pair, np.ones(4, dtype=np.int64))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cert = is_cp_quadratic(f)
+        assert cert.passed == quadratic
+        for values in (cert.defects.d, cert.defects.scalar, cert.defects.bracket):
+            assert values.base is None and values.flags.owndata and not values.flags.writeable
+        ref = weakref.ref(cert)
+        del cert
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # recertification of the scalar defects
 
@@ -219,28 +333,16 @@ def test_scalar_defects_of_census_maps_are_quadratic_map_by_map():
     rnil 2 / sym 2 census passes the single-map decider on its own, and
     every batch route accepts the whole stack of them: the stacked
     recertification and the per-map decision agree."""
+    routes = {"bhp": ("relations", "definition", "reduced"),
+              "cp": ("definition", "reduced", "factorization")}
     distinct = 0
-    for kind in ("rnil", "sym"):
-        mods = module_census(build_example(kind, 2))
-        pairs = [p for m in mods for p in pair_census(m)]
-        plain_routes = ("relations", "definition", "reduced")
-        pair_routes = ("definition", "reduced", "factorization")
-        for objs, batch, decide, routes in (
-            (mods, batch_bhp_quadratic, is_bhp_quadratic, plain_routes),
-            (pairs, batch_cp_quadratic, is_cp_quadratic, pair_routes),
-        ):
-            for dom in objs:
-                for cod in objs:
-                    tables = all_tables(dom.nm, cod.nm)
-                    accepted = tables[batch(dom, cod, tables)]
-                    if not len(accepted):
-                        continue
-                    rows = _defect_stacks(dom, cod, accepted).scalar.reshape(-1, dom.nm)
-                    for route in routes:
-                        assert batch(dom, cod, rows, route=route).all()
-                    for row in np.unique(rows, axis=0):
-                        distinct += 1
-                        assert decide(MapTable(dom, cod, row)).passed
+    for kind, dom, cod, accepted in census_accepted():
+        rows = _defect_stacks(dom, cod, accepted).scalar.reshape(-1, dom.nm)
+        for route in routes[kind]:
+            assert BATCH[kind](dom, cod, rows, route=route).all()
+        for row in np.unique(rows, axis=0):
+            distinct += 1
+            assert DECIDE[kind](MapTable(dom, cod, row)).passed
     assert distinct == 314
 
 

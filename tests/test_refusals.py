@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,9 @@ def composite_of_a_spoiled_certificate():
     sr = build_example("tensor", 2)
     pair = free_cp_pair(sr)
     f = is_cp_quadratic(square_map(sr, pair))
-    f.defects.scalar[1, 3] = (f.defects.scalar[1, 3] + 1) % pair.nm
+    scalar = f.defects.scalar.copy()
+    scalar[1, 3] = (scalar[1, 3] + 1) % pair.nm
+    f.defects = replace(f.defects, scalar=scalar)
     compose_quadratic(is_cp_quadratic(MapTable(pair, pair, np.arange(pair.nm))), f)
 
 
