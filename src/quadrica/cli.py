@@ -33,6 +33,7 @@ from .errors import (
     NotComposable,
     ParseError,
     PreconditionUnmet,
+    QuadricaError,
     SearchSpaceTooLarge,
 )
 from .examples import FAMILY_KINDS, build_example
@@ -86,16 +87,16 @@ def _load(path: str) -> tuple[str, Any, Verdict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     obj = loads(text)
     kind, verdict = _verify_structure(obj)
     return kind, obj, verdict
 
 
-class _Unverified(Exception):
-    """A document that fails verification; ``main`` prints its failures and
-    exits 1.  Arguments: the path, the kind and the verdict."""
+class _Failed(Exception):
+    """A refusal that exits 1; ``main`` prints its arguments on stderr, one
+    line each."""
 
 
 def _checked(path: str, loaded: tuple[str, Any, Verdict], want: str, command: str) -> Any:
@@ -105,59 +106,54 @@ def _checked(path: str, loaded: tuple[str, Any, Verdict], want: str, command: st
     if kind != want:
         raise PreconditionUnmet(f"{command} needs a {want} document, got {kind} ({path})")
     if not verdict.passed:
-        raise _Unverified(path, kind, verdict)
+        raise _Failed(f"{path}: {kind} fails verification",
+                      *(f"  FAIL {f}" for f in verdict.failures))
     return obj
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
-
-
-def _failure_doc(f) -> dict:
-    return {"law": f.law, "witness": list(f.witness), "detail": f.detail}
+# the report
 
 
 def _verdict_doc(v: Verdict) -> dict:
     return {
         "passed": bool(v.passed),
         "laws_checked": list(v.checked),
-        "failures": [_failure_doc(f) for f in v.failures],
+        "failures": [{"law": f.law, "witness": list(f.witness), "detail": f.detail}
+                     for f in v.failures],
     }
 
 
-def _print_verdict_human(v: Verdict, out) -> None:
+def _verdict_lines(v: Verdict) -> list[str]:
+    """A PASS line for each law that holds, then a FAIL line for each
+    failure, followed by the identity it breaks when ``RELATION_TEXT``
+    states it."""
     failed = set(v.failed_laws())
-    for law in v.checked:
-        if law not in failed:
-            print(f"  PASS {law}", file=out)
-    for f in v.failures:
-        text = RELATION_TEXT.get(f.law)
-        suffix = f"  [{text}]" if text else ""
-        print(f"  FAIL {f.law} at {f.witness}: {f.detail}{suffix}", file=out)
+    return ([f"  PASS {law}" for law in v.checked if law not in failed]
+            + [f"  FAIL {f}" + (f"  [{RELATION_TEXT[f.law]}]" if f.law in RELATION_TEXT else "")
+               for f in v.failures])
 
 
-def _emit(obj: Any, report: dict, args, human_lines: list[str]) -> None:
-    """Emitting commands: the document of ``obj`` goes to --out (or stdout,
-    inside the report when structured), the report goes to stdout
-    (structured) or stderr (human) so piping stays clean."""
-    doc = to_doc(obj)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc))
-        report["written"] = args.out
-        if args.format == "structured":
-            print(json.dumps(report, sort_keys=True))
-        else:
-            for line in human_lines:
-                print(line)
-    else:
-        if args.format == "structured":
+def _report(args, report: dict, lines: list[str], obj: Any = None) -> None:
+    """The one writer of a command's output: ``report`` as one JSON object
+    when structured, else ``lines``.  A command that emits ``obj`` writes
+    its document to --out, or else to stdout: inside the report when
+    structured, otherwise ahead of the lines, which then go to stderr so
+    that the document pipes clean."""
+    out = sys.stdout
+    if obj is not None:
+        doc = to_doc(obj)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dumps(doc))
+            report["written"] = args.out
+        elif args.format == "structured":
             report["doc"] = doc
-            print(json.dumps(report, sort_keys=True))
         else:
-            sys.stdout.write(dumps(doc))
-            for line in human_lines:
-                print(line, file=sys.stderr)
+            out.write(dumps(doc))
+            out = sys.stderr
+    print(json.dumps(report, sort_keys=True) if args.format == "structured"
+          else "\n".join(lines), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +162,11 @@ def _emit(obj: Any, report: dict, args, human_lines: list[str]) -> None:
 
 def cmd_verify(args) -> int:
     kind, _, verdict = _load(args.path)
-    if args.format == "structured":
-        report = {
-            "command": "verify",
-            "kind": kind,
-            "provenance": f"file:{args.path}",
-            **_verdict_doc(verdict),
-        }
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(f"kind: {kind}")
-        print(f"source: file:{args.path}")
-        _print_verdict_human(verdict, sys.stdout)
-        print(f"result: {'PASS' if verdict.passed else 'FAIL'}")
+    report = {"command": "verify", "kind": kind, "provenance": f"file:{args.path}",
+              **_verdict_doc(verdict)}
+    _report(args, report, [f"kind: {kind}", f"source: file:{args.path}",
+                           *_verdict_lines(verdict),
+                           f"result: {'PASS' if verdict.passed else 'FAIL'}"])
     return 0 if verdict.passed else 1
 
 
@@ -188,31 +176,20 @@ def cmd_quad(args) -> int:
         cert = is_cp_quadratic(f)
     else:
         cert = is_bhp_quadratic(f)
-    if args.format == "structured":
-        report = {
-            "command": "quad",
-            "kind": cert.kind,
-            "routes": [name for name, _ in cert.routes],
-            **_verdict_doc(cert.verdict),
-        }
-        if cert.graded is not None:
-            report["graded"] = {
-                "degree1": [int(v) for v in cert.graded["fbar"]],
-                "degree2": [int(v) for v in cert.graded["f2"]],
-            }
-        if cert.scalar_defects_quadratic is not None:
-            report["scalar_defects_quadratic"] = bool(cert.scalar_defects_quadratic)
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(f"map kind: {cert.kind}")
-        print(f"routes confirmed: {', '.join(name for name, _ in cert.routes)}")
-        _print_verdict_human(cert.verdict, sys.stdout)
-        if cert.graded is not None:
-            print(f"induced degree-1 map: {[int(v) for v in cert.graded['fbar']]}")
-            print(f"induced degree-2 map: {[int(v) for v in cert.graded['f2']]}")
-        if cert.scalar_defects_quadratic is not None:
-            print(f"scalar defects quadratic: {cert.scalar_defects_quadratic}")
-        print(f"result: {'QUADRATIC' if cert.passed else 'NOT QUADRATIC'}")
+    routes = [name for name, _ in cert.routes]
+    report = {"command": "quad", "kind": cert.kind, "routes": routes,
+              **_verdict_doc(cert.verdict)}
+    lines = [f"map kind: {cert.kind}", f"routes confirmed: {', '.join(routes)}",
+             *_verdict_lines(cert.verdict)]
+    if cert.graded is not None:
+        fbar, f2 = ([int(v) for v in cert.graded[key]] for key in ("fbar", "f2"))
+        report["graded"] = {"degree1": fbar, "degree2": f2}
+        lines += [f"induced degree-1 map: {fbar}", f"induced degree-2 map: {f2}"]
+    if cert.scalar_defects_quadratic is not None:
+        report["scalar_defects_quadratic"] = bool(cert.scalar_defects_quadratic)
+        lines.append(f"scalar defects quadratic: {report['scalar_defects_quadratic']}")
+    lines.append(f"result: {'QUADRATIC' if cert.passed else 'NOT QUADRATIC'}")
+    _report(args, report, lines)
     return 0 if cert.passed else 1
 
 
@@ -234,31 +211,19 @@ def cmd_enum(args) -> int:
     ma, nb = _once_each(lambda path: _load_pair(path, "enum"), (args.domain, args.codomain))
     maps = enumerate_cp_quadratic(ma, nb, limit=args.limit)
     tables = [[int(v) for v in f.table] for f in maps]
-    if args.format == "structured":
-        print(json.dumps({"command": "enum", "count": len(tables), "tables": tables},
-                         sort_keys=True))
-    else:
-        print(f"quadratic pair maps: {len(tables)}")
-        for t in tables:
-            print(f"  {t}")
+    _report(args, {"command": "enum", "count": len(tables), "tables": tables},
+            [f"quadratic pair maps: {len(tables)}", *(f"  {t}" for t in tables)])
     return 0
 
 
 def cmd_hom(args) -> int:
     ma, nb = _once_each(lambda path: _load_pair(path, "hom"), (args.domain, args.codomain))
     h = hom_module(ma, nb, limit=args.limit)
-    report = {
-        "command": "hom",
-        "order": int(h.nm),
-        "distinguished_subgroup_order": len(h.aset),
-        "verified": True,
-    }
-    lines = [
-        f"hom module order: {h.nm}",
-        f"distinguished subgroup order: {len(h.aset)}",
-        "pair-module verification: PASS",
-    ]
-    _emit(h, report, args, lines)
+    report = {"command": "hom", "order": int(h.nm),
+              "distinguished_subgroup_order": len(h.aset), "verified": True}
+    _report(args, report, [f"hom module order: {h.nm}",
+                           f"distinguished subgroup order: {len(h.aset)}",
+                           "pair-module verification: PASS"], h)
     return 0
 
 
@@ -272,69 +237,45 @@ def cmd_compose(args) -> int:
     gc = fc if g is f else is_cp_quadratic(g)
     for name, cert in ((args.first, fc), (args.then, gc)):
         if not cert.passed:
-            print(f"{name}: not quadratic, fails {list(cert.failed_laws())}", file=sys.stderr)
-            return 1
+            raise _Failed(f"{name}: not quadratic, fails {list(cert.failed_laws())}")
     out = compose_quadratic(gc, fc)
-    report = {
-        "command": "compose",
-        "passed": bool(out.passed),
-        "routes": [name for name, _ in out.routes],
-        "table": [int(v) for v in out.map.table],
-    }
-    lines = [
-        f"composite table: {[int(v) for v in out.map.table]}",
-        f"composite is quadratic: {out.passed}",
-    ]
-    _emit(out.map, report, args, lines)
+    table = [int(v) for v in out.map.table]
+    report = {"command": "compose", "passed": bool(out.passed),
+              "routes": [name for name, _ in out.routes], "table": table}
+    _report(args, report, [f"composite table: {table}",
+                           f"composite is quadratic: {out.passed}"], out.map)
     return 0
 
 
 def cmd_gr(args) -> int:
     g = gr(_load_pair(args.path, "gr"))
-    if args.format == "structured":
-        report = {
-            "command": "gr",
-            "degree1_order": int(g.deg1.order),
-            "degree2_order": int(g.deg2.order),
-            "projection": [int(v) for v in g.proj1],
-            "degree2_embedding": [int(v) for v in g.embed2],
-            "pairing": np.asarray(g.pairing).tolist(),
-        }
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(f"degree 1 (classes mod the distinguished part): order {g.deg1.order}")
-        print(f"degree 2 (the distinguished part): order {g.deg2.order}")
-        print(f"projection to degree 1: {[int(v) for v in g.proj1]}")
-        print(f"degree-2 embedding: {[int(v) for v in g.embed2]}")
-        print("pairing [m̄,n̄]·x (rows m̄, columns n̄, one block per x):")
-        pairing = np.asarray(g.pairing)
-        for x in range(pairing.shape[2]):
-            print(f"  x={x}:")
-            for row in pairing[:, :, x]:
-                print(f"    {[int(v) for v in row]}")
+    proj, embed = [int(v) for v in g.proj1], [int(v) for v in g.embed2]
+    pairing = np.asarray(g.pairing)
+    report = {"command": "gr", "degree1_order": int(g.deg1.order),
+              "degree2_order": int(g.deg2.order), "projection": proj,
+              "degree2_embedding": embed, "pairing": pairing.tolist()}
+    lines = [f"degree 1 (classes mod the distinguished part): order {g.deg1.order}",
+             f"degree 2 (the distinguished part): order {g.deg2.order}",
+             f"projection to degree 1: {proj}", f"degree-2 embedding: {embed}",
+             "pairing [m̄,n̄]·x (rows m̄, columns n̄, one block per x):"]
+    for x in range(pairing.shape[2]):
+        lines += [f"  x={x}:", *(f"    {row}" for row in pairing[:, :, x].tolist())]
+    _report(args, report, lines)
     return 0
 
 
+# what ``example --emit`` builds over the chosen square ring
+_EMITS = {"ring": lambda sr: sr, "pair": free_cp_pair, "regular": regular_module,
+          "ree": ree_module}
+
+
 def cmd_example(args) -> int:
-    sr = build_example(args.kind, args.n, args.epsilon)
-    if args.emit == "ring":
-        obj: Any = sr
-    elif args.emit == "pair":
-        obj = free_cp_pair(sr)
-    elif args.emit == "regular":
-        obj = regular_module(sr)
-    else:
-        obj = ree_module(sr)
+    obj = _EMITS[args.emit](build_example(args.kind, args.n, args.epsilon))
     _, verdict = _verify_structure(obj)
-    report = {
-        "command": "example",
-        "kind": args.kind,
-        "n": args.n,
-        "emit": args.emit,
-        "verified": bool(verdict.passed),
-    }
-    lines = [f"built {args.kind} over Z/{args.n} ({args.emit}); verification PASS"]
-    _emit(obj, report, args, lines)
+    report = {"command": "example", "kind": args.kind, "n": args.n, "emit": args.emit,
+              "verified": bool(verdict.passed)}
+    _report(args, report,
+            [f"built {args.kind} over Z/{args.n} ({args.emit}); verification PASS"], obj)
     return 0
 
 
@@ -411,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, help="modulus of the base ring Z/n")
     p.add_argument("--epsilon", type=int, default=None,
                    help="deformation parameter (gamma family)")
-    p.add_argument("--emit", choices=("ring", "pair", "regular", "ree"), default="ring",
+    p.add_argument("--emit", choices=tuple(_EMITS), default="ring",
                    help="which structure to emit over the chosen ring")
     _common_flags(p, out=True)
     p.set_defaults(fn=cmd_example)
@@ -424,6 +365,19 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process (about 2 ms a build).  Each parse
     returns a fresh namespace, so no call inherits another call's flags."""
     return build_parser()
+
+
+# the exit code and stderr prefix of each refusal, the first match winning
+_EXITS = (
+    ((NotAGroup, NotARing, NotAnAlgebra), 1, "verification failure"),
+    (ParseError, 2, "parse error"),
+    ((CapExceeded, SearchSpaceTooLarge), 3, "bound exceeded"),
+    ((NotComposable, PreconditionUnmet, NonCommutativeRing, InvalidEpsilon,
+      CertificateInvalid), 4, "usage mismatch"),
+)
+# a well-formed document whose tables fail an axiom or a cap is refused for
+# that, not as unparseable
+_READ_AS_CAUSE = (NotAGroup, NotARing, NotAnAlgebra, CapExceeded)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,31 +394,21 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     try:
         return args.fn(args)
-    except _Unverified as err:
-        path, kind, verdict = err.args
-        print(f"{path}: {kind} fails verification", file=sys.stderr)
-        for f in verdict.failures:
-            print(f"  FAIL {f.law} at {f.witness}: {f.detail}", file=sys.stderr)
+    except _Failed as err:
+        print(*err.args, sep="\n", file=sys.stderr)
         return 1
-    except ParseError as err:
-        cause = err.__cause__
-        if isinstance(cause, (NotAGroup, NotARing, NotAnAlgebra)):
-            print(f"verification failure: {cause}", file=sys.stderr)
-            return 1
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
-    except (CapExceeded, SearchSpaceTooLarge) as err:
-        print(f"bound exceeded: {err}", file=sys.stderr)
-        return 3
     except MemoryError:
         print("bound exceeded: out of memory; lower --cap-group or --cap-ring, "
               "or allow the process more memory", file=sys.stderr)
         return 3
-    except (NotComposable, PreconditionUnmet, NonCommutativeRing, InvalidEpsilon,
-            CertificateInvalid) as err:
-        print(f"usage mismatch: {err}", file=sys.stderr)
-        return 4
-
+    except QuadricaError as err:
+        if isinstance(err, ParseError) and isinstance(err.__cause__, _READ_AS_CAUSE):
+            err = err.__cause__
+        for kinds, code, prefix in _EXITS:
+            if isinstance(err, kinds):
+                print(f"{prefix}: {err}", file=sys.stderr)
+                return code
+        raise
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

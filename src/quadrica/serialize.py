@@ -280,8 +280,13 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    """The structure of a document's text.  Text that is not JSON, or that
+    nests deeper than the interpreter's recursion limit, raises ParseError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
-    return from_doc(doc)
+        try:
+            doc = json.loads(text)
+        except ValueError as e:  # a JSONDecodeError, or an integer of over 4,300 digits
+            raise ParseError(f"invalid JSON: {e}") from None
+        return from_doc(doc)
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None

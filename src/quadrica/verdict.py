@@ -64,7 +64,7 @@ class Failure:
     detail: str = ""
     omitted: int = 0
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         more = f" ({self.omitted} more failing cells not listed)" if self.omitted else ""
         return f"{self.law} at {self.witness}: {self.detail}{more}"
 
@@ -90,8 +90,7 @@ class Verdict:
         first failure, as "{what} fails {law} at {witness}: {detail}".
         The one place where a law that must hold becomes a refusal."""
         if not self.passed:
-            first = self.failures[0]
-            raise error(f"{what} fails {first.law} at {first.witness}: {first.detail}")
+            raise error(f"{what} fails {self.failures[0]}")
         return self
 
     def failed_laws(self) -> tuple[str, ...]:

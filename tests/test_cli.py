@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -165,12 +166,17 @@ def test_quad_output_is_deterministic(tmp_path, capsys):
 
 def test_parse_failures_exit_two(tmp_path, capsys):
     bad = write(tmp_path, "broken.doc", "{ nope")
-    assert main(["verify", bad]) == 2
     missing = str(tmp_path / "does-not-exist.doc")
-    assert main(["verify", missing]) == 2
     pair = to_doc(free_cp_pair(build_example("sym", 2)))
     nested = dict(pair, square_ring=pair)  # a module where the ring belongs
-    assert main(["verify", write(tmp_path, "nested.pair", json.dumps(nested))]) == 2
+    utf16 = tmp_path / "utf16.doc"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")  # not UTF-8
+    deep = write(tmp_path, "deep.doc", "[" * 100_000 + "]" * 100_000)
+    long = write(tmp_path, "long.doc", "9" * 5000)  # over the int conversion limit
+    for path in (bad, missing, write(tmp_path, "nested.pair", json.dumps(nested)),
+                 str(utf16), deep, long):
+        assert main(["verify", path]) == 2, path
+        assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_carrier_axiom_failures_exit_one(tmp_path, capsys):
@@ -503,6 +509,21 @@ def test_running_out_of_memory_exits_three_without_a_traceback(tensor4_hom):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_group_over_the_cap_while_reading_exits_three(tensor4_hom, capsys):
+    """A well-formed document whose carrier is larger than the group cap is
+    refused for the bound, not as unparseable."""
+    assert main(["verify", str(tensor4_hom)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "bound exceeded: group carrier has 128 elements, cap is 64\n"
+    assert captured.out == ""
+
+
+def test_a_ring_over_the_cap_while_reading_exits_three(tmp_path, capsys):
+    pair = write_doc(tmp_path, "sym3.pair", free_cp_pair(build_example("sym", 3)))
+    assert main(["verify", pair, "--cap-ring", "4"]) == 3
+    assert capsys.readouterr().err == "bound exceeded: ring carrier has 9 elements, cap is 4\n"
+
+
 def test_non_integer_table_entries_exit_two(tmp_path, capsys):
     docs = {}
     for kind in ("sym", "rnil"):
@@ -596,3 +617,41 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzz_seeds, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([str(a) for a in argv])
         assert code in range(5), (argv[0], code)
+
+
+# any JSON value, with the keys of the document kinds among its keys
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(KINDS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["kind", "square_ring", "re", "ree", "group", "add", "mul", "one",
+                         "scal", "bracket", "aset", "dom", "cod", "table"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=60)
+@given(st.binary(max_size=64) | _JSON.map(lambda value: json.dumps(value).encode()))
+def test_no_document_makes_main_raise(fuzz_seeds, content):
+    _, path = fuzz_seeds
+    path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path)])
+    assert code in range(5)
+
+
+def test_every_command_writes_through_the_report():
+    """No ``cmd_*`` prints or writes a stream of its own: each hands its
+    report, its lines and the structure it emits to ``_report``."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 7
+    for command in commands:
+        calls = [node.func for node in ast.walk(command) if isinstance(node, ast.Call)]
+        called = {getattr(func, "id", getattr(func, "attr", None)) for func in calls}
+        streams = {node.attr for node in ast.walk(command)
+                   if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")}
+        assert "_report" in called and not called & {"print", "write"} and not streams, \
+            command.name

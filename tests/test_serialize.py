@@ -109,6 +109,13 @@ def test_axiom_failures_keep_their_cause():
     assert isinstance(info.value.__cause__, NotARing)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "9" * 5000],
+                         ids=["nested-too-deeply", "integer-too-long"])
+def test_json_that_python_cannot_decode_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        loads(text)
+
+
 def test_declared_unit_must_match():
     doc = json.loads(GOLDEN.read_text())["square_ring"]
     doc["re"]["one"] = 0
