@@ -305,12 +305,12 @@ def _algebra_laws(kind: str, g: FiniteGroup, prod: np.ndarray, scal_r: np.ndarra
         ("homogeneous in the second slot", (order, order, n),
          lambda m, q, r: (prod[m, scal_r[q, r]], scal_r[prod[m, q], r])),
         ("triple products vanish (left)", (order, order, order),
-         lambda m, q, u: (prod[prod[m, q], u], np.zeros_like(m + q + u))),
+         lambda m, q, u: (prod[prod[m, q], u], 0)),
         ("triple products vanish (right)", (order, order, order),
-         lambda m, q, u: (prod[u, prod[m, q]], np.zeros_like(m + q + u))),
+         lambda m, q, u: (prod[u, prod[m, q]], 0)),
     ]
     if kind == "lie":
-        laws.append(("alternating", (order,), lambda m: (prod[m, m], np.zeros_like(m))))
+        laws.append(("alternating", (order,), lambda m: (prod[m, m], 0)))
     if kind == "comm":
         laws.append(("commutative", (order, order), lambda m, q: (prod[m, q], prod[q, m])))
     if kind == "divided":
@@ -320,9 +320,9 @@ def _algebra_laws(kind: str, g: FiniteGroup, prod: np.ndarray, scal_r: np.ndarra
         laws += [
             ("γ(mr) = γ(m)r²", (order, n),
              lambda m, r: (gam[scal_r[m, r]], scal_r[scal_r[gam[m], r], r])),
-            ("γ(γ(m)) = 0", (order,), lambda m: (gam[gam[m]], np.zeros_like(m))),
-            ("γ(m)·q = 0", (order, order), lambda m, q: (prod[gam[m], q], np.zeros_like(m + q))),
-            ("γ(m·q) = 0", (order, order), lambda m, q: (gam[prod[m, q]], np.zeros_like(m + q))),
+            ("γ(γ(m)) = 0", (order,), lambda m: (gam[gam[m]], 0)),
+            ("γ(m)·q = 0", (order, order), lambda m, q: (prod[gam[m], q], 0)),
+            ("γ(m·q) = 0", (order, order), lambda m, q: (gam[prod[m, q]], 0)),
         ]
     return laws
 

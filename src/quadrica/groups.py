@@ -30,10 +30,11 @@ __all__ = [
 
 
 def _frozen_table(table) -> np.ndarray:
-    """A read-only int64 copy of ``table``.  Groups, rings, square rings and
-    modules cache what they derive from their tables (center, verdict,
-    commutativity, operad, graded object), which is sound only if the tables
-    never change; the copy leaves the caller's own array writable."""
+    """A read-only int64 copy of ``table``.  Groups, rings, square rings,
+    modules and maps cache what they derive from their tables (center,
+    verdict, commutativity, operad, graded object, decision), which is
+    sound only if the tables never change; the copy leaves the caller's
+    own array writable."""
     out = np.array(table, dtype=np.int64, order="C")
     out.flags.writeable = False
     return out
@@ -83,11 +84,15 @@ class FiniteGroup:
             self._center = tuple(int(i) for i in np.flatnonzero(central))
         return self._center
 
+    def _commutators_with(self, members: tuple[int, ...]) -> tuple[int, ...]:
+        """[G, S]: the subgroup generated by the commutators [g, s] of every
+        g of the carrier and s of ``members``."""
+        comms = self.commutator(np.arange(self.order)[:, None], np.array(members)[None, :])
+        return self.subgroup_closure(np.unique(comms))
+
     def commutator_subgroup(self) -> tuple[int, ...]:
         if self._derived is None:
-            a, b = np.meshgrid(np.arange(self.order), np.arange(self.order))
-            comms = np.unique(self.commutator(a, b))
-            self._derived = self.subgroup_closure(comms)
+            self._derived = self._commutators_with(tuple(range(self.order)))
         return self._derived
 
     @property
@@ -102,16 +107,11 @@ class FiniteGroup:
     def lower_central_series(self) -> list[tuple[int, ...]]:
         """[G, [G,G], [G,[G,G]], ...] down to the first repetition."""
         series = [tuple(range(self.order))]
-        current = series[0]
-        while True:
-            comms = {int(self.commutator(a, b)) for a in range(self.order) for b in current}
-            nxt = self.subgroup_closure(comms)
-            if nxt == current:
+        while series[-1] != (0,):
+            nxt = self._commutators_with(series[-1])
+            if nxt == series[-1]:
                 break
             series.append(nxt)
-            current = nxt
-            if current == (0,):
-                break
         return series
 
     # -- subgroups -------------------------------------------------------------

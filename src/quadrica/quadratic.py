@@ -48,7 +48,7 @@ from .errors import (
     PreconditionUnmet,
     SearchSpaceTooLarge,
 )
-from .groups import FiniteGroup, sweep_generators
+from .groups import FiniteGroup, _frozen_table, sweep_generators
 from .modules import (
     BhpModule,
     CpModule,
@@ -90,11 +90,13 @@ __all__ = [
 class MapTable:
     """A total map between module carriers, as a table of element indices.
 
-    ``_decision`` is the last quadraticity decision made on the map, as
-    ``(table bytes, passed, defects)`` of the table it decided, or None;
-    ``three_defects_check`` reads it.  Its defects are the certificate's,
-    read-only.  It holds no certificate: a certificate holds its map, and
-    the cycle would keep both alive until the cycle collector runs."""
+    The table is a read-only copy, like every table of a group, a ring or a
+    module, so what is derived from it cannot go stale.  ``_decision`` is
+    the last quadraticity decision made on the map, as ``(passed,
+    defects)``, or None; ``three_defects_check`` reads it.  Its defects are
+    the certificate's, read-only.  It holds no certificate: a certificate
+    holds its map, and the cycle would keep both alive until the cycle
+    collector runs."""
 
     __slots__ = ("dom", "cod", "table", "_decision")
 
@@ -103,7 +105,7 @@ class MapTable:
             raise PreconditionUnmet("domain and codomain live over different square rings")
         self.dom = dom
         self.cod = cod
-        self.table = np.ascontiguousarray(table, dtype=np.int64)
+        self.table = _frozen_table(table)
         self._decision = None
         if self.table.shape != (dom.nm,):
             raise PreconditionUnmet(f"map table shape {self.table.shape}, expected ({dom.nm},)")
@@ -305,7 +307,7 @@ def _generating_sets(dom: BhpModule) -> tuple[tuple[int, ...], ...]:
 
 def _zero(c: _Clauses):
     T = c.T
-    return [((1,), lambda q, i: (T[q, i * 0], np.zeros_like(i)))]
+    return [((1,), lambda q, i: (T[q, i * 0], 0))]
 
 
 def _additive_brackets(c: _Clauses):
@@ -335,6 +337,22 @@ def _scalar_brackets(c: _Clauses):
              (G, nm, G_R, G_ee))]
 
 
+def _bracket_brackets(c: _Clauses):
+    """m ↦ [f(m),f(n)]·y kills brackets, [f([m,m']·x),f(n)]·y = 0:
+    relation 3(c), the third clause of BHPc1; m, m' run over G and x, y
+    over G_ee (see ``_bilinear_clauses``).  BHPc1 states its right side as
+    [[f(m),f(n)]·y, [f(m'),f(n)]·y]·x, a bracket of a bracket in the
+    codomain, which is 0 by MC7 (in a pair module MC7a and MC7b imply
+    it), so the two are one clause."""
+    dom = c.dom
+    nm, nee, dbr = dom.nm, dom.sr.ree.order, dom.bracket
+    G, _, G_ee = _generating_sets(dom)
+    B = c.get(_image_brackets)
+    return [((nm, nm, nee, nm, nee),
+             lambda q, m, m2, x, n, y: (B[q, dbr[m, m2, x], n, y], 0),
+             (G, G, G_ee, nm, G_ee))]
+
+
 def _relation_laws(c: _Clauses):
     """The eight-relation characterization of a quadratic map."""
     dom, cod, T = c.dom, c.cod, c.T
@@ -342,18 +360,12 @@ def _relation_laws(c: _Clauses):
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nsub, nscal = cod.group.add, cod.group.sub, cod.scal
     mul, h = dom.sr.re.mul, dom.sr.h
-    G, _, G_ee = _generating_sets(dom)
     B = c.get(_image_brackets)
     return [
         *c.laws("zero", _zero),
         *c.laws("1(a)", _additive_brackets),
         *c.laws("2(b)", _scalar_brackets),
-        (
-            "3(c)",
-            (nm, nm, nee, nm, nee),
-            lambda q, m, m2, x, n, y: (B[q, dbr[m, m2, x], n, y], np.zeros_like(m + m2 + n)),
-            (G, G, G_ee, nm, G_ee),
-        ),
+        *c.laws("3(c)", _bracket_brackets),
         (
             "4(d)",
             (nm, nm, nm),
@@ -535,11 +547,10 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
     * 1(a), the first clause of BHPc1, [f(m+m'),f(n)]·x =
       [f(m),f(n)]·x + [f(m'),f(n)]·x, with m' ∈ G and x ∈ G_ee: the lemma
       for m ↦ [f(m),f(n)]·x, and both sides are additive in x by MC5 of N.
-    * 3(c), [f([m,m']·x),f(n)]·y = 0, and the bracket clause of BHPc1,
-      [f([m,m']·y),f(n)]·x = [[f(m),f(n)]·x, [f(m'),f(n)]·x]·y, whose
-      right side is 0 by MC7 of N, with m, m' ∈ G and x, y ∈ G_ee: the
-      left side is additive in m, m' and the inner element of R_ee (MC5 of
-      M followed by 1(a)) and in the outer one (MC5 of N).  n is swept in
+    * 3(c), [f([m,m']·x),f(n)]·y = 0, also the bracket clause of BHPc1
+      (``_bracket_brackets``), with m, m' ∈ G and x, y ∈ G_ee: the left
+      side is additive in m, m' and the inner element of R_ee (MC5 of M
+      followed by 1(a)) and in the outer one (MC5 of N).  n is swept in
       full: f is not additive.
     * 2(b), the second clause of BHPc1, [f(m·r),f(n)]·x =
       ([f(m),f(n)]·x)·r, with m ∈ G, r ∈ G_R and x ∈ G_ee.  In x: MC5 of
@@ -547,17 +558,15 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
       then 1(a); on the right MC1 of N.  In m: MC2 of M writes (m+m')·r as
       m·r + m'·r + [m,m']·H(r), and 1(a) splits the left side into
       [f(m·r),f(n)]·x + [f(m'·r),f(n)]·x + [f([m,m']·H(r)),f(n)]·x, whose
-      last term is 0 by 3(c) on the relations route and by the bracket
-      clause of BHPc1 on the reduced route; the right side is additive in
-      m by 1(a).
+      last term is 0 by 3(c), which the reduced route holds as the bracket
+      clause of BHPc1; the right side is additive in m by 1(a).
 
     The chain: the additivity laws and 1(a) rest on the lemma alone; the
-    bracket laws, 3(c), the bracket clause of BHPc1 and the clauses on d_f
-    and A on them; the outright clauses on laws swept in full; x of the
-    f_[x] on the bracket law and the vanishing clauses of d_f; the scalar
-    laws and 2(b) on the additivity, bracket and membership laws.  No
-    reduced form's proof uses a scalar law or 2(b), so the argument is
-    not circular.  Each reduced form sweeps a subset of its law's cells."""
+    bracket laws, 3(c) and the clauses on d_f and A on them; the outright
+    clauses on laws swept in full; x of the f_[x] on the bracket law and
+    the vanishing clauses of d_f; the scalar laws and 2(b) on the
+    additivity, bracket and membership laws.  No reduced form's proof
+    uses a scalar law or 2(b), so the argument is not circular.  Each reduced form sweeps a subset of its law's cells."""
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     madd, dscal, dbr = dom.group.add, dom.scal, dom.bracket
     nadd, nscal, nbr = cod.group.add, cod.scal, cod.bracket
@@ -663,9 +672,9 @@ def _centrality(c: _Clauses):
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
     return [
-        ((nm, nm), lambda q, m, n: (central[q, d[q, m, n]], np.ones_like(m + n))),
-        ((ne, nm), lambda q, r, m: (central[q, scalar[q, r, m]], np.ones_like(r + m))),
-        ((nee, nm, nm), lambda q, x, m, n: (central[q, bracket[q, x, m, n]], np.ones_like(x + m))),
+        ((nm, nm), lambda q, m, n: (central[q, d[q, m, n]], 1)),
+        ((ne, nm), lambda q, r, m: (central[q, scalar[q, r, m]], 1)),
+        ((nee, nm, nm), lambda q, x, m, n: (central[q, bracket[q, x, m, n]], 1)),
     ]
 
 
@@ -685,27 +694,15 @@ def _def_route_laws(c: _Clauses):
 def _cor_route_laws(c: _Clauses):
     """Reduced characterization: linearity of m ↦ [f(m),n]·x for n in im f,
     bilinearity of d_f, homogeneity, and f_(r) killing the derived part."""
-    dom, nbr = c.dom, c.cod.bracket
-    nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
-    dbr = dom.bracket
-    G, _, G_ee = _generating_sets(dom)
-    B, scalar = c.get(_image_brackets), c.D.scalar
+    scalar = c.D.scalar
     return [
         *c.laws("BHPc1", _additive_brackets),
         *c.laws("BHPc1", _scalar_brackets),
-        (
-            "BHPc1",
-            (nm, nm, nee, nm, nee),
-            lambda q, m, m2, y, n, x: (
-                B[q, dbr[m, m2, y], n, x],
-                nbr[B[q, m, n, x], B[q, m2, n, x], y],
-            ),
-            (G, G, G_ee, nm, G_ee),
-        ),
+        *c.laws("BHPc1", _bracket_brackets),
         *c.laws("BHPc2", _bilinear, "d"),
         *c.laws("BHPc3", _homogeneity),
-        ("BHPc4", (ne, derived_module(dom)),
-         lambda q, r, m: (scalar[q, r, m], np.zeros_like(r + m))),
+        ("BHPc4", (c.dom.sr.re.order, derived_module(c.dom)),
+         lambda q, r, m: (scalar[q, r, m], 0)),
     ]
 
 
@@ -718,11 +715,10 @@ def _membership(c: _Clauses):
     G, _, G_ee = _generating_sets(dom)
     d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
     return [
-        ((dom.aset,), lambda q, a: (bmask[T[q, a]], np.ones_like(a)), None),
-        ((nm, nm), lambda q, m, n: (bmask[d[q, m, n]], np.ones_like(m + n)), (G, G)),
-        ((ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], np.ones_like(r + m)), None),
-        ((nee, nm, nm), lambda q, x, m, n: (bmask[bracket[q, x, m, n]], np.ones_like(x + m)),
-         (G_ee, G, G)),
+        ((dom.aset,), lambda q, a: (bmask[T[q, a]], 1), None),
+        ((nm, nm), lambda q, m, n: (bmask[d[q, m, n]], 1), (G, G)),
+        ((ne, nm), lambda q, r, m: (bmask[scalar[q, r, m]], 1), None),
+        ((nee, nm, nm), lambda q, x, m, n: (bmask[bracket[q, x, m, n]], 1), (G_ee, G, G)),
     ]
 
 
@@ -735,13 +731,11 @@ def _vanishing(c: _Clauses):
     G = _generating_sets(dom)[0]
     d, scalar, bracket = c.D.d, c.D.scalar, c.D.bracket
     return [
-        ((nm, A), lambda q, m, a: (d[q, m, a], np.zeros_like(m + a)), (G, A)),
-        ((A, nm), lambda q, a, m: (d[q, a, m], np.zeros_like(m + a)), (A, G)),
-        ((ne, A), lambda q, r, a: (scalar[q, r, a], np.zeros_like(r + a)), None),
-        ((nee, nm, A), lambda q, x, m, a: (bracket[q, x, m, a], np.zeros_like(x + m + a)),
-         (nee, G, A)),
-        ((nee, A, nm), lambda q, x, a, m: (bracket[q, x, a, m], np.zeros_like(x + m + a)),
-         (nee, A, G)),
+        ((nm, A), lambda q, m, a: (d[q, m, a], 0), (G, A)),
+        ((A, nm), lambda q, a, m: (d[q, a, m], 0), (A, G)),
+        ((ne, A), lambda q, r, a: (scalar[q, r, a], 0), None),
+        ((nee, nm, A), lambda q, x, m, a: (bracket[q, x, m, a], 0), (nee, G, A)),
+        ((nee, A, nm), lambda q, x, a, m: (bracket[q, x, a, m], 0), (nee, A, G)),
     ]
 
 
@@ -839,7 +833,7 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
                     f"but {name} passes"
                 )
             outcomes.append((name, outcome))
-        f._decision = (T[0].tobytes(), False, bundle)
+        f._decision = (False, bundle)
         return QuadCertificate(kind=kind, map=f, defects=bundle, verdict=verdict,
                                routes=tuple(outcomes), passed=False)
     for name, laws in secondary:
@@ -865,7 +859,7 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
         raise ConsistencyError(
             f"scalar defect f_({stop - 1}) of a certified quadratic map fails {law}"
         )
-    f._decision = (T[0].tobytes(), True, bundle)
+    f._decision = (True, bundle)
     return QuadCertificate(kind=kind, map=f, defects=bundle, verdict=_passed(primary),
                            routes=tuple(outcomes), passed=True, graded=graded,
                            scalar_defects_quadratic=True)
@@ -919,7 +913,7 @@ def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarra
     laws = [
         ("fbar-well-defined", (dom.nm,),
          lambda q, m: (gcod.proj1[T[q, m]], fbar[q, gdom.proj1[m]])),
-        ("f2-into-B", (k2d,), lambda q, a: (f2[q, a] >= 0, np.ones_like(a))),
+        ("f2-into-B", (k2d,), lambda q, a: (f2[q, a] >= 0, 1)),
         ("fbar-additive", (k1d, k1d),
          lambda q, a, b: (fbar[q, gdom.deg1.group.add[a, b]],
                           gcod.deg1.group.add[fbar[q, a], fbar[q, b]])),
@@ -966,10 +960,10 @@ def three_defects_check(f: MapTable) -> Verdict:
     centrality and bilinearity clauses of the definition (BHP1 and BHP2)
     to hold first: the gate, refused with PreconditionUnmet.
 
-    A map whose last decision (``f._decision``) passed on its current table
-    skips the gate and takes its defects from that decision; any other map
-    builds its defects and sweeps the gate.  The skip is sound because a
-    passing certificate implies the gate's laws in full:
+    A map whose last decision (``f._decision``) passed skips the gate and
+    takes its defects from that decision; any other map builds its defects
+    and sweeps the gate.  The skip is sound because a passing certificate
+    implies the gate's laws in full:
 
     * a plain certificate passed the definition route, whose laws include
       every law of the gate, BHP1 and BHP2;
@@ -983,13 +977,12 @@ def three_defects_check(f: MapTable) -> Verdict:
 
     A verdict passed by a route is that of its full sweeps (the reduced
     forms are proved in ``_bilinear_clauses``), so the gate would pass.
-    A table written after the decision fails the bytes test and goes
-    through the gate again."""
+    The map's table is read-only, so the decision is always that of its
+    table."""
     dom, cod = f.dom, f.cod
-    decision = f._decision
-    if decision is not None and decision[1] and decision[0] == f.table.tobytes():
+    if f._decision is not None and f._decision[0]:
         _checked_pair(dom, cod)
-        bundle = decision[2]
+        bundle = f._decision[1]
     else:
         T, stacks = _one_map(f)
         run_laws(_single(_central_bilinear_laws(_Clauses(dom, cod, T, stacks)))).require(

@@ -65,8 +65,8 @@ class NearRing:
             ("mul-associative", (n, n, n), lambda a, b, c: (mul[mul[a, b], c], mul[a, mul[b, c]])),
             ("unit", (n,), lambda a: (mul[one, a], a)),
             ("unit-right", (n,), lambda a: (mul[a, one], a)),
-            ("zero-left", (n,), lambda a: (mul[0, a], np.zeros_like(a))),
-            ("zero-right", (n,), lambda a: (mul[a, 0], np.zeros_like(a))),
+            ("zero-left", (n,), lambda a: (mul[0, a], 0)),
+            ("zero-right", (n,), lambda a: (mul[a, 0], 0)),
             ("left-distributive", (n, n, n), lambda a, b, c: (mul[a, add[b, c]], add[mul[a, b], mul[a, c]])),
         ]
         if right_distributive:

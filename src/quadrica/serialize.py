@@ -142,14 +142,16 @@ def _group_from(doc: dict, what: str) -> FiniteGroup:
 
 
 def _near_ring_from(doc: dict, what: str) -> NearRing:
+    """A square ring's R_e, built without right distributivity, as in
+    ``examples._pair_re``: a square ring replaces that law by AC7, which
+    its verification checks.  The ``right_distributive`` field is not read."""
     add = _int_array(_need(doc, "add"), f"{what}.add")
     mul = _int_array(_need(doc, "mul"), f"{what}.mul")
     one = _need(doc, "one")
     if not _is_int(one):
         raise ParseError(f"{what}.one: expected an integer")
-    rd = bool(doc.get("right_distributive", True))
     try:
-        ring = build_near_ring(add, mul, right_distributive=rd)
+        ring = build_near_ring(add, mul, right_distributive=False)
     except QuadricaError as e:
         raise ParseError(f"{what}: {e}") from e
     if int(ring.one) != one:
@@ -158,8 +160,12 @@ def _near_ring_from(doc: dict, what: str) -> NearRing:
 
 
 def from_doc(doc: dict):
-    """Decode a kind-tagged document; structural problems raise ParseError,
-    axiom-level verification failures surface from the constructors."""
+    """Decode a kind-tagged document; structural problems (a missing field,
+    a table of the wrong shape or range) raise ParseError.  The laws of a
+    square ring, a module and a map are left to verification: a module
+    over a ring that fails its axioms decodes, and its verdict is the
+    ring's.  A table that is no group or near-ring at all raises
+    ParseError with that refusal as its cause."""
     kind = _need(doc, "kind")
     if kind == "square_ring":
         re = _near_ring_from(_need(doc, "re"), "re")
@@ -182,15 +188,14 @@ def from_doc(doc: dict):
         group = _group_from(_need(doc, "group"), "group")
         scal = _int_array(_need(doc, "scal"), "scal")
         bracket = _int_array(_need(doc, "bracket"), "bracket")
+        if kind == "cp_module":
+            aset = _need(doc, "aset")
+            if not isinstance(aset, list) or not all(map(_is_int, aset)):
+                raise ParseError("aset: expected a list of integers")
         try:
             if kind == "cp_module":
-                aset = _need(doc, "aset")
-                if not isinstance(aset, list) or not all(map(_is_int, aset)):
-                    raise ParseError("aset: expected a list of integers")
                 return CpModule(sr, group, scal, bracket, aset)
             return BhpModule(sr, group, scal, bracket)
-        except ParseError:
-            raise
         except QuadricaError as e:
             raise ParseError(str(e)) from None
     if kind == "map":

@@ -137,7 +137,6 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
     one, two = sr.one, sr.two
     eadd, eneg = sr.ree.add, sr.ree.neg
     act, h, p, t = sr.act, sr.h, sr.p, sr.t
-    zero_e = np.int64(0)
     G_R, G_ee = sweep_generators(sr.re.group), sweep_generators(sr.ree)
 
     laws = [
@@ -197,9 +196,9 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
         ("AC1", (ne, nee, ne), lambda r, x, s: (p[act[r, r, x, s]], mul[mul[r, p[x]], s])),
         ("AC2", (nee,), lambda x: (t[x], eadd[h[p[x]], eneg[x]])),
         ("AC3", (nee,), lambda x: (p[t[x]], p[x])),
-        ("AC4", (nee, ne, nee), lambda x, r, y: (act[p[x], r, y, one], np.zeros_like(y))),
-        ("AC4", (nee, ne, nee), lambda x, r, y: (act[r, p[x], y, one], np.zeros_like(y))),
-        ("AC4", (nee, nee), lambda x, y: (act[one, one, y, p[x]], np.zeros_like(y))),
+        ("AC4", (nee, ne, nee), lambda x, r, y: (act[p[x], r, y, one], 0)),
+        ("AC4", (nee, ne, nee), lambda x, r, y: (act[r, p[x], y, one], 0)),
+        ("AC4", (nee, nee), lambda x, y: (act[one, one, y, p[x]], 0)),
         (
             "AC5",
             (ne, ne),
@@ -223,8 +222,8 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
         ),
     ]
     derived = [
-        ("H(1)=0", (1,), lambda _: (h[one] + _ * zero_e, np.zeros_like(_))),
-        ("PxPy=0", (nee, nee), lambda x, y: (mul[p[x], p[y]], np.zeros_like(x + y))),
+        ("H(1)=0", (1,), lambda _: (h[one] + 0 * _, 0)),
+        ("PxPy=0", (nee, nee), lambda x, y: (mul[p[x], p[y]], 0)),
         ("imP-central", (nee, ne), lambda x, r: (add[p[x], r], add[r, p[x]])),
         (
             "commutator-form",
@@ -287,13 +286,13 @@ def verify_square_ring(sr: SquareRing) -> Verdict:
         derived_verdict.require(ConsistencyError, "square ring that satisfies its axioms")
     full = verdict.merge(derived_verdict)
     sr._verdict = full
-    if not full.passed:
-        sr._commutative = None
     return full
 
 
 def ensure_verified(sr: SquareRing) -> None:
-    """Gate used by every downstream constructor."""
+    """Refuse a ring that fails verification: the gate of every builder
+    and derived structure that needs a verified ring.  A module's verdict
+    starts from the ring's instead (``modules.verify_bhp_module``)."""
     if sr._verdict is None:
         verify_square_ring(sr)
     sr._verdict.require(PreconditionUnmet, "square ring")

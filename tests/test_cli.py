@@ -186,6 +186,47 @@ def test_carrier_axiom_failures_exit_one(tmp_path, capsys):
     assert main(["verify", bad]) == 1
 
 
+def test_a_module_over_a_failing_ring_exits_one_with_the_ring_s_failures(tmp_path, capsys):
+    """A module document decodes whatever its ring's laws; its verdict is
+    the ring's, so every command refuses it with exit 1 and the ring's
+    FAIL lines, as it refuses the ring read alone."""
+    doc = json.loads(dumps(to_doc(free_cp_pair(build_example("sym", 2)))))
+    doc["square_ring"]["t"] = [0] * len(doc["square_ring"]["t"])  # T(T(1)) = 0, not 1
+    fails = ["  FAIL T-involution at (1,): lhs=0 rhs=1", "  FAIL AC2 at (1,): lhs=0 rhs=1",
+             "  FAIL AC3 at (1,): lhs=0 rhs=1"]
+    pair = write(tmp_path, "bad.pair", json.dumps(doc))
+    assert main(["verify", pair]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == [*fails, "result: FAIL"]
+    for argv in (["gr", pair], ["hom", pair, pair], ["enum", pair, pair]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"{pair}: cp_module fails verification", *fails]
+    square = write(tmp_path, "bad.map", json.dumps(
+        {"kind": "map", "dom": doc, "cod": doc, "table": [0, 1, 0, 1]}))
+    assert main(["quad", square]) == 1
+    assert capsys.readouterr().err.splitlines()[:4] == [f"{square}: map fails verification",
+                                                        *fails]
+    doc["scal"] = doc["scal"][:-1]  # a table of the wrong shape is still unparseable
+    assert main(["verify", write(tmp_path, "short.pair", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err == "parse error: scal shape (3, 4), expected (4, 4)\n"
+
+
+@pytest.mark.parametrize("field", ["absent", True, "no", [1]], ids=["absent", "true", "no", "list"])
+def test_a_ring_document_s_right_distributive_field_is_not_an_instruction(tmp_path, capsys,
+                                                                         field):
+    """R_e of a square ring is right-distributive only up to AC7, which
+    verification checks; the field a document carries is not read."""
+    doc = json.loads(dumps(to_doc(build_example("tensor", 3))))
+    assert doc["re"]["right_distributive"] is False
+    if field == "absent":
+        del doc["re"]["right_distributive"]
+    else:
+        doc["re"]["right_distributive"] = field
+    assert main(["verify", write(tmp_path, "tensor3.ring", json.dumps(doc))]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
 def test_enum_census_and_limit(tmp_path, capsys):
     pair = write_doc(tmp_path, "sym2.pair", free_cp_pair(build_example("sym", 2)))
     assert main(["enum", pair, pair]) == 0

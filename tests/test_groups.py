@@ -39,6 +39,10 @@ def test_dihedral_eight_is_class_two():
     assert d4.lower_central_series() == [tuple(range(8)), (0, 4), (0,)]
 
 
+def test_dihedral_sixteen_has_a_lower_central_series_of_length_four():
+    assert dihedral(8).lower_central_series() == [tuple(range(16)), (0, 4, 8, 12), (0, 8), (0,)]
+
+
 def test_symmetric_three_has_no_class():
     s3 = dihedral(3)
     assert s3.order == 6

@@ -27,6 +27,7 @@ from quadrica import (
     factorization_check,
     free_cp_pair,
     is_bhp_quadratic,
+    is_commutative,
     is_cp_quadratic,
     naive_bhp_quadratic,
     naive_cp_quadratic,
@@ -250,16 +251,45 @@ def test_a_certified_map_sweeps_only_the_two_identity_laws(swept, kind):
     assert fresh.sweeps > 2  # the gate's sweeps
 
 
-def test_a_table_written_after_certification_goes_through_the_gate_again():
+def test_relation_3c_and_the_bracket_clause_of_bhpc1_are_one_sweep(swept):
+    """A passing plain map sweeps 26 clauses: the bracket clause of BHPc1,
+    whose right side is a bracket of a bracket, 0 in a verified module, is
+    relation 3(c)."""
+    sr = build_example("tensor", 2)
+    f = square_map(sr, regular_module(sr))
+    is_commutative(sr)  # cached on the ring before the count
+    with swept() as tally:
+        cert = is_bhp_quadratic(f)
+    assert cert.passed and tally.sweeps == 26
+    assert "3(c)" in cert.verdict.checked and "BHPc1" in dict(cert.routes)["reduced"].checked
+
+
+def test_writing_a_map_s_table_raises_value_error():
+    """A certified map cannot be rewritten under its decision: the table
+    is read-only, so the decision ``three_defects_check`` reads is always
+    that of the map's table."""
     sr = build_example("tensor", 3)
     reg = regular_module(sr)
     f = MapTable(reg, reg, np.arange(reg.nm))  # the identity: linear, so quadratic
     assert is_bhp_quadratic(f).passed
-    f.table[:] = square_map(sr, reg).table
-    with pytest.raises(PreconditionUnmet) as fresh:
-        three_defects_check(MapTable(reg, reg, f.table))
-    with pytest.raises(PreconditionUnmet, match=f"^{re.escape(str(fresh.value))}$"):
-        three_defects_check(f)
+    with pytest.raises(ValueError, match="read-only"):
+        f.table[:] = square_map(sr, reg).table
+    assert np.array_equal(f.table, np.arange(reg.nm))
+    assert three_defects_check(f).passed
+
+
+def test_a_map_keeps_a_copy_of_the_caller_s_table():
+    """Writing the caller's array after the map is built leaves the map,
+    its hash and its membership of a set unchanged."""
+    sr = build_example("tensor", 2)
+    pair = free_cp_pair(sr)
+    tables = all_tables(pair.nm, pair.nm)[[0, 5]]
+    f = MapTable(pair, pair, tables[0])
+    before, kept = hash(f), {f}
+    tables[0] = tables[1]  # the caller's own array stays writable
+    assert np.array_equal(f.table, np.zeros(pair.nm, dtype=np.int64))
+    assert hash(f) == before and f in kept
+    assert f != MapTable(pair, pair, tables[0])
 
 
 def test_a_failed_decision_does_not_skip_the_gate():
@@ -373,7 +403,9 @@ def test_certificate_survives_reverification_but_not_tampering():
     pair = free_cp_pair(sr)
     cert = is_cp_quadratic(square_map(sr, pair))
     assert certificate_valid(cert)
-    cert.map.table[0] = (cert.map.table[0] + 1) % 4
+    tampered = cert.map.table.copy()
+    tampered[0] = (tampered[0] + 1) % 4
+    cert.map = MapTable(pair, pair, tampered)
     assert not certificate_valid(cert)
 
 
@@ -411,7 +443,9 @@ def test_compose_rejects_stale_certificates():
     sr = build_example("tensor", 2)
     pair = free_cp_pair(sr)
     sq = is_cp_quadratic(square_map(sr, pair))
-    sq.map.table[2] = 0  # silently corrupt the certified table
+    corrupt = sq.map.table.copy()
+    corrupt[2] = 0
+    sq.map = MapTable(pair, pair, corrupt)  # a certificate pointed at another table
     with pytest.raises(CertificateInvalid):
         compose_quadratic(sq, sq)
 

@@ -195,3 +195,16 @@ def test_one_refusal_path():
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
     assert offenders == []
     assert len(_decide_lines()) > 1  # the scan still finds _decide
+
+
+def test_constant_law_sides_are_constants():
+    """A law side that is the same at every cell is written as the
+    constant (``0``, ``1``): the engine broadcasts it against the other
+    side, which spans the grid, so a grid-shaped array of zeros or ones
+    would only be allocated to be compared."""
+    constant_array = re.compile(r"\b(zeros|ones)_like\(")
+    offenders = [f"{path.name}:{number}: {line.strip()}"
+                 for path in sorted(SOURCES.glob("*.py"))
+                 for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if constant_array.search(line)]
+    assert offenders == []
