@@ -34,7 +34,7 @@ from .groups import FiniteGroup, cyclic, direct_product
 from .modules import BhpModule, verify_bhp_module
 from .rings import CommutativeRing, NearRing, zmod
 from .squarering import SquareRing, ensure_verified, is_commutative
-from .verdict import run_laws
+from .verdict import _additive, run_laws
 
 __all__ = [
     "ExampleSpec",
@@ -296,10 +296,8 @@ def _algebra_laws(kind: str, g: FiniteGroup, prod: np.ndarray, scal_r: np.ndarra
     annihilate products."""
     order = g.order
     laws = [
-        ("additive in the first slot", (order, order, order),
-         lambda m, m2, q: (prod[g.add[m, m2], q], g.add[prod[m, q], prod[m2, q]])),
-        ("additive in the second slot", (order, order, order),
-         lambda m, q, q2: (prod[m, g.add[q, q2]], g.add[prod[m, q], prod[m, q2]])),
+        ("additive in the first slot", (order, order, order), _additive(prod, 0, g.add, g.add)),
+        ("additive in the second slot", (order, order, order), _additive(prod, 1, g.add, g.add)),
         ("homogeneous in the first slot", (order, order, n),
          lambda m, q, r: (prod[scal_r[m, r], q], scal_r[prod[m, q], r])),
         ("homogeneous in the second slot", (order, order, n),

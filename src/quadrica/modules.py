@@ -27,7 +27,7 @@ from .groups import (
 )
 from .squarering import (OperadTrunc2, SquareRing, cokernel_p, ensure_verified, operad_of,
                          verify_square_ring)
-from .verdict import Verdict, run_laws
+from .verdict import Verdict, _additive, run_laws
 
 __all__ = [
     "BhpModule",
@@ -195,12 +195,7 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
             lambda m, r, s: (scal[scal[m, r], s], scal[m, mul[r, s]]),
             None,
         ),
-        (
-            "MC1",
-            (nm, ne, ne),
-            lambda m, r, s: (scal[m, add[r, s]], madd[scal[m, r], scal[m, s]]),
-            (nm, ne, G_R),
-        ),
+        ("MC1", (nm, ne, ne), _additive(scal, 1, add, madd), (nm, ne, G_R)),
         (
             "MC2",
             (nm, nm, ne),
@@ -212,33 +207,10 @@ def _bhp_laws(mod: BhpModule, *, with_mc7: bool):
         ),
         ("MC3", (nm, nee), lambda m, x: (scal[m, p[x]], bracket[m, m, x]), None),
         ("MC4", (nm, nm, nee), lambda m, n, x: (bracket[m, n, t[x]], bracket[n, m, x]), mc4),
-        (
-            "MC5",
-            (nm, nm, nm, nee),
-            lambda m, m2, n, x: (
-                bracket[madd[m, m2], n, x],
-                madd[bracket[m, n, x], bracket[m2, n, x]],
-            ),
-            (nm, G, mc5_n, mc5_x),
-        ),
-        (
-            "MC5",
-            (nm, nm, nm, nee),
-            lambda m, n, n2, x: (
-                bracket[m, madd[n, n2], x],
-                madd[bracket[m, n, x], bracket[m, n2, x]],
-            ),
-            (nm, nm, G, mc5_x),
-        ),
-        (
-            "MC5",
-            (nm, nm, nee, nee),
-            lambda m, n, x, y: (
-                bracket[m, n, eadd[x, y]],
-                madd[bracket[m, n, x], bracket[m, n, y]],
-            ),
-            (nm, nm, nee, G_ee),
-        ),
+        # [m,n]·x additive in m, n and x: (m, m2, n, x), (m, n, n2, x), (m, n, x, y)
+        ("MC5", (nm, nm, nm, nee), _additive(bracket, 0, madd, madd), (nm, G, mc5_n, mc5_x)),
+        ("MC5", (nm, nm, nm, nee), _additive(bracket, 1, madd, madd), (nm, nm, G, mc5_x)),
+        ("MC5", (nm, nm, nee, nee), _additive(bracket, 2, eadd, madd), (nm, nm, nee, G_ee)),
         (
             "MC6",
             (nm, nm, ne, ne, nee, ne),
@@ -620,8 +592,8 @@ def _bar_module_laws(barmod: BarModule, bar) -> list:
         ("bar-abelian", (n, n), lambda a, b: (madd[a, b], madd[b, a])),
         ("bar-unit", (n,), lambda a: (scal[a, bone], a)),
         ("bar-assoc", (n, k, k), lambda a, r, s: (scal[scal[a, r], s], scal[a, bmul[r, s]])),
-        ("bar-add-r", (n, k, k), lambda a, r, s: (scal[a, badd[r, s]], madd[scal[a, r], scal[a, s]])),
-        ("bar-add-m", (n, n, k), lambda a, b, r: (scal[madd[a, b], r], madd[scal[a, r], scal[b, r]])),
+        ("bar-add-r", (n, k, k), _additive(scal, 1, badd, madd)),
+        ("bar-add-m", (n, n, k), _additive(scal, 0, madd, madd)),
     ]
 
 
@@ -684,21 +656,9 @@ def _build_gr(pair: CpModule) -> GradedAlgebra2:
          (G, G, sweep_generators(sr.ree))),
         *_bar_module_laws(deg1, bar),
         *_bar_module_laws(deg2, bar),
-        (
-            "pairing-additive-1",
-            (k1, k1, k1, nee),
-            lambda a, a2, b, x: (pairing[group1.add[a, a2], b, x], add2[pairing[a, b, x], pairing[a2, b, x]]),
-        ),
-        (
-            "pairing-additive-2",
-            (k1, k1, k1, nee),
-            lambda a, b, b2, x: (pairing[a, group1.add[b, b2], x], add2[pairing[a, b, x], pairing[a, b2, x]]),
-        ),
-        (
-            "pairing-additive-3",
-            (k1, k1, nee, nee),
-            lambda a, b, x, y: (pairing[a, b, sr.ree.add[x, y]], add2[pairing[a, b, x], pairing[a, b, y]]),
-        ),
+        ("pairing-additive-1", (k1, k1, k1, nee), _additive(pairing, 0, group1.add, add2)),
+        ("pairing-additive-2", (k1, k1, k1, nee), _additive(pairing, 1, group1.add, add2)),
+        ("pairing-additive-3", (k1, k1, nee, nee), _additive(pairing, 2, sr.ree.add, add2)),
         (
             "pairing-equivariant",
             (k1, k1, kbar, kbar, nee, kbar),
@@ -739,8 +699,7 @@ def _linear_laws(table: np.ndarray, dom: BhpModule, cod: BhpModule) -> list[tupl
     """The laws of a linear map: additive, scalar- and bracket-equivariant."""
     nm, ne, nee = dom.nm, dom.sr.re.order, dom.sr.ree.order
     return [
-        ("additive", (nm, nm),
-         lambda m, n: (table[dom.group.add[m, n]], cod.group.add[table[m], table[n]])),
+        ("additive", (nm, nm), _additive(table, 0, dom.group.add, cod.group.add)),
         ("scalar-equivariant", (nm, ne),
          lambda m, r: (table[dom.scal[m, r]], cod.scal[table[m], r])),
         ("bracket-equivariant", (nm, nm, nee),

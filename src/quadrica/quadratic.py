@@ -62,7 +62,7 @@ from .modules import (
     verify_cp_module,
 )
 from .squarering import is_commutative
-from .verdict import Sweeps, Verdict, passing_candidates, run_laws
+from .verdict import Sweeps, Verdict, _additive, passing_candidates, run_laws
 
 __all__ = [
     "MapTable",
@@ -318,9 +318,7 @@ def _additive_brackets(c: _Clauses):
     madd, nadd = dom.group.add, cod.group.add
     G, _, G_ee = _generating_sets(dom)
     B = c.get(_image_brackets)
-    return [((nm, nm, nm, nee),
-             lambda q, m, m2, n, x: (B[q, madd[m, m2], n, x], nadd[B[q, m, n, x], B[q, m2, n, x]]),
-             (nm, G, nm, G_ee))]
+    return [((nm, nm, nm, nee), _additive(B, 1, madd, nadd), (nm, G, nm, G_ee))]
 
 
 def _scalar_brackets(c: _Clauses):
@@ -432,9 +430,9 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
     """phi(q, extra_dims..., m, m') must be linear in each of m, m'.  ``phi``
     indexes as phi[(q, *extra, m, m')]; extra dimensions come first, and
     ``phi_reduced`` (by default ``phi_dims``) is their axes in the reduced
-    forms.  Six clauses ``(dims, law, reduced)``, in this order:
-    ``_first_add``, ``_second_add``, ``_first_scal``, ``_second_scal``,
-    ``_first_br``, ``_second_br``.
+    forms.  Six clauses ``(dims, law, reduced)``, in this order: additivity
+    in the first slot and in the second (``verdict._additive`` at m and at
+    m'), ``_first_scal``, ``_second_scal``, ``_first_br``, ``_second_br``.
 
     Every law carries a reduced form over G, G_R and G_ee
     (``_generating_sets``), by the lemma in the docstring of
@@ -445,35 +443,36 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
     verified modules, so their module axioms hold; in N, brackets are
     central, and α ↦ α·r is additive on brackets (MC2 and MC7).
 
-    * ``_first_add`` with m' ∈ G and ``_second_add`` with the added element
-      in G: the lemma for m ↦ φ(m, n) and for n ↦ φ(m, n), with no other
-      law needed.
+    * First- and second-slot additivity, with the added element in G: the
+      lemma for m ↦ φ(m, n) and for n ↦ φ(m, n), with no other law
+      needed.
     * ``_first_br``, φ([m,m']·x, n) = [φ(m,n), φ(m',n)]·x, on m, m' ∈ G and
       x ∈ G_ee with n swept in full, once both additivity laws of φ hold.
       In m, the left side is m ↦ [m,m']·x, additive by MC5 of M, followed
-      by φ(·, n), additive by ``_first_add``; the right side is m ↦ φ(m,n),
+      by φ(·, n), additive in the first slot; the right side is m ↦ φ(m,n),
       additive, followed by [·, φ(m',n)]·x, additive by MC5 of N.  The same
       holds in m', and in x: x ↦ [m,m']·x is additive by MC5 of M, and the
       right side by MC5 of N.  So for m, m' ∈ G the two sides agree for
       every x; then for m' ∈ G they agree on G as maps of m, hence for
       every m; then for each m they agree on G as maps of m', hence for
       every m'.  ``_second_br`` is the same argument for φ(n, ·), with
-      ``_second_add``.  n is swept in full: [φ(m,n), φ(m',n)]·x is not
-      additive in n.
+      second-slot additivity.  n is swept in full: [φ(m,n), φ(m',n)]·x is
+      not additive in n.
     * ``_first_scal``, φ(m·r, n) = φ(m,n)·r, on m ∈ G and r ∈ G_R with n
-      swept in full, once ``_first_add`` holds.  In r, for fixed m and n:
-      m·(r+s) = m·r + m·s by MC1 of M, so r ↦ φ(m·r, n) is additive by
-      ``_first_add``, and r ↦ φ(m,n)·r is additive by MC1 of N; the two
-      agree on G_R, hence for every r.  In m, for fixed r and n, let S be
-      the set of m for which the law holds; it contains G.  MC2 of M and
-      ``_first_add`` give
+      swept in full, once first-slot additivity holds.  In r, for fixed m
+      and n: m·(r+s) = m·r + m·s by MC1 of M, so r ↦ φ(m·r, n) is additive
+      by first-slot additivity, and r ↦ φ(m,n)·r is additive by MC1 of N;
+      the two agree on G_R, hence for every r.  In m, for fixed r and n,
+      let S be the set of m for which the law holds; it contains G.  MC2 of
+      M and first-slot additivity give
       φ((m+m')·r, n) = φ(m·r, n) + φ(m'·r, n) + φ([m,m']·H(r), n), and MC2
       of N gives φ(m+m',n)·r = φ(m,n)·r + φ(m',n)·r + [φ(m,n), φ(m',n)]·H(r).
       The last terms agree on every route (below), so S is closed under +,
       hence a subgroup, hence all of M.  ``_second_scal``,
       φ(n, m·r) = φ(n,m)·r, is the same argument in the second slot, with
-      ``_second_add`` and ``_second_br``.  n is swept in full: φ(m,n)·r is
-      not additive in n, since MC2 of N adds [φ(m,n), φ(m,n')]·H(r).
+      second-slot additivity and ``_second_br``.  n is swept in full:
+      φ(m,n)·r is not additive in n, since MC2 of N adds
+      [φ(m,n), φ(m,n')]·H(r).
 
     ``verdict.run_laws`` trusts a route's reduced forms only when every
     other law of the route holds, so a proof may use those laws.  Per
@@ -487,7 +486,7 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
       same in the second slot.
     * The factorization route (``_factorization_laws``) holds no bracket
       law: FAC2 takes the first four clauses of d_f, and FAC3 takes
-      ``_first_add``, ``_first_scal`` and ``_second_scal`` of the
+      first-slot additivity, ``_first_scal`` and ``_second_scal`` of the
       polarizations pol of the f_(r).  Both terms vanish there.  The M-side
       term [m,m']·H(r) lies in A by MC7b of M, and the route's laws make
       d_f and every f_(r), hence pol, blind to adding an element of A on
@@ -499,10 +498,11 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
       of B by the route's membership laws; the bracket is additive (MC5 of
       N) and kills B (MC7a of N), so it is 0.  ``_second_scal`` of pol also
       needs pol additive in its second slot, which FAC3 does not sweep: pol
-      is symmetric, so ``_first_add`` gives it.  Indeed n + m = m + n + c
-      with c a group commutator, in A, so f_(r)(n + m) = f_(r)(m + n); and
-      B is abelian, since a group commutator of two elements of B is a
-      bracket of an element of B, 0 by MC7a.
+      is symmetric, so first-slot additivity gives it.  Indeed
+      n + m = m + n + c with c a group commutator, in A, so
+      f_(r)(n + m) = f_(r)(m + n); and B is abelian, since a group
+      commutator of two elements of B is a bracket of an element of B, 0 by
+      MC7a.
 
     The f_[x] also run x over G_ee (``phi_reduced`` is (G_ee,)); the
     polarizations keep r in full, since f_(r) is quadratic in r.  On every
@@ -530,7 +530,7 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
     The other reduced forms of the routes:
 
     * Membership of d_f in B (CP1, CPc1, FAC2) on pairs of G: d_f is
-      additive in each slot by ``_first_add`` and ``_second_add``, which
+      additive in each slot by the two additivity clauses, which
       all three routes hold, and B is a subgroup (MC0 of N).  The m with
       d_f(m, g) ∈ B for every g ∈ G are closed under +, so they are all
       of M; then the same in the second slot.
@@ -538,8 +538,8 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
       outright, f([m,m']·x) ∈ f(A) ⊆ B by MC7b of M and the first clause
       of CP1, and [f(m),f(m')]·x ∈ B by MC7b of N.
     * d_f(M, A) = 0 and d_f(A, M) = 0 (CP4, CPc4) with the M slot over G:
-      for a ∈ A, m ↦ d_f(m, a) is additive by ``_first_add``, so it is 0
-      once it is 0 on G; m ↦ d_f(a, m) the same by ``_second_add``.
+      for a ∈ A, m ↦ d_f(m, a) is additive in the first slot, so it is 0
+      once it is 0 on G; m ↦ d_f(a, m) the same in the second slot.
     * f_[x](M, A) = 0 and f_[x](A, M) = 0 (CP4) with the M slot over G:
       they hold outright.  [m,a]·x = [a,m]·T(x) by MC4, 0 by MC7a, so
       f([m,a]·x) = f(0) = 0 by the zero law; [f(m),f(a)]·x is 0 in the
@@ -574,8 +574,8 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
     k = phi_dims  # leading extra dims: () for d, (nee,) for f_[x], (ne,) for pol
     kr = k if phi_reduced is None else phi_reduced
     return [
-        (k + (nm, nm, nm), lambda *a: _first_add(a, phi, madd, nadd), kr + (nm, G, nm)),
-        (k + (nm, nm, nm), lambda *a: _second_add(a, phi, madd, nadd), kr + (nm, nm, G)),
+        (k + (nm, nm, nm), _additive(phi, 1 + len(k), madd, nadd), kr + (nm, G, nm)),
+        (k + (nm, nm, nm), _additive(phi, 2 + len(k), madd, nadd), kr + (nm, nm, G)),
         (k + (nm, ne, nm), lambda *a: _first_scal(a, phi, dscal, nscal), kr + (G, G_R, nm)),
         (k + (nm, ne, nm), lambda *a: _second_scal(a, phi, dscal, nscal), kr + (G, G_R, nm)),
         (k + (nm, nm, nee, nm), lambda *a: _first_br(a, phi, dbr, nbr), kr + (G, G, G_ee, nm)),
@@ -583,17 +583,7 @@ def _bilinear_clauses(phi_dims: tuple, phi, dom: BhpModule, cod: BhpModule,
     ]
 
 
-# In the six helpers below ``extra`` starts with the candidate index q.
-
-
-def _first_add(args, phi, madd, nadd):
-    *extra, m, m2, n = args
-    return phi[(*extra, madd[m, m2], n)], nadd[phi[(*extra, m, n)], phi[(*extra, m2, n)]]
-
-
-def _second_add(args, phi, madd, nadd):
-    *extra, m, n, n2 = args
-    return phi[(*extra, m, madd[n, n2])], nadd[phi[(*extra, m, n)], phi[(*extra, m, n2)]]
+# In the four helpers below ``extra`` starts with the candidate index q.
 
 
 def _first_scal(args, phi, dscal, nscal):
@@ -914,14 +904,10 @@ def _graded_maps(dom: CpModule, cod: CpModule, T: np.ndarray) -> tuple[np.ndarra
         ("fbar-well-defined", (dom.nm,),
          lambda q, m: (gcod.proj1[T[q, m]], fbar[q, gdom.proj1[m]])),
         ("f2-into-B", (k2d,), lambda q, a: (f2[q, a] >= 0, 1)),
-        ("fbar-additive", (k1d, k1d),
-         lambda q, a, b: (fbar[q, gdom.deg1.group.add[a, b]],
-                          gcod.deg1.group.add[fbar[q, a], fbar[q, b]])),
+        ("fbar-additive", (k1d, k1d), _additive(fbar, 1, gdom.deg1.group.add, gcod.deg1.group.add)),
         ("fbar-equivariant", (k1d, kbar),
          lambda q, a, r: (fbar[q, gdom.deg1.scal[a, r]], gcod.deg1.scal[fbar[q, a], r])),
-        ("f2-additive", (k2d, k2d),
-         lambda q, a, b: (f2[q, gdom.deg2.group.add[a, b]],
-                          gcod.deg2.group.add[f2[q, a], f2[q, b]])),
+        ("f2-additive", (k2d, k2d), _additive(f2, 1, gdom.deg2.group.add, gcod.deg2.group.add)),
         ("f2-equivariant", (k2d, kbar),
          lambda q, a, r: (f2[q, gdom.deg2.scal[a, r]], gcod.deg2.scal[f2[q, a], r])),
     ]

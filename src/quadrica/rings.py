@@ -13,7 +13,7 @@ import numpy as np
 from .config import check_cap, get_config
 from .errors import NotARing
 from .groups import FiniteGroup, _closure, _frozen_table, build_group, cyclic
-from .verdict import run_laws
+from .verdict import _additive, run_laws
 
 __all__ = ["NearRing", "CommutativeRing", "build_near_ring", "zmod"]
 
@@ -67,7 +67,7 @@ class NearRing:
             ("unit-right", (n,), lambda a: (mul[a, one], a)),
             ("zero-left", (n,), lambda a: (mul[0, a], 0)),
             ("zero-right", (n,), lambda a: (mul[a, 0], 0)),
-            ("left-distributive", (n, n, n), lambda a, b, c: (mul[a, add[b, c]], add[mul[a, b], mul[a, c]])),
+            ("left-distributive", (n, n, n), _additive(mul, 1, add, add)),
         ]
         if right_distributive:
             laws.append(_right_distributivity(self))
@@ -93,9 +93,7 @@ class NearRing:
 def _right_distributivity(r: NearRing) -> tuple:
     """(a+b)c = ac + bc, as a law of the engine: demanded of a standalone
     near-ring, not of a square ring's R_e (see the module docstring)."""
-    n, add, mul = r.order, r.add, r.mul
-    return ("right-distributive", (n, n, n),
-            lambda a, b, c: (mul[add[a, b], c], add[mul[a, c], mul[b, c]]))
+    return ("right-distributive", (r.order,) * 3, _additive(r.mul, 0, r.add, r.add))
 
 
 class CommutativeRing(NearRing):

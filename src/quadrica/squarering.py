@@ -17,7 +17,7 @@ from .config import get_config
 from .errors import ConsistencyError, NotARing, PreconditionUnmet
 from .groups import FiniteGroup, _frozen_table, representatives, sweep_generators
 from .rings import NearRing
-from .verdict import Verdict, run_laws
+from .verdict import Verdict, _additive, run_laws
 
 __all__ = [
     "SquareRing",
@@ -142,32 +142,17 @@ def _ring_laws(sr: SquareRing) -> tuple[list, list]:
     laws = [
         ("ree-commutative", (nee, nee), lambda x, y: (eadd[x, y], eadd[y, x])),
         ("T-involution", (nee,), lambda x: (t[t[x]], x)),
-        ("T-additive", (nee, nee), lambda x, y: (t[eadd[x, y]], eadd[t[x], t[y]])),
-        ("P-additive", (nee, nee), lambda x, y: (p[eadd[x, y]], add[p[x], p[y]])),
-        (
-            "action-additive-1",
-            (ne, ne, ne, nee, ne),
-            lambda r, r2, s, x, u: (act[add[r, r2], s, x, u], eadd[act[r, s, x, u], act[r2, s, x, u]]),
-            (ne, G_R, G_R, G_ee, G_R),
-        ),
-        (
-            "action-additive-2",
-            (ne, ne, ne, nee, ne),
-            lambda r, s, s2, x, u: (act[r, add[s, s2], x, u], eadd[act[r, s, x, u], act[r, s2, x, u]]),
-            (ne, ne, G_R, G_ee, G_R),
-        ),
-        (
-            "action-additive-3",
-            (ne, ne, nee, nee, ne),
-            lambda r, s, x, y, u: (act[r, s, eadd[x, y], u], eadd[act[r, s, x, u], act[r, s, y, u]]),
-            (ne, ne, nee, G_ee, ne),
-        ),
-        (
-            "action-additive-4",
-            (ne, ne, nee, ne, ne),
-            lambda r, s, x, u, u2: (act[r, s, x, add[u, u2]], eadd[act[r, s, x, u], act[r, s, x, u2]]),
-            (ne, ne, G_ee, ne, G_R),
-        ),
+        ("T-additive", (nee, nee), _additive(t, 0, eadd, eadd)),
+        ("P-additive", (nee, nee), _additive(p, 0, eadd, add)),
+        # (r, r2, s, x, u), (r, s, s2, x, u), (r, s, x, y, u), (r, s, x, u, u2)
+        ("action-additive-1", (ne, ne, ne, nee, ne), _additive(act, 0, add, eadd),
+         (ne, G_R, G_R, G_ee, G_R)),
+        ("action-additive-2", (ne, ne, ne, nee, ne), _additive(act, 1, add, eadd),
+         (ne, ne, G_R, G_ee, G_R)),
+        ("action-additive-3", (ne, ne, nee, nee, ne), _additive(act, 2, eadd, eadd),
+         (ne, ne, nee, G_ee, ne)),
+        ("action-additive-4", (ne, ne, nee, ne, ne), _additive(act, 3, add, eadd),
+         (ne, ne, G_ee, ne, G_R)),
         (
             "action-left-monoid",
             (ne, ne, ne, ne, nee),
@@ -326,11 +311,9 @@ def _build_bar(sr: SquareRing) -> RingBar:
     group_q, proj = sr.re.group.quotient(sr.im_p())
     reps = representatives(proj)
     mul_q = proj[sr.re.mul[np.ix_(reps, reps)]]
-    run_laws([(
-        "quotient-mul-well-defined",
-        (sr.re.order, sr.re.order),
-        lambda a, b: (proj[sr.re.mul[a, b]], mul_q[proj[a], proj[b]]),
-    )]).require(NotARing, "R_e/im P")
+    # proj turns the product of R_e into that of the quotient
+    run_laws([("quotient-mul-well-defined", (sr.re.order, sr.re.order),
+               _additive(proj, 0, sr.re.mul, mul_q))]).require(NotARing, "R_e/im P")
     for table in (proj, reps):
         table.flags.writeable = False  # shared by every caller of the cache
     ring = NearRing(group_q, mul_q, int(proj[sr.one]), right_distributive=True)

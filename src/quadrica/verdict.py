@@ -82,7 +82,12 @@ class Verdict:
         return Verdict(not failures, tuple(failures), tuple(dict.fromkeys(checked)))
 
     def merge(self, other: "Verdict") -> "Verdict":
-        return Verdict.from_failures(self.failures + other.failures,
+        """Both verdicts as one.  A failure of ``other`` that this verdict
+        lists already (a map over one module, or over two modules failing
+        the same law) is dropped; each verdict's own list is kept whole."""
+        seen = set(self.failures)
+        return Verdict.from_failures(self.failures + tuple(f for f in other.failures
+                                                           if f not in seen),
                                      self.checked + other.checked)
 
     def require(self, error: type[Exception], what: str) -> "Verdict":
@@ -98,6 +103,19 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def _additive(phi, slot: int, add, out_add) -> Law:
+    """The law body "φ is additive in argument ``slot``": at arguments
+    (…, a, b, …), with b right after a in that slot, the two sides
+    φ(…, a+b, …) and φ(…, a, …) + φ(…, b, …), where ``add`` adds the
+    arguments and ``out_add`` the values.  Every "additive in one argument"
+    law of the package is built here, so its body is written once."""
+    def law(*args):
+        head, (a, b), tail = args[:slot], args[slot:slot + 2], args[slot + 2:]
+        return (phi[(*head, add[a, b], *tail)],
+                out_add[phi[(*head, a, *tail)], phi[(*head, b, *tail)]])
+    return law
 
 
 def open_grid(dims: Sequence[int]) -> tuple[np.ndarray, ...]:

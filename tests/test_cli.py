@@ -189,7 +189,8 @@ def test_carrier_axiom_failures_exit_one(tmp_path, capsys):
 def test_a_module_over_a_failing_ring_exits_one_with_the_ring_s_failures(tmp_path, capsys):
     """A module document decodes whatever its ring's laws; its verdict is
     the ring's, so every command refuses it with exit 1 and the ring's
-    FAIL lines, as it refuses the ring read alone."""
+    FAIL lines, as it refuses the ring read alone; a map over the module
+    lists each of them once."""
     doc = json.loads(dumps(to_doc(free_cp_pair(build_example("sym", 2)))))
     doc["square_ring"]["t"] = [0] * len(doc["square_ring"]["t"])  # T(T(1)) = 0, not 1
     fails = ["  FAIL T-involution at (1,): lhs=0 rhs=1", "  FAIL AC2 at (1,): lhs=0 rhs=1",
@@ -204,9 +205,11 @@ def test_a_module_over_a_failing_ring_exits_one_with_the_ring_s_failures(tmp_pat
             f"{pair}: cp_module fails verification", *fails]
     square = write(tmp_path, "bad.map", json.dumps(
         {"kind": "map", "dom": doc, "cod": doc, "table": [0, 1, 0, 1]}))
-    assert main(["quad", square]) == 1
-    assert capsys.readouterr().err.splitlines()[:4] == [f"{square}: map fails verification",
-                                                        *fails]
+    assert main(["quad", square]) == 1  # each failure once, not once per module
+    assert capsys.readouterr().err.splitlines() == [f"{square}: map fails verification", *fails]
+    assert main(["verify", square]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == [*fails, "result: FAIL"]
     doc["scal"] = doc["scal"][:-1]  # a table of the wrong shape is still unparseable
     assert main(["verify", write(tmp_path, "short.pair", json.dumps(doc))]) == 2
     assert capsys.readouterr().err == "parse error: scal shape (3, 4), expected (4, 4)\n"

@@ -11,6 +11,7 @@ import quadrica.quadratic as quadratic
 from quadrica import (
     MapTable,
     build_example,
+    compose_quadratic,
     free_cp_pair,
     hom_module,
     is_bhp_quadratic,
@@ -293,3 +294,34 @@ def test_pushforward_names_the_first_scalar_defect_that_disagrees():
         pushforward(sq, pair)
     assert str(err.value) == ("postcomposition by a quadratic pair map fails (g_*)_(r) = g_(r)∘f "
                               f"at (1, {first}, {m}): lhs={right} rhs={spoiled}")
+
+
+# the free pairs of the perfbench ``hom`` workload (``HOM_DOCS``)
+HOM_PAIRS = [("rnil", 2), ("sym", 2), ("tensor", 2), ("gamma", 2),
+             ("sym", 3), ("gamma", 3), ("tensor", 3)]
+
+
+@pytest.mark.parametrize("kind,n", HOM_PAIRS, ids=[f"{k}{n}" for k, n in HOM_PAIRS])
+def test_gr_is_a_functor_on_the_maps_of_a_hom_carrier(kind, n):
+    """(g∘f)‾ = ḡ∘f̄ and (g∘f)₂ = g₂∘f₂ for every pair g, f of quadratic
+    maps M → M, and the identity goes to identities: each composite of
+    the carrier's tables, stacked, has the induced maps composed from
+    those of its factors."""
+    set_config(cap_group=128)  # the n = 3 carriers have 81 maps
+    pair = free_cp_pair(build_example(kind, n))
+    tables = np.stack([f.table for f in hom_module(pair, pair).maps])
+    k = len(tables)
+    composites = tables[np.arange(k)[:, None, None], tables[None]]  # [g, f] = T[g][T[f]]
+    fbar, f2 = quadratic._graded_maps(pair, pair, tables)
+    cbar, c2 = quadratic._graded_maps(pair, pair, composites.reshape(k * k, -1))
+    for induced, composed in ((fbar, cbar), (f2, c2)):
+        expected = induced[np.arange(k)[:, None, None], induced[None]]  # [g, f] = g'[f']
+        assert np.array_equal(composed.reshape(k, k, -1), expected)
+    ibar, i2 = quadratic._graded_maps(pair, pair, np.arange(pair.nm)[None])
+    assert np.array_equal(ibar[0], np.arange(fbar.shape[1]))
+    assert np.array_equal(i2[0], np.arange(f2.shape[1]))
+    certs = [is_cp_quadratic(MapTable(pair, pair, t)) for t in tables[[0, k // 2, k - 1]]]
+    for g, f in itertools.product(range(3), repeat=2):
+        graded = compose_quadratic(certs[g], certs[f]).graded
+        assert np.array_equal(graded["fbar"], certs[g].graded["fbar"][certs[f].graded["fbar"]])
+        assert np.array_equal(graded["f2"], certs[g].graded["f2"][certs[f].graded["f2"]])

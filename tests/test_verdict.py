@@ -123,3 +123,17 @@ def test_checked_names_each_law_once_in_first_seen_order():
     other = Verdict.from_failures([], ["M", "K"])
     assert verdict.merge(other).checked == ("L", "K", "M")
     assert other.merge(verdict).checked == ("M", "K", "L")
+
+
+def test_a_merge_lists_a_failure_found_by_both_verdicts_once():
+    """A failure of the second verdict that the first lists already (a map
+    over one module) is dropped; two clauses of one law failing at the
+    same cell stay two failures of their verdict."""
+    a, b, c = (Failure("L", (1,), "lhs=1 rhs=0"), Failure("K", (0,), "lhs=0 rhs=2"),
+               Failure("L", (2,), "lhs=2 rhs=0"))
+    one = Verdict.from_failures([a, b], ["L", "K"])
+    assert one.merge(Verdict.from_failures([b, c], ["K", "L"])).failures == (a, b, c)
+    assert one.merge(one) == one
+    twice = Verdict.from_failures([a, a], ["L"])
+    assert twice.merge(twice).failures == (a, a)
+    assert one.merge(twice).failures == (a, b)
