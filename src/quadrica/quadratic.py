@@ -798,7 +798,9 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
     error, in either direction.  Every route is decided by masked sweeps
     of the stack, each clause swept once across routes.  When f fails,
     ``run_laws`` gives every route's verdict with its witnesses, reusing
-    what the sweeps found.  When f passes, every route must pass every
+    what the sweeps found, and each list is read at once, so that a
+    certificate holds its failures and not the stacks of its decision.
+    When f passes, every route must pass every
     f_(r) too, and for pair maps the graded maps of f and of every f_(r)
     are checked as one stack; a failure raises ConsistencyError naming
     the first law it fails, primary route first.  The outcome is kept on
@@ -823,6 +825,8 @@ def _decide(kind: str, f: MapTable, T: np.ndarray) -> QuadCertificate:
                     f"but {name} passes"
                 )
             outcomes.append((name, outcome))
+        for listed in (verdict, *(outcome for _, outcome in outcomes)):
+            listed.failures  # read now: unread, a list keeps c and sweeps alive
         f._decision = (False, bundle)
         return QuadCertificate(kind=kind, map=f, defects=bundle, verdict=verdict,
                                routes=tuple(outcomes), passed=False)

@@ -21,11 +21,20 @@ Whoever writes a reduced form proves that, once every law without a
 reduced form and every reduced form hold, every law holds; ``run_laws``
 and ``passing_candidates`` apply that one rule, and their results are
 those of the full sweeps.
+
+``run_laws`` decides first: it sweeps in the order of that rule and stops
+at the first law that fails.  A passing verdict is then complete.  A
+failing one lists its failures, those of the full sweeps, when
+``failures`` is first read, and keeps the list; until then it holds on to
+its law list (and so to the tables its bodies read), its ``Sweeps`` and
+what the decision swept.  ``passed`` never depends on the list, so a
+caller that reads only ``passed``, such as a census filtering candidates,
+sweeps no witness it does not read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
 from math import prod
@@ -69,17 +78,46 @@ class Failure:
         return f"{self.law} at {self.witness}: {self.detail}{more}"
 
 
-@dataclass(frozen=True)
 class Verdict:
-    passed: bool
-    failures: tuple[Failure, ...] = ()
-    checked: tuple[str, ...] = field(default_factory=tuple)
+    """Whether every law held, the failures, and the laws checked (each
+    named once, in first-seen order), compared, hashed and printed as the
+    frozen dataclass of those three fields.
+
+    ``passed`` never depends on ``failures``: a failing verdict of
+    ``run_laws`` lists its failures on first read and keeps the list (see
+    ``run_laws``).  Every other reader (``failed_laws``, ``merge``, ``==``,
+    ``hash``, ``repr``, the CLI's reports) sees the list built once;
+    ``require`` on an unread list sweeps up to its first failure only."""
+
+    __slots__ = ("passed", "checked", "_failures", "_listing")
+
+    def __init__(self, passed: bool, failures: Sequence[Failure] = (),
+                 checked: Sequence[str] = ()):
+        for name, value in (("passed", passed), ("_failures", failures),
+                            ("checked", checked), ("_listing", None)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_failures(failures: Sequence[Failure], checked: Sequence[str]) -> "Verdict":
         """The verdict of ``failures``; ``checked`` names each law once, in
         first-seen order (a law of several clauses repeats its label)."""
         return Verdict(not failures, tuple(failures), tuple(dict.fromkeys(checked)))
+
+    @staticmethod
+    def _listed_on_read(listing: Callable[[bool], list[Failure]],
+                        checked: Sequence[str]) -> "Verdict":
+        """A failing verdict whose failures ``listing(False)`` lists on
+        first read; ``listing(True)`` lists them up to the first."""
+        out = Verdict(False, (), tuple(dict.fromkeys(checked)))
+        object.__setattr__(out, "_listing", listing)
+        return out
+
+    @property
+    def failures(self) -> tuple[Failure, ...]:
+        if self._listing is not None:
+            object.__setattr__(self, "_failures", tuple(self._listing(False)))
+            object.__setattr__(self, "_listing", None)
+        return self._failures
 
     def merge(self, other: "Verdict") -> "Verdict":
         """Both verdicts as one.  A failure of ``other`` that this verdict
@@ -93,9 +131,11 @@ class Verdict:
     def require(self, error: type[Exception], what: str) -> "Verdict":
         """This verdict, if it passed; otherwise ``error`` raised on its
         first failure, as "{what} fails {law} at {witness}: {detail}".
-        The one place where a law that must hold becomes a refusal."""
+        The one place where a law that must hold becomes a refusal.  An
+        unread list is swept up to its first failure only."""
         if not self.passed:
-            raise error(f"{what} fails {self.failures[0]}")
+            first = self._failures if self._listing is None else self._listing(True)
+            raise error(f"{what} fails {first[0]}")
         return self
 
     def failed_laws(self) -> tuple[str, ...]:
@@ -103,6 +143,24 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.passed
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.passed, self.failures, self.checked)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Verdict(passed={self.passed!r}, failures={self.failures!r}, "
+                f"checked={self.checked!r})")
 
 
 def _additive(phi, slot: int, add, out_add) -> Law:
@@ -378,43 +436,63 @@ def passing_candidates(laws: Iterable[tuple], count: int, *, sweeps: Sweeps | No
 
 def run_laws(laws: Iterable[tuple], *, all_witnesses: bool = False,
              sweeps: Sweeps | None = None, candidate: int = 0) -> Verdict:
-    """The verdict of sweeping every law in full, witnesses included.
+    """The verdict of sweeping every law in full, witnesses included,
+    decided first and listed on first read.
 
-    The laws without a reduced form are swept in full first.  If they all
-    hold, the reduced forms are swept; if those hold too, every law holds
-    (by the proofs that come with the reduced forms).  Otherwise the laws
-    with a reduced form are swept in full as well, so every failure and
-    witness is the exhaustive one.  Failures and ``checked`` keep the law
-    order.
+    The decision: the laws without a reduced form are swept in full, in
+    order, then the reduced forms, and the first law that fails stops the
+    sweeps.  If none fails, every law holds (by the proofs that come with
+    the reduced forms), and the verdict is complete.  Otherwise its
+    failures are those of the exhaustive sweep, in law order: every law
+    swept in full with the witness policy ``all_witnesses`` of this call,
+    except those a sweep has found holding.  They are listed the first
+    time ``failures`` is read, reusing the first witness the decision
+    found; until then the verdict holds on to the law list (the tables
+    its bodies read), ``sweeps`` and the results of the decision.
+    ``Verdict.require`` on an unread list sweeps in law order up to the
+    first law that fails in full, with first witnesses, and keeps what it
+    swept for a later read.  ``checked`` keeps the law order.
 
     With ``sweeps``, the laws are those of its candidate stack,
     ``law(q, *grid)``, the verdict is that of ``candidate``, and each
     clause is swept through ``sweeps``: not at all when a sweep has found
     that it holds for the candidate, and at most once per witness policy."""
     laws = _law_parts(laws)
+    found: dict[tuple[int, bool], list[Failure]] = {}  # (law, all witnesses) -> its failures
 
-    def failures(label, fn, part, every: bool) -> list[Failure]:
-        if sweeps is None:
-            return law_failures(label, part[1], fn, grid=part[2], all_witnesses=every)
-        return sweeps.failures(label, fn, *part, candidate, every)
+    def failures(i: int, every: bool) -> list[Failure]:
+        """Law ``i`` swept in full, once per witness policy; not at all
+        once a sweep has found that it holds."""
+        if found.get((i, False)) == []:
+            return []
+        if (i, every) not in found:
+            label, full, fn, _ = laws[i]
+            found[i, every] = (
+                law_failures(label, full[1], fn, grid=full[2], all_witnesses=every)
+                if sweeps is None else sweeps.failures(label, fn, *full, candidate, every))
+        return found[i, every]
 
-    def holds(label, fn, part) -> bool:
-        if sweeps is None:
-            return not failures(label, fn, part, False)
-        return sweeps.holds(label, fn, *part, candidate)
+    def holds(i: int, part) -> bool:
+        """Whether law ``i`` holds over ``part``, its full or reduced dims."""
+        label, full, fn, _ = laws[i]
+        if sweeps is not None:
+            return sweeps.holds(label, fn, *part, candidate)
+        if part is full:
+            return not failures(i, False)
+        return not law_failures(label, part[1], fn, grid=part[2])
 
-    found = {
-        i: failures(label, fn, full, all_witnesses)
-        for i, (label, full, fn, reduced) in enumerate(laws)
-        if reduced is None
-    }
-    reduced_hold = not any(found.values()) and all(
-        holds(label, fn, reduced) for label, _, fn, reduced in laws if reduced is not None
-    )
-    out: list[Failure] = []
-    for i, (label, full, fn, _) in enumerate(laws):
-        if i in found:
-            out += found[i]
-        elif not reduced_hold:
-            out += failures(label, fn, full, all_witnesses)
-    return Verdict.from_failures(out, [label for label, *_ in laws])
+    checked = [label for label, *_ in laws]
+    order = [(i, full) for i, (_, full, _, reduced) in enumerate(laws) if reduced is None]
+    order += [(i, reduced) for i, (*_, reduced) in enumerate(laws) if reduced is not None]
+    if all(holds(i, part) for i, part in order):
+        return Verdict.from_failures((), checked)
+
+    def listing(first: bool) -> list[Failure]:
+        out: list[Failure] = []
+        for i in range(len(laws)):
+            out += failures(i, all_witnesses and not first)
+            if first and out:
+                break
+        return out
+
+    return Verdict._listed_on_read(listing, checked)

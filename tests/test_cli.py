@@ -215,6 +215,26 @@ def test_a_module_over_a_failing_ring_exits_one_with_the_ring_s_failures(tmp_pat
     assert capsys.readouterr().err == "parse error: scal shape (3, 4), expected (4, 4)\n"
 
 
+GOLDEN = Path(__file__).parent / "data" / "sym2_regular_broken.golden.json"
+
+
+def test_a_failing_document_prints_its_recorded_report_byte_for_byte(monkeypatch, capsys):
+    """The ``sym 2`` regular module with bracket[0, 0, 0] raised by 1 fails
+    MC2 and MC3, which have no reduced form, and MC5 to MC7, which do.
+    ``verify`` of it in both formats, and ``quad`` of the identity map over
+    it in both formats, print the recorded stdout and stderr and exit with
+    the recorded code: the failure list that a report reads is built on
+    that read, and it neither reorders nor drops a FAIL line.  The record
+    is that of the engine that listed every failure before returning."""
+    monkeypatch.chdir(GOLDEN.parent)
+    runs = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(run["argv"][0] for run in runs.values()) == ["quad", "quad", "verify", "verify"]
+    for run in runs.values():
+        assert main(run["argv"]) == run["exit"] == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (run["stdout"], run["stderr"])
+
+
 @pytest.mark.parametrize("field", ["absent", True, "no", [1]], ids=["absent", "true", "no", "list"])
 def test_a_ring_document_s_right_distributive_field_is_not_an_instruction(tmp_path, capsys,
                                                                          field):

@@ -199,9 +199,11 @@ def test_a_witness_off_the_generating_set_keeps_the_full_sweep_message():
 
 def test_associativity_sweeps_the_generating_set_on_the_middle_axis(monkeypatch):
     """One sweep of n·|S|·n cells for a group, then the n cells of the
-    inverse law; the full n³ as well for a table that fails associativity,
-    and no inverse sweep.  (S on the first axis would be a valid test too,
-    by the mirror of Light's argument, so only the dims tell it apart.)"""
+    inverse law.  A table that fails associativity is refused by the
+    reduced form; its first witness is then the one of the full n³ sweep,
+    the only other sweep, and no inverse sweep follows.  (S on the first
+    axis would be a valid test too, by the mirror of Light's argument, so
+    only the dims tell it apart.)"""
     seen = []
 
     def counting(label, dims, law, **kwargs):

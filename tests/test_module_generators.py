@@ -451,8 +451,9 @@ def test_a_pair_module_that_fails_mc4_and_mc6_first_off_the_generators():
     assert_agrees(mod)
 
 
-def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
-    """The (label, dims) of every sweep that verifying ``mod`` runs."""
+def sweeps(monkeypatch, mod: BhpModule) -> tuple[list, list]:
+    """The (label, dims) of every sweep, in order, that verifying ``mod``
+    runs, and of those that reading its failures runs after that."""
     seen = []
 
     def counting(label, dims, law, **kwargs):
@@ -460,20 +461,28 @@ def sweeps(monkeypatch, mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
         return law_failures(label, dims, law, **kwargs)
 
     monkeypatch.setattr(engine, "law_failures", counting)
-    verify(mod)
+    verdict = verify(mod)
+    decided = seen[:]
+    verdict.failures
     monkeypatch.undo()
-    return seen
+    return decided, seen[len(decided):]
 
 
-def full_sweeps(mod: BhpModule) -> list[tuple[str, tuple[int, ...]]]:
-    return [(label, sizes(dims)) for label, dims, _, _ in _module_laws(mod)]
+def full_sweeps(mod: BhpModule, reduced: bool | None = None) -> list[tuple[str, tuple[int, ...]]]:
+    """Every law of ``mod`` in full, in law order; with ``reduced`` True or
+    False, only the laws with or without a reduced form."""
+    return [(label, sizes(dims)) for label, dims, _, r in _module_laws(mod)
+            if reduced is None or bool(r) == reduced]
 
 
 def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
+    """The decision sweeps the laws without a reduced form in order, then
+    the reduced forms, and stops at the first law that fails; reading the
+    failures then sweeps, in law order, every law in full that no sweep
+    found holding, reusing the first witness of the law that failed."""
     # all laws hold: the reduced forms stand for their laws
     pair = free_cp_pair(build_example("sym", 2))
     hom = hom_module(pair, pair)
-    laws = _module_laws(hom)
     nm, ne, nee = hom.nm, hom.sr.re.order, hom.sr.ree.order
     ng = len(generators(hom.group))
     ng_r, ng_ee = len(generators(hom.sr.re.group)), len(generators(hom.sr.ree))
@@ -482,31 +491,36 @@ def test_each_law_is_swept_once_unless_a_reduced_form_fails(monkeypatch):
     n_axis = len(mc2_axis(hom))
     x_axis = len({*generators(hom.sr.ree), int(hom.sr.t[hom.sr.h[hom.sr.two]])})
     assert (nm, ne, nee, ng, n_axis, ng_r, ng_ee, x_axis) == (8, 4, 2, 3, 3, 2, 1, 2)
-    expected = [(label, sizes(dims)) for label, dims, _, r in laws if r is None]
-    expected += [("MC1", (nm, ne, ng_r)), ("MC2", (nm, n_axis, ne)),
-                 ("MC4", (nm, n_axis, x_axis)), ("MC5", (nm, ng, ng, ng_ee)),
-                 ("MC5", (nm, nm, ng, ng_ee)), ("MC5", (nm, nm, nee, ng_ee)),
-                 ("MC6", (ng, ng, ng_r, ng_r, ng_ee, ng_r))]
-    seen = sweeps(monkeypatch, hom)
-    assert sorted(seen) == sorted(expected)
+    expected = full_sweeps(hom, reduced=False) + [
+        ("MC1", (nm, ne, ng_r)), ("MC2", (nm, n_axis, ne)), ("MC4", (nm, n_axis, x_axis)),
+        ("MC5", (nm, ng, ng, ng_ee)), ("MC5", (nm, nm, ng, ng_ee)),
+        ("MC5", (nm, nm, nee, ng_ee)), ("MC6", (ng, ng, ng_r, ng_r, ng_ee, ng_r))]
+    seen, read = sweeps(monkeypatch, hom)
+    assert seen == expected and read == []
     assert 2 * sum(prod(d) for _, d in seen) < sum(prod(d) for _, d in full_sweeps(hom))
-    # MC1 fails in its second clause, which has no reduced form: every law
-    # once, in full, and no reduced form
+    # MC1 fails in its second clause, which has no reduced form and comes
+    # second in law order: the decision stops there; the read sweeps every
+    # law after it in full
     mc1 = [m for m in census_structures() if exhaustive(m).failed_laws()[:1] == ("MC1",)]
     candidate = next(m for m in mc1 if not holds(*_module_laws(m)[1][:3]))
-    assert sorted(sweeps(monkeypatch, candidate)) == sorted(full_sweeps(candidate))
-    # MC1 fails only in its additivity clause: the first reduced form fails,
-    # so it, then every law once in full
+    assert [bool(law[3]) for law in _module_laws(candidate)[:2]] == [False, False]
+    seen, read = sweeps(monkeypatch, candidate)
+    assert seen == full_sweeps(candidate)[:2] and read == full_sweeps(candidate)[2:]
+    # MC1 fails only in its additivity clause: the first reduced form
+    # fails; the read sweeps every reducible law in full
     candidate = next(m for m in mc1 if holds(*_module_laws(m)[1][:3]))
     nm, ne = candidate.nm, candidate.sr.re.order
     ng_r = len(generators(candidate.sr.re.group))
-    assert sorted(sweeps(monkeypatch, candidate)) == sorted(full_sweeps(candidate)
-                                                            + [("MC1", (nm, ne, ng_r))])
-    # a later reduced form fails: the reduced forms up to it, then every law
-    # once in full
+    seen, read = sweeps(monkeypatch, candidate)
+    assert seen == full_sweeps(candidate, reduced=False) + [("MC1", (nm, ne, ng_r))]
+    assert read == full_sweeps(candidate, reduced=True)
+    # a later reduced form fails: the reduced forms up to it, then the
+    # read sweeps every reducible law in full
     mutant = mc5_only_mutant(pair=False)
-    assert sorted(sweeps(monkeypatch, mutant)) == sorted(full_sweeps(mutant)
-                                                         + [("MC1", (4, 2, 1)), ("MC5", (4, 2, 4, 2))])
+    seen, read = sweeps(monkeypatch, mutant)
+    assert seen == full_sweeps(mutant, reduced=False) + [("MC1", (4, 2, 1)),
+                                                          ("MC5", (4, 2, 4, 2))]
+    assert read == full_sweeps(mutant, reduced=True)
 
 
 def test_the_tensor_3_hom_carrier_sweeps_at_most_260000_cells(monkeypatch, swept):
@@ -518,8 +532,8 @@ def test_the_tensor_3_hom_carrier_sweeps_at_most_260000_cells(monkeypatch, swept
     pair = free_cp_pair(build_example("tensor", 3))
     hom = hom_module(pair, pair)
     assert hom.nm == 81 and generators(hom.group) == (1, 3, 9, 27)
-    seen = sweeps(monkeypatch, hom)
-    assert len(seen) == len(_module_laws(hom))
+    seen, read = sweeps(monkeypatch, hom)
+    assert len(seen) == len(_module_laws(hom)) and read == []
     with swept() as tally:
         verify(hom)
     assert tally.cells <= 260_000

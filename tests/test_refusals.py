@@ -168,6 +168,20 @@ def test_require_returns_a_passing_verdict_and_raises_on_the_first_failure():
         bad.require(NotARing, "x")
 
 
+def test_a_refusal_sweeps_no_law_after_the_first_that_fails(swept):
+    """A law list that must hold is swept up to its first failing law and
+    no further: the refused quotient of the ``sym 4`` regular module by
+    (0, 4, 8, 12) sweeps normality (16 × 4 cells) and ``scalar-stable``
+    (4 × 16), not ``bracket-stable``, ``scal-well-defined`` or
+    ``bracket-well-defined`` (1,536 cells more)."""
+    mod = regular_module(build_example("sym", 4))
+    assert (mod.nm, mod.sr.re.order, mod.sr.ree.order) == (16, 16, 4)
+    with swept() as tally, pytest.raises(NotNormal) as info:
+        quotient_bhp(mod, (0, 4, 8, 12))
+    assert str(info.value) == "quotient by (0, 4, 8, 12) fails scalar-stable at (4, 1): lhs=0 rhs=1"
+    assert (tally.sweeps, tally.cells) == (2, 16 * 4 + 4 * 16)
+
+
 def _decide_lines() -> range:
     tree = ast.parse((SOURCES / "quadratic.py").read_text(encoding="utf-8"))
     (decide,) = [node for node in tree.body

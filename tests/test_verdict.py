@@ -4,6 +4,7 @@ counts the failing cells left out."""
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -137,3 +138,19 @@ def test_a_merge_lists_a_failure_found_by_both_verdicts_once():
     twice = Verdict.from_failures([a, a], ["L"])
     assert twice.merge(twice).failures == (a, a)
     assert one.merge(twice).failures == (a, b)
+
+
+def test_a_verdict_listed_on_read_compares_hashes_and_prints_as_its_list():
+    """A failing verdict of ``run_laws`` equals, hashes and prints as the
+    verdict of its failures, and stays frozen."""
+    laws = [("L", (3,), identity_is_zero), ("K", (2,), lambda a: (a, a))]
+    eager = Verdict.from_failures(law_failures("L", (3,), identity_is_zero), ["L", "K"])
+    assert run_laws(laws) == eager and eager == run_laws(laws)
+    assert hash(run_laws(laws)) == hash(eager)
+    assert repr(run_laws(laws)) == repr(eager) == (
+        "Verdict(passed=False, failures=(Failure(law='L', witness=(1,), detail='lhs=1 rhs=0', "
+        "omitted=0),), checked=('L', 'K'))")
+    verdict = run_laws(laws)
+    with pytest.raises(FrozenInstanceError):
+        verdict.passed = True
+    assert Verdict(True) == Verdict(True, (), ()) != eager
